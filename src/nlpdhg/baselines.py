@@ -13,6 +13,7 @@ import time
 
 import numpy as np
 
+from .bregman import sigmoid, softmax
 from .engine import ErgodicAccumulator, SolveReport, _rel_change, check_stop
 from .operators import DenseOperator, norm_1_inf, norm_2_2
 from .problems.lasso import shrink1
@@ -61,21 +62,6 @@ def project_l1_ball(v, radius):
     return np.sign(v) * np.maximum(a - theta, 0.0)
 
 
-def _sigmoid(w):
-    out = np.empty_like(w)
-    pos = w >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-w[pos]))
-    ew = np.exp(w[~pos])
-    out[~pos] = ew / (1.0 + ew)
-    return out
-
-
-def _softmax(t):
-    t = t - np.max(t)
-    e = np.exp(t)
-    return e / e.sum()
-
-
 def _fb_minimize(grad, lipschitz, u0, tol, max_iters):
     """Forward-backward (plain gradient) iteration on a smooth strongly
     convex objective; stops on absolute iterate change."""
@@ -96,7 +82,7 @@ def _logistic_conjugate_prox(z, sigma, m, u0, tol, max_iters):
     """argmin_u 0.5||u - z||^2 + (sigma/m) sum log(1 + exp(u_i/sigma))."""
 
     def grad(u):
-        return u - z + _sigmoid(u / sigma) / m
+        return u - z + sigmoid(u / sigma) / m
 
     lip = 1.0 + 1.0 / (4.0 * sigma * m)
     return _fb_minimize(grad, lip, u0, tol, max_iters)
@@ -154,8 +140,9 @@ def solve_linear_pdhg_logreg(
         tau = tau / theta
         sigma = theta * sigma
         v, v_prev, y = v_new, v, y_new
-        erg_ok = y_erg_prev is not None and _rel_change(acc.y_avg, y_erg_prev) <= tol
-        y_erg_prev = acc.y_avg.copy()
+        y_avg = acc.y_avg
+        erg_ok = y_erg_prev is not None and _rel_change(y_avg, y_erg_prev) <= tol
+        y_erg_prev = y_avg
         converged = check_stop(stop_on, monitored <= tol, erg_ok)
         if converged:
             break
@@ -193,7 +180,7 @@ def solve_fb_logreg(problem, tol=1e-4, max_iters=50000):
     k = 0
     for k in range(1, max_iters + 1):
         w = v + beta * (v - v_prev)
-        grad = B.T @ (_sigmoid(B @ w) / m)
+        grad = B.T @ (sigmoid(B @ w) / m)
         v_new = project_l1_ball(w - tau * grad, problem.lam)
         denom = np.sum(np.abs(v_new))
         monitored = float(np.sum(np.abs(v_new - v)) / (denom if denom > 0 else 1.0))
@@ -227,7 +214,7 @@ def _entropy_conjugate_prox(v, c, u_warm, tol, max_iters):
     """argmin_z 0.5||z - v||^2 + c * logsumexp(z/c)."""
 
     def grad(z):
-        return z - v + _softmax(z / c)
+        return z - v + softmax(z / c)
 
     lip = 1.0 + 1.0 / c
     return _fb_minimize(grad, lip, u_warm, tol, max_iters)
@@ -248,8 +235,6 @@ def solve_linear_pdhg_game(
     of the payoff matrix; both entropic proxes are evaluated through their
     conjugates with warm-started inner forward-backward solves.
     """
-    from .schedules import linear_rate_params
-
     t0 = time.perf_counter()
     A = problem.payoff
     m, n = A.shape
@@ -278,8 +263,9 @@ def solve_linear_pdhg_game(
         trace.append((k, monitored))
         growth = 1.0 / theta
         x, x_prev, y = x_new, x, y_new
-        erg_ok = y_erg_prev is not None and _rel_change(acc.y_avg, y_erg_prev) <= tol
-        y_erg_prev = acc.y_avg.copy()
+        y_avg = acc.y_avg
+        erg_ok = y_erg_prev is not None and _rel_change(y_avg, y_erg_prev) <= tol
+        y_erg_prev = y_avg
         converged = check_stop(stop_on, monitored <= tol, erg_ok)
         if converged:
             break

@@ -33,9 +33,11 @@ __all__ = [
     "rows_to_csv",
     "rows_from_csv",
     "CSV_HEADER",
+    "SOLVERS",
+    "get_solver",
 ]
 
-CSV_HEADER = "solver,variant,m,n,lambda,seed,iters,wall_ms,residual,converged"
+CSV_HEADER = "solver,variant,m,n,lambda,seed,iters,wall_ms,residual,converged,error"
 
 THREADS_ENV = "NLPDHG_THREADS"
 
@@ -56,7 +58,7 @@ class ExperimentSpec:
     record_timing: bool = True
 
     def __post_init__(self):
-        if self.kind not in ("logreg", "game", "lasso"):
+        if self.kind not in DEFAULT_SOLVERS:
             raise ValueError(f"unknown problem kind {self.kind!r}")
         if not self.solvers:
             self.solvers = list(DEFAULT_SOLVERS[self.kind])
@@ -81,13 +83,51 @@ class ResultRow:
     wall_ms: float
     residual: float
     converged: bool
+    error: str = ""  # "ClassName: message" of a failed solve
 
 
-DEFAULT_SOLVERS = {
-    "logreg": ("nonlinear-pdhg", "linear-pdhg", "fb-splitting"),
-    "game": ("nonlinear-pdhg", "linear-pdhg", "pu", "omwu"),
-    "lasso": ("nonlinear-pdhg", "fista"),
+# Every solver of every problem kind, called as
+# solve(problem, tol, max_iters, seed, variant), where ``variant`` is a
+# stop_on value. Insertion order is each kind's default solver order.
+SOLVERS = {
+    ("logreg", "nonlinear-pdhg"): lambda p, tol, iters, seed, variant: solve_l1_logreg(
+        p, tol=tol, max_iters=iters, stop_on=variant
+    ),
+    ("logreg", "linear-pdhg"): lambda p, tol, iters, seed, variant: (
+        baselines.solve_linear_pdhg_logreg(p, tol=tol, max_iters=iters, stop_on=variant)
+    ),
+    ("logreg", "fb-splitting"): lambda p, tol, iters, seed, variant: (
+        baselines.solve_fb_logreg(p, tol=tol, max_iters=iters)
+    ),
+    ("game", "nonlinear-pdhg"): lambda p, tol, iters, seed, variant: solve_matrix_game(
+        p, tol=tol, max_iters=iters, seed=seed, stop_on=variant
+    ),
+    ("game", "linear-pdhg"): lambda p, tol, iters, seed, variant: (
+        baselines.solve_linear_pdhg_game(p, tol=tol, max_iters=iters, seed=seed, stop_on=variant)
+    ),
+    ("game", "pu"): lambda p, tol, iters, seed, variant: (
+        baselines.solve_game_pu(p, tol=tol, max_iters=iters, seed=seed)
+    ),
+    ("game", "omwu"): lambda p, tol, iters, seed, variant: (
+        baselines.solve_game_omwu(p, tol=tol, max_iters=iters, seed=seed)
+    ),
+    ("lasso", "nonlinear-pdhg"): lambda p, tol, iters, seed, variant: solve_lasso(
+        p, tol=tol, max_iters=iters, stop_on=variant
+    ),
+    ("lasso", "fista"): lambda p, tol, iters, seed, variant: (
+        baselines.fista_lasso(p, tol=tol, max_iters=iters)
+    ),
 }
+
+DEFAULT_SOLVERS = {kind: tuple(n for k, n in SOLVERS if k == kind) for kind, _ in SOLVERS}
+
+
+def get_solver(kind, name):
+    """The ``SOLVERS`` entry for (kind, name); ValueError if there is none."""
+    try:
+        return SOLVERS[kind, name]
+    except KeyError:
+        raise ValueError(f"solver {name!r} is not available for kind {kind!r}") from None
 
 
 def desk_scale_specs(seed=0, reps=1):
@@ -114,66 +154,30 @@ def _build_problem(spec, seed):
     return LassoProblem(A, b, spec.lam)
 
 
-def _dispatch(spec, problem, solver, variant, seed):
-    tol, iters = spec.tol, spec.max_iters
-    if spec.kind == "logreg":
-        if solver == "nonlinear-pdhg":
-            return solve_l1_logreg(problem, tol=tol, max_iters=iters, stop_on=variant)
-        if solver == "linear-pdhg":
-            return baselines.solve_linear_pdhg_logreg(
-                problem, tol=tol, max_iters=iters, stop_on=variant
-            )
-        if solver == "fb-splitting":
-            return baselines.solve_fb_logreg(problem, tol=tol, max_iters=iters)
-    elif spec.kind == "game":
-        if solver == "nonlinear-pdhg":
-            return solve_matrix_game(problem, tol=tol, max_iters=iters, seed=seed, stop_on=variant)
-        if solver == "linear-pdhg":
-            return baselines.solve_linear_pdhg_game(
-                problem, tol=tol, max_iters=iters, seed=seed, stop_on=variant
-            )
-        if solver == "pu":
-            return baselines.solve_game_pu(problem, tol=tol, max_iters=iters, seed=seed)
-        if solver == "omwu":
-            return baselines.solve_game_omwu(problem, tol=tol, max_iters=iters, seed=seed)
-    else:
-        if solver == "nonlinear-pdhg":
-            return solve_lasso(problem, tol=tol, max_iters=iters, stop_on=variant)
-        if solver == "fista":
-            return baselines.fista_lasso(problem, tol=tol, max_iters=iters)
-    raise ValueError(f"solver {solver!r} is not available for kind {spec.kind!r}")
+def _error_text(exc):
+    """``ClassName: message`` on one line and without commas, so that it
+    fits one CSV field."""
+    text = " ".join(f"{type(exc).__name__}: {exc}".split())
+    return text.replace(",", ";")
 
 
 def _run_one(spec, solver, variant, seed):
+    row = dict(solver=solver, variant=variant, m=spec.m, n=spec.n, lam=spec.lam, seed=seed)
     try:
-        problem = _build_problem(spec, seed)
-        report = _dispatch(spec, problem, solver, variant, seed)
-        residual = report.residual_trace[-1][1] if report.residual_trace else math.nan
+        solve = get_solver(spec.kind, solver)
+        report = solve(_build_problem(spec, seed), spec.tol, spec.max_iters, seed, variant)
+    except Exception as exc:  # noqa: BLE001 -- per-solver failures stay in the row
         return ResultRow(
-            solver=solver,
-            variant=variant,
-            m=spec.m,
-            n=spec.n,
-            lam=spec.lam,
-            seed=seed,
-            iters=report.k,
-            wall_ms=report.wall_ms if spec.record_timing else 0.0,
-            residual=residual,
-            converged=report.converged,
+            **row, iters=0, wall_ms=0.0, residual=math.nan, converged=False, error=_error_text(exc)
         )
-    except Exception:  # noqa: BLE001 -- per-solver failures stay in the row
-        return ResultRow(
-            solver=solver,
-            variant=variant,
-            m=spec.m,
-            n=spec.n,
-            lam=spec.lam,
-            seed=seed,
-            iters=0,
-            wall_ms=0.0,
-            residual=math.nan,
-            converged=False,
-        )
+    residual = report.residual_trace[-1][1] if report.residual_trace else math.nan
+    return ResultRow(
+        **row,
+        iters=report.k,
+        wall_ms=report.wall_ms if spec.record_timing else 0.0,
+        residual=residual,
+        converged=report.converged,
+    )
 
 
 def run_experiment(spec):
@@ -215,6 +219,7 @@ def rows_to_csv(rows):
                     _fmt_float(r.wall_ms),
                     _fmt_float(r.residual),
                     "true" if r.converged else "false",
+                    r.error,
                 ]
             )
         )
@@ -228,7 +233,7 @@ def rows_from_csv(text):
     rows = []
     for ln in lines[1:]:
         f = ln.split(",")
-        if len(f) != 10:
+        if len(f) != 11:
             raise ValueError(f"malformed CSV row: {ln!r}")
         rows.append(
             ResultRow(
@@ -242,6 +247,7 @@ def rows_from_csv(text):
                 wall_ms=float(f[7]),
                 residual=float(f[8]),
                 converged={"true": True, "false": False}[f[9]],
+                error=f[10],
             )
         )
     return rows

@@ -22,6 +22,9 @@ __all__ = [
     "NegativeEntropy",
     "BinaryEntropyAverage",
     "three_point_check",
+    "softmax",
+    "sigmoid",
+    "logit",
 ]
 
 # Interior-required arguments below this floor raise rather than clamp, so
@@ -55,6 +58,30 @@ def _xlogratio(a, b):
     """sum a_j log(a_j / b_j), with 0 log(0/b) = 0. Requires b > 0 where a > 0."""
     pos = a > 0.0
     return float(np.sum(a[pos] * np.log(a[pos] / b[pos])))
+
+
+def softmax(t):
+    """exp(t) normalized to the unit simplex: the inverse mirror map of the
+    negative entropy. Shifts by max(t) first, so nothing overflows."""
+    t = t - np.max(t)
+    e = np.exp(t)
+    return e / e.sum()
+
+
+def sigmoid(w):
+    """Componentwise 1 / (1 + exp(-w)), the inverse of ``logit``; each
+    branch exponentiates only nonpositive values, so nothing overflows."""
+    out = np.empty_like(w)
+    pos = w >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-w[pos]))
+    ew = np.exp(w[~pos])
+    out[~pos] = ew / (1.0 + ew)
+    return out
+
+
+def logit(s):
+    """Componentwise log(s / (1 - s)): the mirror map of the binary entropy."""
+    return np.log(s) - np.log1p(-s)
 
 
 class BregmanGeometry:

@@ -20,13 +20,12 @@ from pathlib import Path
 
 import numpy as np
 
-from . import baselines
-from .bench import ExperimentSpec, rows_to_csv, run_experiment
+from .bench import SOLVERS, ExperimentSpec, get_solver, rows_to_csv, run_experiment
 from .data import gen_game_data, gen_lasso_data, gen_logreg_data
 from .operators import load_matrix_csv, save_matrix_csv
-from .problems.games import MatrixGameProblem, solve_matrix_game
-from .problems.lasso import LassoProblem, solve_lasso
-from .problems.logreg import L1LogRegProblem, solve_l1_logreg
+from .problems.games import MatrixGameProblem
+from .problems.lasso import LassoProblem
+from .problems.logreg import L1LogRegProblem
 
 _DEFAULT_LAM = {"logreg": 100.0, "game": 0.1, "lasso": None}
 
@@ -79,23 +78,11 @@ def _load_fixture(path):
 
 def _cmd_solve(args):
     kind, problem = _load_fixture(args.problem)
-    if args.method == "nonlinear-pdhg":
-        solver = {"logreg": solve_l1_logreg, "game": solve_matrix_game, "lasso": solve_lasso}[kind]
-        report = solver(problem, tol=args.tol, max_iters=args.max_iters)
-    elif args.method == "linear-pdhg" and kind == "logreg":
-        report = baselines.solve_linear_pdhg_logreg(problem, tol=args.tol, max_iters=args.max_iters)
-    elif args.method == "linear-pdhg" and kind == "game":
-        report = baselines.solve_linear_pdhg_game(problem, tol=args.tol, max_iters=args.max_iters)
-    elif args.method == "fb-splitting" and kind == "logreg":
-        report = baselines.solve_fb_logreg(problem, tol=args.tol, max_iters=args.max_iters)
-    elif args.method == "fista" and kind == "lasso":
-        report = baselines.fista_lasso(problem, tol=args.tol, max_iters=args.max_iters)
-    elif args.method == "pu" and kind == "game":
-        report = baselines.solve_game_pu(problem, tol=args.tol, max_iters=args.max_iters)
-    elif args.method == "omwu" and kind == "game":
-        report = baselines.solve_game_omwu(problem, tol=args.tol, max_iters=args.max_iters)
-    else:
-        raise SystemExit(f"method {args.method!r} is not available for kind {kind!r}")
+    try:
+        solve = get_solver(kind, args.method)
+    except ValueError as exc:
+        raise SystemExit(str(exc)) from None
+    report = solve(problem, args.tol, args.max_iters, seed=0, variant="both")
     text = report.to_json()
     if args.report:
         Path(args.report).write_text(text + "\n")
@@ -129,7 +116,7 @@ def build_parser():
 
     s = sub.add_parser("solve", help="solve a fixture with one method")
     s.add_argument("--problem", required=True, help="fixture directory or meta.json path")
-    s.add_argument("--method", required=True)
+    s.add_argument("--method", required=True, choices=sorted({name for _, name in SOLVERS}))
     s.add_argument("--tol", type=float, default=1e-4)
     s.add_argument("--max-iters", type=int, default=50000)
     s.add_argument("--report", default=None, help="output JSON path (stdout if omitted)")

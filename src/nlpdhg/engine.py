@@ -3,6 +3,8 @@
 A problem supplies two Bregman proximal maps and a linear operator; the
 engine alternates them according to one of the step-size regimes and tracks
 ergodic averages, a residual trace, and an optional Lyapunov diagnostic.
+``run`` is the one iteration loop: the worked problems' ``solve_*``
+functions only build a schedule, a start point and a ``StoppingRule`` for it.
 
 A solve run is single-threaded and deterministic; problems, schedules and
 reports can move freely between threads, and independent solves may run
@@ -12,6 +14,7 @@ concurrently.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -28,6 +31,7 @@ __all__ = [
     "step_acc_dual",
     "step_linear_rate",
     "delta_diag",
+    "start_point",
     "run",
 ]
 
@@ -134,6 +138,27 @@ class StoppingRule:
     residual_fn: object = None
     residual_tol: float | None = None
 
+    @classmethod
+    def from_stop_on(cls, stop_on, tol, max_iters, residual_fn=None, residual_tol=None):
+        """The rule behind the worked solvers' ``stop_on`` argument.
+
+        "regular" bounds the relative dual change by ``tol``, "ergodic" the
+        relative change of the ergodic dual average, and "both" requires
+        both. A ``residual_fn`` replaces them: the rule then fires once the
+        residual is at most ``residual_tol``, whatever ``stop_on`` says.
+        """
+        if residual_fn is not None:
+            if residual_tol is None:
+                raise ValueError("residual_fn needs a residual_tol to stop on")
+            return cls(max_iters=max_iters, residual_fn=residual_fn, residual_tol=residual_tol)
+        if stop_on not in ("regular", "ergodic", "both"):
+            raise ValueError(f"stop_on must be 'regular', 'ergodic' or 'both', got {stop_on!r}")
+        return cls(
+            max_iters=max_iters,
+            dual_rel_change=None if stop_on == "ergodic" else tol,
+            ergodic_dual_rel_change=None if stop_on == "regular" else tol,
+        )
+
     def active(self):
         return any(
             v is not None
@@ -147,8 +172,10 @@ class StoppingRule:
         )
 
 
-def _rel_change(new, old):
-    denom = np.linalg.norm(new)
+def _rel_change(new, old, new_norm=None):
+    """||new - old|| / ||new|| (plain ||new - old|| when new = 0); pass
+    ``new_norm`` when ||new|| is already known."""
+    denom = np.linalg.norm(new) if new_norm is None else new_norm
     if denom == 0.0:
         return float(np.linalg.norm(new - old))
     return float(np.linalg.norm(new - old) / denom)
@@ -163,6 +190,16 @@ def check_stop(stop_on, regular_ok, ergodic_ok):
     if stop_on == "both":
         return regular_ok and ergodic_ok
     raise ValueError(f"stop_on must be 'regular', 'ergodic' or 'both', got {stop_on!r}")
+
+
+def start_point(problem, x0, y0, default):
+    """Fill a missing x0 or y0 from the pair ``default`` and check that both
+    lie in the interior of the problem's geometries."""
+    x0 = np.asarray(default[0] if x0 is None else x0, dtype=float)
+    y0 = np.asarray(default[1] if y0 is None else y0, dtype=float)
+    problem.geom_x.validate_point(x0, interior=True)
+    problem.geom_y.validate_point(y0, interior=True)
+    return x0, y0
 
 
 @dataclass
@@ -313,6 +350,8 @@ def run(problem, schedule, x0, y0, stop=None, delta_ref=None, problem_id=None):
     acc = ErgodicAccumulator(state.x.shape[0], state.y.shape[0])
     deltas = [] if delta_ref is not None else None
     trace = []
+    active = stop.active()
+    track_dual = stop.residual_fn is None or stop.dual_rel_change is not None
     t_start = time.perf_counter()
     converged = False
     x_erg_prev = None
@@ -320,42 +359,50 @@ def run(problem, schedule, x0, y0, stop=None, delta_ref=None, problem_id=None):
     for _ in range(stop.max_iters):
         growth = schedule.ergodic_growth()
         state = _one_step(problem, state, schedule)
-        if not (np.all(np.isfinite(state.x)) and np.all(np.isfinite(state.y))):
+        y_norm = np.linalg.norm(state.y)
+        # A finite ||y|| proves every entry of y finite; only an overflowing
+        # norm needs the entrywise scan.
+        if not (
+            np.isfinite(state.x).all()
+            and (math.isfinite(y_norm) or np.isfinite(state.y).all())
+        ):
             raise RuntimeError(f"non-finite iterate at k={state.k}")
         acc.add(state.x, state.y, growth)
 
+        dual_change = _rel_change(state.y, state.y_prev, y_norm) if track_dual else None
         if stop.residual_fn is not None:
             monitored = float(stop.residual_fn(state.x, state.y))
         else:
-            monitored = _rel_change(state.y, state.y_prev)
+            monitored = dual_change
         trace.append((state.k, monitored))
         if deltas is not None:
             deltas.append((state.k, delta_diag(problem, state, schedule, *delta_ref)))
 
-        if stop.active():
+        # Averages are fresh arrays, so the previous ones need no copy.
+        x_avg = acc.x_avg if stop.ergodic_primal_rel_change is not None else None
+        y_avg = acc.y_avg if stop.ergodic_dual_rel_change is not None else None
+        if active:
             ok = True
             if stop.primal_rel_change is not None:
                 ok = ok and _rel_change(state.x, state.x_prev) <= stop.primal_rel_change
             if stop.dual_rel_change is not None:
-                ok = ok and _rel_change(state.y, state.y_prev) <= stop.dual_rel_change
-            if stop.ergodic_primal_rel_change is not None:
+                ok = ok and dual_change <= stop.dual_rel_change
+            if x_avg is not None:
                 ok = ok and (
                     x_erg_prev is not None
-                    and _rel_change(acc.x_avg, x_erg_prev) <= stop.ergodic_primal_rel_change
+                    and _rel_change(x_avg, x_erg_prev) <= stop.ergodic_primal_rel_change
                 )
-            if stop.ergodic_dual_rel_change is not None:
+            if y_avg is not None:
                 ok = ok and (
                     y_erg_prev is not None
-                    and _rel_change(acc.y_avg, y_erg_prev) <= stop.ergodic_dual_rel_change
+                    and _rel_change(y_avg, y_erg_prev) <= stop.ergodic_dual_rel_change
                 )
             if stop.residual_tol is not None:
                 ok = ok and monitored <= stop.residual_tol
             if ok:
                 converged = True
-        if stop.ergodic_primal_rel_change is not None:
-            x_erg_prev = acc.x_avg.copy()
-        if stop.ergodic_dual_rel_change is not None:
-            y_erg_prev = acc.y_avg.copy()
+        x_erg_prev = x_avg
+        y_erg_prev = y_avg
         if converged:
             break
     wall_ms = 1000.0 * (time.perf_counter() - t_start)

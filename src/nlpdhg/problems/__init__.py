@@ -1,12 +1,11 @@
-"""Worked saddle-point applications with closed-form proximal updates."""
+"""Worked saddle-point applications with closed-form proximal updates; each
+``solve_*`` is a wrapper over ``engine.run``."""
 
-from .games import MatrixGameProblem, game_optimality_residual, matrix_game_step, solve_matrix_game
-from .lasso import LassoProblem, lasso_optimality_residual, lasso_step, shrink1, solve_lasso
+from .games import MatrixGameProblem, game_optimality_residual, solve_matrix_game
+from .lasso import LassoProblem, lasso_optimality_residual, shrink1, solve_lasso
 from .logreg import (
     L1LogRegProblem,
-    L1LogRegState,
     l1logreg_dual_residual,
-    l1logreg_step,
     recover_v,
     solve_l1_logreg,
     support_from_dual,
@@ -15,17 +14,13 @@ from .quadratic import QuadraticSaddleProblem
 
 __all__ = [
     "MatrixGameProblem",
-    "matrix_game_step",
     "game_optimality_residual",
     "solve_matrix_game",
     "LassoProblem",
-    "lasso_step",
     "shrink1",
     "lasso_optimality_residual",
     "solve_lasso",
     "L1LogRegProblem",
-    "L1LogRegState",
-    "l1logreg_step",
     "l1logreg_dual_residual",
     "recover_v",
     "support_from_dual",

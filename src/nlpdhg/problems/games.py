@@ -18,34 +18,18 @@ residual is measured mean-centered.
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
-from ..bregman import NegativeEntropy
-from ..engine import (
-    ErgodicAccumulator,
-    IterateState,
-    SaddleProblem,
-    SolveReport,
-    _rel_change,
-    check_stop,
-)
+from ..bregman import NegativeEntropy, softmax
+from ..engine import SaddleProblem, StoppingRule, run, start_point
 from ..operators import DenseOperator, norm_1_inf
 from ..schedules import LinearRateSchedule, linear_rate_params
 
 __all__ = [
     "MatrixGameProblem",
-    "matrix_game_step",
     "game_optimality_residual",
     "solve_matrix_game",
 ]
-
-
-def _softmax(t):
-    t = t - np.max(t)
-    e = np.exp(t)
-    return e / e.sum()
 
 
 class MatrixGameProblem(SaddleProblem):
@@ -72,13 +56,13 @@ class MatrixGameProblem(SaddleProblem):
         # argmin over the simplex of lam*H(x) + <A^T y, x> + KL(x, x_bar)/tau:
         # x_j propto (x_bar_j exp(-tau [A^T y]_j))^{1/(1+lam tau)}.
         t = np.log(x_bar) - tau * self.operator.adjoint_apply(y_tilde)
-        return _softmax(t / (1.0 + self.lam * tau))
+        return softmax(t / (1.0 + self.lam * tau))
 
     def dual_prox(self, x_tilde, y_bar, sigma):
         # argmax over the simplex of -lam*H(y) + <y, A x> - KL(y, y_bar)/sigma:
         # y_i propto (y_bar_i exp(+sigma [A x]_i))^{1/(1+lam sigma)}.
         t = np.log(y_bar) + sigma * self.operator.apply(x_tilde)
-        return _softmax(t / (1.0 + self.lam * sigma))
+        return softmax(t / (1.0 + self.lam * sigma))
 
     def step_params(self):
         return linear_rate_params(self.lam, self.lam, self.op_norm)
@@ -88,27 +72,6 @@ class MatrixGameProblem(SaddleProblem):
         x0 = rng.uniform(0.0, 1.0, size=self.n)
         y0 = rng.uniform(0.0, 1.0, size=self.m)
         return x0 / x0.sum(), y0 / y0.sum()
-
-
-def matrix_game_step(problem, state, theta, tau, sigma, extrapolation="plus"):
-    """One y-first linear-rate iteration with multiplicative updates.
-
-    ``extrapolation`` selects the sign of the primal extrapolation term:
-    "plus" evaluates A(x_k + theta(x_k - x_{k-1})), the form the linear-rate
-    guarantee is proved for, and is the default; "minus" is kept behind this
-    flag for comparison. Normalization happens in log space with max
-    subtraction, so the exponentials cannot overflow.
-    """
-    if extrapolation == "plus":
-        sign = 1.0
-    elif extrapolation == "minus":
-        sign = -1.0
-    else:
-        raise ValueError(f"extrapolation must be 'plus' or 'minus', got {extrapolation!r}")
-    x_tilde = state.x + sign * theta * (state.x - state.x_prev)
-    y_new = problem.dual_prox(x_tilde, state.y, sigma)
-    x_new = problem.primal_prox(y_new, state.x, tau)
-    return IterateState(x=x_new, x_prev=state.x, y=y_new, y_prev=state.y, k=state.k + 1)
 
 
 def game_optimality_residual(problem, x, y):
@@ -124,7 +87,7 @@ def game_optimality_residual(problem, x, y):
     problem.geom_y.validate_point(y, interior=True)
     g = problem.operator.adjoint_apply(y) + problem.lam * (1.0 + np.log(x))
     r1 = float(np.max(np.abs(g - g.mean())))
-    r2 = float(np.sum(np.abs(y - _softmax(problem.operator.apply(x) / problem.lam))))
+    r2 = float(np.sum(np.abs(y - softmax(problem.operator.apply(x) / problem.lam))))
     return r1, r2
 
 
@@ -134,56 +97,22 @@ def solve_matrix_game(
     y0=None,
     tol=1e-4,
     max_iters=100000,
-    extrapolation="plus",
     residual_fn=None,
     residual_tol=None,
     seed=0,
     stop_on="both",
 ):
-    """Linear-rate y-first solve; stops on relative dual change plus its
-    ergodic counterpart (both <= tol), or on a residual callback."""
-    if x0 is None or y0 is None:
-        dx0, dy0 = problem.default_init(seed=seed)
-        x0 = dx0 if x0 is None else np.asarray(x0, dtype=float)
-        y0 = dy0 if y0 is None else np.asarray(y0, dtype=float)
+    """Linear-rate y-first solve through ``engine.run``.
+
+    Each iteration is a pair of multiplicative updates: the dual one at the
+    primal extrapolation x_k + theta (x_k - x_{k-1}), the form the
+    linear-rate guarantee is proved for, then the primal one at the fresh
+    dual point. A missing start point is drawn by ``default_init(seed)``.
+    Stops per ``StoppingRule.from_stop_on``: by default when the relative
+    dual change and its ergodic counterpart are both <= tol.
+    """
+    x0, y0 = start_point(problem, x0, y0, problem.default_init(seed=seed))
     theta, tau, sigma = problem.step_params()
     schedule = LinearRateSchedule(theta, tau, sigma, order="y-first")
-    state = IterateState.initial(x0, y0)
-    acc = ErgodicAccumulator(problem.n, problem.m)
-    trace = []
-    converged = False
-    y_erg_prev = None
-    t0 = time.perf_counter()
-    for _ in range(max_iters):
-        growth = schedule.ergodic_growth()
-        y_old = state.y
-        state = matrix_game_step(problem, state, theta, tau, sigma, extrapolation=extrapolation)
-        schedule.advance()
-        acc.add(state.x, state.y, growth)
-        if residual_fn is not None:
-            monitored = float(residual_fn(state.x, state.y))
-            trace.append((state.k, monitored))
-            converged = monitored <= residual_tol
-        else:
-            monitored = _rel_change(state.y, y_old)
-            trace.append((state.k, monitored))
-            erg_ok = y_erg_prev is not None and _rel_change(acc.y_avg, y_erg_prev) <= tol
-            converged = check_stop(stop_on, monitored <= tol, erg_ok)
-            y_erg_prev = acc.y_avg.copy()
-        if converged:
-            break
-    wall_ms = 1000.0 * (time.perf_counter() - t0)
-    return SolveReport(
-        problem_id=problem.problem_id,
-        regime=schedule.regime,
-        k=state.k,
-        converged=converged,
-        wall_ms=wall_ms,
-        residual_trace=trace,
-        terminal_primal_norm=float(np.linalg.norm(state.x)),
-        terminal_dual_norm=float(np.linalg.norm(state.y)),
-        x=state.x,
-        y=state.y,
-        x_ergodic=acc.x_avg if acc.total > 0 else state.x.copy(),
-        y_ergodic=acc.y_avg if acc.total > 0 else state.y.copy(),
-    )
+    stop = StoppingRule.from_stop_on(stop_on, tol, max_iters, residual_fn, residual_tol)
+    return run(problem, schedule, x0, y0, stop)

@@ -17,26 +17,16 @@ conditions read y = (A x - b)/m together with -A^T y in lam * d||x||_1.
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from ..bregman import Quadratic
-from ..engine import (
-    ErgodicAccumulator,
-    IterateState,
-    SaddleProblem,
-    SolveReport,
-    _rel_change,
-    check_stop,
-)
+from ..engine import SaddleProblem, StoppingRule, run, start_point
 from ..operators import DenseOperator
 from ..schedules import AccDualSchedule
 
 __all__ = [
     "shrink1",
     "LassoProblem",
-    "lasso_step",
     "lasso_optimality_residual",
     "solve_lasso",
 ]
@@ -90,19 +80,6 @@ class LassoProblem(SaddleProblem):
         return 1.0 / (2.0 * self.op_norm**2)
 
 
-def lasso_step(problem, state, schedule):
-    """One accelerated-dual iteration: dual averaging step at the
-    extrapolated primal point, then soft thresholding."""
-    if schedule.regime != "acc-dual":
-        raise ValueError(f"lasso steps require the acc-dual regime, got {schedule.regime}")
-    sigma, tau, theta = schedule.sigma, schedule.tau, schedule.theta
-    x_tilde = state.x + theta * (state.x - state.x_prev)
-    y_new = problem.dual_prox(x_tilde, state.y, sigma)
-    x_new = problem.primal_prox(y_new, state.x, tau)
-    schedule.advance()
-    return IterateState(x=x_new, x_prev=state.x, y=y_new, y_prev=state.y, k=state.k + 1)
-
-
 def lasso_optimality_residual(problem, x, y, tol=0.0):
     """Distance from the pair of optimality conditions.
 
@@ -133,55 +110,20 @@ def solve_lasso(
     residual_tol=None,
     stop_on="both",
 ):
-    """Accelerated-dual solve from x0 = 0, y0 = b by default.
+    """Accelerated-dual solve through ``engine.run``, from x0 = 0, y0 = b by
+    default.
 
-    Stops when the relative dual change and its ergodic counterpart both
-    fall below ``tol`` (or on a residual callback).
+    Each iteration is a dual averaging step at the extrapolated primal point,
+    then soft thresholding. Stops per ``StoppingRule.from_stop_on``: by
+    default when the relative dual change and its ergodic counterpart both
+    fall below ``tol``.
     """
-    if x0 is None or y0 is None:
-        dx0, dy0 = problem.default_init()
-        x0 = dx0 if x0 is None else np.asarray(x0, dtype=float)
-        y0 = dy0 if y0 is None else np.asarray(y0, dtype=float)
+    x0, y0 = start_point(problem, x0, y0, problem.default_init())
     schedule = AccDualSchedule(
         problem.gamma_h_star,
         problem.op_norm,
         tau0=problem.default_tau0() if tau0 is None else tau0,
         theta0=theta0,
     )
-    state = IterateState.initial(x0, y0)
-    acc = ErgodicAccumulator(problem.n, problem.m)
-    trace = []
-    converged = False
-    y_erg_prev = None
-    t0 = time.perf_counter()
-    for _ in range(max_iters):
-        growth = schedule.ergodic_growth()
-        state = lasso_step(problem, state, schedule)
-        acc.add(state.x, state.y, growth)
-        if residual_fn is not None:
-            monitored = float(residual_fn(state.x, state.y))
-            trace.append((state.k, monitored))
-            converged = monitored <= residual_tol
-        else:
-            monitored = _rel_change(state.y, state.y_prev)
-            trace.append((state.k, monitored))
-            erg_ok = y_erg_prev is not None and _rel_change(acc.y_avg, y_erg_prev) <= tol
-            converged = check_stop(stop_on, monitored <= tol, erg_ok)
-            y_erg_prev = acc.y_avg.copy()
-        if converged:
-            break
-    wall_ms = 1000.0 * (time.perf_counter() - t0)
-    return SolveReport(
-        problem_id=problem.problem_id,
-        regime=schedule.regime,
-        k=state.k,
-        converged=converged,
-        wall_ms=wall_ms,
-        residual_trace=trace,
-        terminal_primal_norm=float(np.linalg.norm(state.x)),
-        terminal_dual_norm=float(np.linalg.norm(state.y)),
-        x=state.x,
-        y=state.y,
-        x_ergodic=acc.x_avg if acc.total > 0 else state.x.copy(),
-        y_ergodic=acc.y_avg if acc.total > 0 else state.y.copy(),
-    )
+    stop = StoppingRule.from_stop_on(stop_on, tol, max_iters, residual_fn, residual_tol)
+    return run(problem, schedule, x0, y0, stop)

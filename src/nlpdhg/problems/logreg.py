@@ -8,27 +8,23 @@ with x on the unit simplex of dimension n = 2d, turning the problem into
 where row i of B is -b_i u_i (feature vector times label, negated). The
 saddle-point form pairs the simplex (negative-entropy geometry) with a dual
 box (0, 1/m)^m carrying the averaged-binary-entropy geometry, so both proxes
-are explicit: a multiplicative-weights step in x and a logit-shift step in y.
-The dual part is strongly convex with gamma_h_star = 4m, which enables the
-accelerated dual schedule; operator norm is the max column l2 norm.
+have closed forms: a multiplicative-weights step in x and a logit-shift step
+in y. The dual part is strongly convex with gamma_h_star = 4m, which enables
+the accelerated dual schedule; operator norm is the max column l2 norm.
+``solve_l1_logreg`` runs that schedule through ``engine.run``.
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass
-
 import numpy as np
 
-from ..bregman import BinaryEntropyAverage, NegativeEntropy
-from ..engine import ErgodicAccumulator, SaddleProblem, SolveReport, _rel_change, check_stop
+from ..bregman import BinaryEntropyAverage, NegativeEntropy, logit, sigmoid, softmax
+from ..engine import SaddleProblem, StoppingRule, run, start_point
 from ..operators import ScaledConcat, norm_1_2
 from ..schedules import AccDualSchedule
 
 __all__ = [
     "L1LogRegProblem",
-    "L1LogRegState",
-    "l1logreg_step",
     "l1logreg_dual_residual",
     "recover_v",
     "support_from_dual",
@@ -40,25 +36,6 @@ def _log_interior(x):
     """log with log(0) = -inf, silenced; exact zeros stay suppressed."""
     with np.errstate(divide="ignore"):
         return np.log(x)
-
-
-def _softmax(t):
-    t = t - np.max(t)
-    e = np.exp(t)
-    return e / e.sum()
-
-
-def _sigmoid(w):
-    out = np.empty_like(w)
-    pos = w >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-w[pos]))
-    ew = np.exp(w[~pos])
-    out[~pos] = ew / (1.0 + ew)
-    return out
-
-
-def _logit(s):
-    return np.log(s) - np.log1p(-s)
 
 
 def _softplus(t):
@@ -86,15 +63,19 @@ class L1LogRegProblem(SaddleProblem):
         self.gamma_h_star = 4.0 * self.m
 
     def primal_prox(self, y_tilde, x_bar, tau):
+        # The update is multiplicative, so x stays positive in exact
+        # arithmetic; coordinates suppressed past the double-precision
+        # exponent range underflow to exact zeros on long runs and stay
+        # there.
         t = _log_interior(x_bar) - tau * self.operator.adjoint_apply(y_tilde)
-        return _softmax(t)
+        return softmax(t)
 
     def dual_prox(self, x_tilde, y_bar, sigma):
-        w_bar = _logit(self.m * np.asarray(y_bar, dtype=float))
+        w_bar = logit(self.m * np.asarray(y_bar, dtype=float))
         w = (4.0 * self.m * sigma * self.operator.apply(x_tilde) + w_bar) / (
             1.0 + 4.0 * self.m * sigma
         )
-        return _sigmoid(w) / self.m
+        return sigmoid(w) / self.m
 
     def objective_v(self, v):
         """Primal objective of the original ball-constrained problem at v."""
@@ -113,53 +94,6 @@ class L1LogRegProblem(SaddleProblem):
         return 2.0 * self.m / self.op_norm**2
 
 
-@dataclass
-class L1LogRegState:
-    """Specialized iterate carrying the dual logit lift w = logit(m y)."""
-
-    x: np.ndarray
-    x_prev: np.ndarray
-    w: np.ndarray
-    y: np.ndarray
-    k: int = 0
-
-    @classmethod
-    def initial(cls, problem, x0=None, y0=None):
-        if x0 is None or y0 is None:
-            dx0, dy0 = problem.default_init()
-            x0 = dx0 if x0 is None else x0
-            y0 = dy0 if y0 is None else y0
-        x0 = np.asarray(x0, dtype=float)
-        y0 = np.asarray(y0, dtype=float)
-        problem.geom_x.validate_point(x0, interior=True)
-        problem.geom_y.validate_point(y0, interior=True)
-        return cls(x=x0.copy(), x_prev=x0.copy(), w=_logit(problem.m * y0), y=y0.copy(), k=0)
-
-
-def l1logreg_step(problem, state, schedule):
-    """One accelerated-dual iteration in explicit form.
-
-    The sigma-weighted primal terms enter the logit update through the
-    operator (w lives in R^m while x lives on the simplex), i.e. the update
-    consumes A(x_k + theta_k (x_k - x_{k-1})). Both exponentials are
-    normalized in log space with max subtraction, so nothing overflows; the
-    multiplicative x update is structurally positive, though coordinates
-    suppressed past the double-precision exponent range underflow to exact
-    zeros on long runs (log 0 = -inf keeps them fixed thereafter).
-    """
-    if schedule.regime != "acc-dual":
-        raise ValueError(f"l1-logreg steps require the acc-dual regime, got {schedule.regime}")
-    m = problem.m
-    sigma, tau, theta = schedule.sigma, schedule.tau, schedule.theta
-    z = problem.operator.apply(state.x + theta * (state.x - state.x_prev))
-    w_new = (4.0 * m * sigma * z + state.w) / (1.0 + 4.0 * m * sigma)
-    y_new = _sigmoid(w_new) / m
-    t = _log_interior(state.x) - tau * problem.operator.adjoint_apply(y_new)
-    x_new = _softmax(t)
-    schedule.advance()
-    return L1LogRegState(x=x_new, x_prev=state.x, w=w_new, y=y_new, k=state.k + 1)
-
-
 def recover_v(x, lam):
     """Map a simplex point back to the l1 ball: v = lam (I | -I) x."""
     x = np.asarray(x, dtype=float)
@@ -172,7 +106,7 @@ def recover_v(x, lam):
 def l1logreg_dual_residual(problem, x, y):
     """||y - phi(A x)||_2 where phi is the componentwise sigmoid-over-m map;
     vanishes at a saddle point."""
-    target = _sigmoid(problem.operator.apply(np.asarray(x, dtype=float))) / problem.m
+    target = sigmoid(problem.operator.apply(np.asarray(x, dtype=float))) / problem.m
     return float(np.linalg.norm(np.asarray(y, dtype=float) - target))
 
 
@@ -196,53 +130,19 @@ def solve_l1_logreg(
     residual_tol=None,
     stop_on="both",
 ):
-    """Run the explicit accelerated-dual iteration to the stopping rule.
+    """Accelerated-dual solve through ``engine.run``.
 
-    The default rule requires the relative dual change and its ergodic
-    counterpart to both fall below ``tol``. Passing ``residual_fn`` plus
-    ``residual_tol`` switches to residual-based stopping instead.
+    Each iteration is a logit-shift step in y at the extrapolated primal
+    point, then a multiplicative-weights step in x at the fresh dual point.
+    Stops per ``StoppingRule.from_stop_on``: by default when the relative
+    dual change and its ergodic counterpart both fall below ``tol``.
     """
+    x0, y0 = start_point(problem, x0, y0, problem.default_init())
     schedule = AccDualSchedule(
         problem.gamma_h_star,
         problem.op_norm,
         tau0=problem.default_tau0() if tau0 is None else tau0,
         theta0=theta0,
     )
-    state = L1LogRegState.initial(problem, x0, y0)
-    acc = ErgodicAccumulator(problem.n, problem.m)
-    trace = []
-    converged = False
-    y_erg_prev = None
-    t0 = time.perf_counter()
-    for _ in range(max_iters):
-        growth = schedule.ergodic_growth()
-        y_old = state.y
-        state = l1logreg_step(problem, state, schedule)
-        acc.add(state.x, state.y, growth)
-        if residual_fn is not None:
-            monitored = float(residual_fn(state.x, state.y))
-            trace.append((state.k, monitored))
-            converged = monitored <= residual_tol
-        else:
-            monitored = _rel_change(state.y, y_old)
-            trace.append((state.k, monitored))
-            erg_ok = y_erg_prev is not None and _rel_change(acc.y_avg, y_erg_prev) <= tol
-            converged = check_stop(stop_on, monitored <= tol, erg_ok)
-            y_erg_prev = acc.y_avg.copy()
-        if converged:
-            break
-    wall_ms = 1000.0 * (time.perf_counter() - t0)
-    return SolveReport(
-        problem_id=problem.problem_id,
-        regime=schedule.regime,
-        k=state.k,
-        converged=converged,
-        wall_ms=wall_ms,
-        residual_trace=trace,
-        terminal_primal_norm=float(np.linalg.norm(state.x)),
-        terminal_dual_norm=float(np.linalg.norm(state.y)),
-        x=state.x,
-        y=state.y,
-        x_ergodic=acc.x_avg if acc.total > 0 else state.x.copy(),
-        y_ergodic=acc.y_avg if acc.total > 0 else state.y.copy(),
-    )
+    stop = StoppingRule.from_stop_on(stop_on, tol, max_iters, residual_fn, residual_tol)
+    return run(problem, schedule, x0, y0, stop)

@@ -9,6 +9,7 @@ from nlpdhg.bench import (
     CSV_HEADER,
     ExperimentSpec,
     ResultRow,
+    _error_text,
     rows_from_csv,
     rows_to_csv,
     run_experiment,
@@ -51,9 +52,12 @@ class TestSpec:
 
 class TestRows:
     def test_csv_round_trip(self):
+        error = _error_text(ValueError("inner solve stalled, residual\n0.5"))
+        assert error == "ValueError: inner solve stalled; residual 0.5"
         rows = [
             ResultRow("nonlinear-pdhg", "regular", 10, 20, 0.2, 3, 145, 12.5, 3.2e-6, True),
             ResultRow("fista", "regular", 10, 20, 0.2, 4, 0, 0.0, 0.1259127345, False),
+            ResultRow("pu", "regular", 10, 20, 0.2, 5, 0, 0.0, 0.5, False, error),
         ]
         assert rows_from_csv(rows_to_csv(rows)) == rows
 
@@ -62,7 +66,9 @@ class TestRows:
             rows_from_csv("bogus\n1,2,3\n")
 
     def test_header_format(self):
-        assert CSV_HEADER == "solver,variant,m,n,lambda,seed,iters,wall_ms,residual,converged"
+        assert CSV_HEADER == (
+            "solver,variant,m,n,lambda,seed,iters,wall_ms,residual,converged,error"
+        )
 
 
 class TestRunExperiment:
@@ -120,5 +126,7 @@ class TestRunExperiment:
         rows = run_experiment(spec)
         bad = [r for r in rows if r.solver == "no-such-solver"]
         assert len(bad) == 1 and not bad[0].converged and np.isnan(bad[0].residual)
+        assert bad[0].error == "ValueError: solver 'no-such-solver' is not available for kind 'lasso'"
         good = [r for r in rows if r.solver == "fista"]
-        assert good[0].converged
+        assert good[0].converged and good[0].error == ""
+        assert rows_from_csv(rows_to_csv(bad))[0].error == bad[0].error

@@ -207,6 +207,26 @@ class TestRun:
         with np.errstate(invalid="ignore"), pytest.raises(RuntimeError, match="k=1"):
             run(prob, sched, np.array([1.0]), np.array([1.0]), StoppingRule(max_iters=5))
 
+    def test_huge_finite_dual_iterate_passes_guard(self):
+        """||y|| overflows to inf at y = 1e200, yet y is finite: the guard
+        must check the entries before raising."""
+        prob = one_d_game()
+        prob.dual_prox = lambda x_tilde, y_bar, sigma: np.array([1e200])
+        sched = ConstantSchedule(0.5, 0.5, prob.op_norm)
+        with np.errstate(over="ignore", invalid="ignore"):
+            rep = run(prob, sched, np.array([1.0]), np.array([1.0]), StoppingRule(max_iters=2))
+        assert rep.k == 2 and rep.y[0] == 1e200
+
+    def test_stop_on_rules(self):
+        rule = StoppingRule.from_stop_on("ergodic", 1e-3, 50)
+        assert (rule.max_iters, rule.dual_rel_change, rule.ergodic_dual_rel_change) == (
+            50, None, 1e-3,
+        )
+        with pytest.raises(ValueError, match="stop_on"):
+            StoppingRule.from_stop_on("sometimes", 1e-3, 50)
+        with pytest.raises(ValueError, match="residual_tol"):
+            StoppingRule.from_stop_on("both", 1e-3, 50, residual_fn=lambda x, y: 0.0)
+
     def test_max_iters_flagged_not_raised(self):
         prob = one_d_game()
         sched = ConstantSchedule(0.5, 0.5, prob.op_norm)

@@ -5,19 +5,19 @@ import numpy as np
 import pytest
 
 from nlpdhg.data import gen_game_data
-from nlpdhg.engine import IterateState
-from nlpdhg.problems.games import (
-    MatrixGameProblem,
-    game_optimality_residual,
-    matrix_game_step,
-    solve_matrix_game,
-)
+from nlpdhg.engine import IterateState, step_linear_rate
+from nlpdhg.problems.games import MatrixGameProblem, game_optimality_residual, solve_matrix_game
 
 from _oracles import entropy_prox_oracle
 
 
 def step_params(problem):
     return problem.step_params()
+
+
+def game_step(problem, state, theta, tau, sigma):
+    """The iteration solve_matrix_game runs: y-first linear rate."""
+    return step_linear_rate(problem, state, theta, tau, sigma, order="y-first")
 
 
 class TestStep:
@@ -27,7 +27,7 @@ class TestStep:
         theta, tau, sigma = step_params(p)
         st = IterateState.initial(np.array([1.0]), np.array([1.0]))
         for _ in range(5):
-            st = matrix_game_step(p, st, theta, tau, sigma)
+            st = game_step(p, st, theta, tau, sigma)
             np.testing.assert_allclose(st.x, [1.0])
             np.testing.assert_allclose(st.y, [1.0])
 
@@ -40,7 +40,7 @@ class TestStep:
         x0 /= x0.sum()
         y0 = rng.random(3) + 0.1
         y0 /= y0.sum()
-        st = matrix_game_step(p, IterateState.initial(x0, y0), theta, tau, sigma)
+        st = game_step(p, IterateState.initial(x0, y0), theta, tau, sigma)
         powered = x0 ** (1.0 / (1.0 + p.lam * tau))
         np.testing.assert_allclose(st.x, powered / powered.sum(), rtol=1e-12)
 
@@ -53,22 +53,6 @@ class TestStep:
         r1, r2 = game_optimality_residual(p, rep.x, rep.y)
         assert r1 < 1e-6 and r2 < 1e-6
 
-    def test_extrapolation_sign_flag(self):
-        """The minus-sign variant takes a different trajectory but reaches
-        the same equilibrium on a small game."""
-        A = gen_game_data(4, 5, 1)
-        p = MatrixGameProblem(A, 0.3)
-        rep_plus = solve_matrix_game(p, tol=1e-11, max_iters=50000, extrapolation="plus")
-        rep_minus = solve_matrix_game(p, tol=1e-11, max_iters=50000, extrapolation="minus")
-        np.testing.assert_allclose(rep_plus.x, rep_minus.x, atol=1e-8)
-        np.testing.assert_allclose(rep_plus.y, rep_minus.y, atol=1e-8)
-        with pytest.raises(ValueError, match="extrapolation"):
-            theta, tau, sigma = step_params(p)
-            matrix_game_step(
-                p, IterateState.initial(rep_plus.x, rep_plus.y), theta, tau, sigma,
-                extrapolation="bogus",
-            )
-
     def test_simplex_preservation(self):
         A = gen_game_data(6, 4, 2)
         p = MatrixGameProblem(A, 0.2)
@@ -76,7 +60,7 @@ class TestStep:
         x0, y0 = p.default_init(seed=3)
         st = IterateState.initial(x0, y0)
         for _ in range(500):
-            st = matrix_game_step(p, st, theta, tau, sigma)
+            st = game_step(p, st, theta, tau, sigma)
             assert abs(st.x.sum() - 1.0) < 1e-12
             assert abs(st.y.sum() - 1.0) < 1e-12
             assert st.x.min() > 0.0 and st.y.min() > 0.0

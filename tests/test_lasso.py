@@ -9,7 +9,6 @@ from nlpdhg.data import gen_lasso_data
 from nlpdhg.problems.lasso import (
     LassoProblem,
     lasso_optimality_residual,
-    lasso_step,
     shrink1,
     solve_lasso,
 )
@@ -74,14 +73,12 @@ class TestSolve:
         x_fb = prox_gradient_lasso(A, b, lam, tol=1e-10)
         assert abs(p.objective(rep.x) - p.objective(x_fb)) < 1e-6
 
-    def test_requires_acc_dual_regime(self):
-        from nlpdhg.engine import IterateState
-        from nlpdhg.schedules import ConstantSchedule
-
-        p = scalar_problem()
-        sched = ConstantSchedule(0.1, 0.1, p.op_norm)
-        with pytest.raises(ValueError, match="acc-dual"):
-            lasso_step(p, IterateState.initial(np.zeros(1), np.zeros(1)), sched)
+    def test_non_finite_iterate_raises(self):
+        """An infinite primal step makes the soft threshold return NaN; the
+        solve stops there instead of returning it."""
+        p = LassoProblem(np.array([[1.0, 2.0], [0.5, -1.0]]), np.array([1.0, 0.3]), 0.1)
+        with np.errstate(invalid="ignore"), pytest.raises(RuntimeError, match="non-finite"):
+            solve_lasso(p, tau0=np.inf, max_iters=5)
 
     def test_zero_pattern_matches_dual_criterion(self):
         """Entries whose dual value sits strictly below lam are bitwise

@@ -1,4 +1,4 @@
-"""l1-constrained logistic regression: explicit updates, lift recovery,
+"""l1-constrained logistic regression: accelerated-dual steps, lift recovery,
 residuals, and closed-form proxes against numerical minimization."""
 
 import numpy as np
@@ -8,9 +8,7 @@ from nlpdhg.data import gen_logreg_data
 from nlpdhg.engine import IterateState, step_acc_dual
 from nlpdhg.problems.logreg import (
     L1LogRegProblem,
-    L1LogRegState,
     l1logreg_dual_residual,
-    l1logreg_step,
     recover_v,
     solve_l1_logreg,
     support_from_dual,
@@ -51,7 +49,7 @@ class TestStep:
         x0, y0 = p.default_init()
         sched = AccDualSchedule(p.gamma_h_star, p.op_norm, tau0=p.default_tau0(), theta0=0.0)
         sched.sigma = 1e8
-        st = l1logreg_step(p, L1LogRegState.initial(p, x0, y0), sched)
+        st = step_acc_dual(p, IterateState.initial(x0, y0), sched)
         target = 1.0 / (p.m + p.m * np.exp(-p.operator.apply(x0)))
         np.testing.assert_allclose(st.y, target, rtol=1e-6)
 
@@ -61,29 +59,6 @@ class TestStep:
         assert abs(rep.y[0] - 1.0 / (1.0 + np.exp(-p.operator.apply(rep.x)[0]))) < 1e-6
         np.testing.assert_allclose(rep.y, [SIGMOID_MINUS_ONE], atol=1e-6)
         np.testing.assert_allclose(rep.x, [1.0, 0.0], atol=1e-4)
-
-    def test_requires_acc_dual_schedule(self):
-        p = small_problem()
-        from nlpdhg.schedules import AccPrimalSchedule
-
-        sched = AccPrimalSchedule(1.0, p.op_norm)
-        with pytest.raises(ValueError, match="acc-dual"):
-            l1logreg_step(p, L1LogRegState.initial(p), sched)
-
-    def test_matches_generic_engine(self):
-        """The explicit w-carrying loop and the generic prox-driven engine
-        walk the same trajectory."""
-        p = small_problem(2)
-        x0, y0 = p.default_init()
-        s1 = AccDualSchedule(p.gamma_h_star, p.op_norm, tau0=p.default_tau0())
-        s2 = AccDualSchedule(p.gamma_h_star, p.op_norm, tau0=p.default_tau0())
-        st_a = L1LogRegState.initial(p, x0, y0)
-        st_b = IterateState.initial(x0, y0)
-        for _ in range(80):
-            st_a = l1logreg_step(p, st_a, s1)
-            st_b = step_acc_dual(p, st_b, s2)
-        np.testing.assert_allclose(st_a.x, st_b.x, atol=1e-10)
-        np.testing.assert_allclose(st_a.y, st_b.y, atol=1e-12)
 
 
 class TestRecoverV:
@@ -192,9 +167,9 @@ class TestInvariants:
         passes ~-745, so it is asserted over the representable horizon."""
         p = small_problem(9, m=8, d=6, lam=2.0)
         sched = AccDualSchedule(p.gamma_h_star, p.op_norm, tau0=p.default_tau0())
-        st = L1LogRegState.initial(p)
+        st = IterateState.initial(*p.default_init())
         for k in range(1, 201):
-            st = l1logreg_step(p, st, sched)
+            st = step_acc_dual(p, st, sched)
             assert abs(st.x.sum() - 1.0) < 1e-12
             assert st.x.min() >= 0.0
             if k <= 60:
