@@ -1,10 +1,14 @@
 """Comparison solvers: linear (Euclidean) PDHG, projected forward-backward,
 FISTA, and the predictive-update / optimistic-MWU game methods.
 
-The linear PDHG baselines pay for a largest-singular-value estimate up front
-and solve nested Euclidean proximal subproblems by forward-backward
-iteration; their wall time as reported here includes the norm computation,
-mirroring how such baselines are usually accounted.
+The linear PDHG baselines are the same iteration as nonlinear PDHG in
+Euclidean geometry, so they run through ``engine.run``: each solve builds a
+single-use saddle problem whose proxes solve the nested Euclidean
+subproblems by forward-backward iteration, warm-started across iterations.
+They pay for a largest-singular-value estimate up front, and their reported
+wall time includes that ``norm_2_2`` call, mirroring how such baselines are
+usually accounted. Projected forward-backward on logistic regression and
+FISTA on the Lasso share one FISTA loop.
 """
 
 from __future__ import annotations
@@ -13,11 +17,11 @@ import time
 
 import numpy as np
 
-from .bregman import sigmoid, softmax
-from .engine import ErgodicAccumulator, SolveReport, _rel_change, check_stop
+from .bregman import Quadratic, sigmoid, softmax
+from .engine import SaddleProblem, SolveReport, StoppingRule, _rel_change, run, start_point
 from .operators import DenseOperator, norm_1_inf, norm_2_2
 from .problems.lasso import shrink1
-from .schedules import linear_rate_params
+from .schedules import AccDualSchedule, LinearRateSchedule, linear_rate_params
 
 __all__ = [
     "project_l1_ball",
@@ -88,6 +92,45 @@ def _logistic_conjugate_prox(z, sigma, m, u0, tol, max_iters):
     return _fb_minimize(grad, lip, u0, tol, max_iters)
 
 
+class _WarmStartedProxes(SaddleProblem):
+    """Single-use saddle problem of one linear-PDHG solve.
+
+    Both geometries are Euclidean, so each prox is a gradient step on
+    <y, M x> with the raw matrix M, finished by ``dual_map(z, sigma, warm)``
+    or ``primal_map(w, tau, warm)``. A map returns the new point and the warm
+    start for its next inner solve; the instance carries the warm starts
+    across iterations, so every solve builds a fresh one.
+    """
+
+    geom_x = geom_y = Quadratic()
+
+    def __init__(self, matrix, dual_map, primal_map, warm_y, warm_x):
+        self.matrix = matrix
+        self.dual_map = dual_map
+        self.primal_map = primal_map
+        self.warm_y = warm_y
+        self.warm_x = warm_x
+
+    def dual_prox(self, x_tilde, y_bar, sigma):
+        z = y_bar + sigma * (self.matrix @ x_tilde)
+        y, self.warm_y = self.dual_map(z, sigma, self.warm_y)
+        return y
+
+    def primal_prox(self, y_tilde, x_bar, tau):
+        w = x_bar - tau * (self.matrix.T @ y_tilde)
+        x, self.warm_x = self.primal_map(w, tau, self.warm_x)
+        return x
+
+
+def _linear_pdhg(problem, saddle, schedule, x0, y0, stop, t0):
+    """Run one linear-PDHG solve; its wall time counts from ``t0``, so it
+    includes the norm computation."""
+    report = run(saddle, schedule, x0, y0, stop, problem_id=problem.problem_id)
+    report.regime = "linear-pdhg"
+    report.wall_ms = 1000.0 * (time.perf_counter() - t0)
+    return report
+
+
 def solve_linear_pdhg_logreg(
     problem,
     tau0=None,
@@ -105,109 +148,88 @@ def solve_linear_pdhg_logreg(
     warm-started across iterations), then an exact l1-ball projection. The
     schedule is the accelerated dual recurrence driven by gamma = 4m and the
     largest singular value of B, whose power-iteration cost is part of the
-    reported wall time.
+    reported wall time. Stops per ``StoppingRule.from_stop_on``.
     """
     t0 = time.perf_counter()
     B = problem.B
     m, d = B.shape
-    lam = problem.lam
+    stop = StoppingRule.from_stop_on(stop_on, tol, max_iters)
     nrm = norm_2_2(DenseOperator(B))
-    if tau0 is None:
-        tau0 = 2.0 * m / nrm**2
-    sigma = 1.0 / (nrm**2 * tau0)
-    tau = tau0
-    theta = 0.0
-    v = np.full(d, 1.0 / d)
-    v_prev = v.copy()
-    y = np.full(m, 1.0 / (2.0 * m))
-    acc = ErgodicAccumulator(d, m)
-    growth = 1.0  # iterate k carries ergodic weight tau_{k-1}/tau_0
-    trace = []
-    converged = False
-    y_erg_prev = None
-    u_warm = y.copy()
-    k = 0
-    for k in range(1, max_iters + 1):
-        z = y + sigma * (B @ (v + theta * (v - v_prev)))
-        u_warm = _logistic_conjugate_prox(z, sigma, m, u_warm, inner_tol, inner_max_iters)
-        y_new = z - u_warm
-        v_new = project_l1_ball(v - tau * (B.T @ y_new), lam)
-        acc.add(v_new, y_new, growth)
-        monitored = _rel_change(y_new, y)
-        trace.append((k, monitored))
-        theta = 1.0 / np.sqrt(1.0 + 4.0 * m * sigma)
-        growth = 1.0 / theta
-        tau = tau / theta
-        sigma = theta * sigma
-        v, v_prev, y = v_new, v, y_new
-        y_avg = acc.y_avg
-        erg_ok = y_erg_prev is not None and _rel_change(y_avg, y_erg_prev) <= tol
-        y_erg_prev = y_avg
-        converged = check_stop(stop_on, monitored <= tol, erg_ok)
-        if converged:
-            break
-    wall_ms = 1000.0 * (time.perf_counter() - t0)
+    schedule = AccDualSchedule(4.0 * m, nrm, tau0=2.0 * m / nrm**2 if tau0 is None else tau0)
+
+    def dual_map(z, sigma, u_warm):
+        u = _logistic_conjugate_prox(z, sigma, m, u_warm, inner_tol, inner_max_iters)
+        return z - u, u
+
+    def primal_map(w, tau, _):
+        return project_l1_ball(w, problem.lam), None
+
+    y0 = np.full(m, 1.0 / (2.0 * m))
+    saddle = _WarmStartedProxes(B, dual_map, primal_map, y0, None)
+    return _linear_pdhg(problem, saddle, schedule, np.full(d, 1.0 / d), y0, stop, t0)
+
+
+def _report(problem, regime, k, converged, wall_ms, trace, x, y):
+    """Report of a solver that keeps no ergodic average."""
     return SolveReport(
         problem_id=problem.problem_id,
-        regime="linear-pdhg",
+        regime=regime,
         k=k,
         converged=converged,
         wall_ms=wall_ms,
         residual_trace=trace,
-        terminal_primal_norm=float(np.linalg.norm(v)),
+        terminal_primal_norm=float(np.linalg.norm(x)),
         terminal_dual_norm=float(np.linalg.norm(y)),
-        x=v,
+        x=x,
         y=y,
-        x_ergodic=acc.x_avg if acc.total > 0 else v.copy(),
-        y_ergodic=acc.y_avg if acc.total > 0 else y.copy(),
+        x_ergodic=x.copy(),
+        y_ergodic=y.copy(),
     )
 
 
-def solve_fb_logreg(problem, tol=1e-4, max_iters=50000):
-    """FISTA-style projected gradient on the ball-constrained logistic
-    objective; step 4m/||B||_{2,2}^2, first extrapolation clamped to zero."""
-    t0 = time.perf_counter()
-    B = problem.B
-    m, d = B.shape
-    nrm = norm_2_2(DenseOperator(B))
-    tau = 4.0 * m / nrm**2
-    v = np.full(d, 1.0 / d)
-    v_prev = v.copy()
+def _fista(step, monitor, x0, tol, max_iters):
+    """FISTA from x0: x_{k+1} = step(x_k + beta_k (x_k - x_{k-1})), with the
+    first extrapolation clamped to zero. Stops once monitor(x_{k+1}, x_k) <=
+    tol; returns (x, k, converged, trace)."""
+    x = x0
+    x_prev = x0.copy()
     t_k = 0.0
     beta = 0.0
     trace = []
-    converged = False
     k = 0
     for k in range(1, max_iters + 1):
-        w = v + beta * (v - v_prev)
-        grad = B.T @ (sigmoid(B @ w) / m)
-        v_new = project_l1_ball(w - tau * grad, problem.lam)
-        denom = np.sum(np.abs(v_new))
-        monitored = float(np.sum(np.abs(v_new - v)) / (denom if denom > 0 else 1.0))
+        x_new = step(x + beta * (x - x_prev))
+        monitored = monitor(x_new, x)
         trace.append((k, monitored))
         t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_k**2))
         # t0 = beta0 = 0 makes the raw first coefficient negative; clamp.
         beta = min(max((t_k - 1.0) / t_next, 0.0), 1.0)
         t_k = t_next
-        v, v_prev = v_new, v
+        x, x_prev = x_new, x
         if monitored <= tol:
-            converged = True
-            break
+            return x, k, True, trace
+    return x, k, False, trace
+
+
+def solve_fb_logreg(problem, tol=1e-4, max_iters=50000):
+    """FISTA-style projected gradient on the ball-constrained logistic
+    objective; step 4m/||B||_{2,2}^2, first extrapolation clamped to zero.
+    Stops on the relative l1 change of the iterate."""
+    t0 = time.perf_counter()
+    B = problem.B
+    m, d = B.shape
+    tau = 4.0 * m / norm_2_2(DenseOperator(B)) ** 2
+
+    def step(w):
+        return project_l1_ball(w - tau * (B.T @ (sigmoid(B @ w) / m)), problem.lam)
+
+    def monitor(new, old):
+        denom = np.sum(np.abs(new))
+        return float(np.sum(np.abs(new - old)) / (denom if denom > 0 else 1.0))
+
+    v, k, converged, trace = _fista(step, monitor, np.full(d, 1.0 / d), tol, max_iters)
     wall_ms = 1000.0 * (time.perf_counter() - t0)
-    return SolveReport(
-        problem_id=problem.problem_id,
-        regime="fb-splitting",
-        k=k,
-        converged=converged,
-        wall_ms=wall_ms,
-        residual_trace=trace,
-        terminal_primal_norm=float(np.linalg.norm(v)),
-        terminal_dual_norm=0.0,
-        x=v,
-        y=np.zeros(m),
-        x_ergodic=v.copy(),
-        y_ergodic=np.zeros(m),
-    )
+    return _report(problem, "fb-splitting", k, converged, wall_ms, trace, v, np.zeros(m))
 
 
 def _entropy_conjugate_prox(v, c, u_warm, tol, max_iters):
@@ -232,102 +254,44 @@ def solve_linear_pdhg_game(
     """Euclidean PDHG on the entropy-regularized game.
 
     Uses the linear-rate parameters computed from the largest singular value
-    of the payoff matrix; both entropic proxes are evaluated through their
-    conjugates with warm-started inner forward-backward solves.
+    of the payoff matrix, applied y-first; both entropic proxes are evaluated
+    through their conjugates with warm-started inner forward-backward solves.
+    Stops per ``StoppingRule.from_stop_on``.
     """
     t0 = time.perf_counter()
     A = problem.payoff
-    m, n = A.shape
     lam = problem.lam
-    nrm = norm_2_2(DenseOperator(A))
-    theta, tau, sigma = linear_rate_params(lam, lam, nrm)
-    x, y = problem.default_init(seed=seed)
-    x_prev = x.copy()
-    acc = ErgodicAccumulator(n, m)
-    growth = 1.0  # ergodic weights theta^{-(k-1)}
-    trace = []
-    converged = False
-    y_erg_prev = None
-    warm_y = y.copy()
-    warm_x = x.copy()
-    k = 0
-    for k in range(1, max_iters + 1):
-        v = y + sigma * (A @ (x + theta * (x - x_prev)))
-        warm_y = _entropy_conjugate_prox(v, lam * sigma, warm_y, inner_tol, inner_max_iters)
-        y_new = v - warm_y
-        w = x - tau * (A.T @ y_new)
-        warm_x = _entropy_conjugate_prox(w, lam * tau, warm_x, inner_tol, inner_max_iters)
-        x_new = w - warm_x
-        acc.add(x_new, y_new, growth)
-        monitored = _rel_change(y_new, y)
-        trace.append((k, monitored))
-        growth = 1.0 / theta
-        x, x_prev, y = x_new, x, y_new
-        y_avg = acc.y_avg
-        erg_ok = y_erg_prev is not None and _rel_change(y_avg, y_erg_prev) <= tol
-        y_erg_prev = y_avg
-        converged = check_stop(stop_on, monitored <= tol, erg_ok)
-        if converged:
-            break
-    wall_ms = 1000.0 * (time.perf_counter() - t0)
-    return SolveReport(
-        problem_id=problem.problem_id,
-        regime="linear-pdhg",
-        k=k,
-        converged=converged,
-        wall_ms=wall_ms,
-        residual_trace=trace,
-        terminal_primal_norm=float(np.linalg.norm(x)),
-        terminal_dual_norm=float(np.linalg.norm(y)),
-        x=x,
-        y=y,
-        x_ergodic=acc.x_avg if acc.total > 0 else x.copy(),
-        y_ergodic=acc.y_avg if acc.total > 0 else y.copy(),
-    )
+    stop = StoppingRule.from_stop_on(stop_on, tol, max_iters)
+    params = linear_rate_params(lam, lam, norm_2_2(DenseOperator(A)))
+    schedule = LinearRateSchedule(*params, order="y-first")
+
+    def entropy_map(z, step, u_warm):
+        u = _entropy_conjugate_prox(z, lam * step, u_warm, inner_tol, inner_max_iters)
+        return z - u, u
+
+    x0, y0 = problem.default_init(seed=seed)
+    saddle = _WarmStartedProxes(A, entropy_map, entropy_map, y0, x0)
+    return _linear_pdhg(problem, saddle, schedule, x0, y0, stop, t0)
 
 
 def fista_lasso(problem, tau=None, tol=1e-8, max_iters=100000):
-    """FISTA on the Lasso primal; wall time includes the largest-singular-
-    value estimate that sets the step size."""
+    """FISTA on the Lasso primal, stopping on the absolute iterate change;
+    wall time includes the largest-singular-value estimate that sets the
+    step size."""
     t0 = time.perf_counter()
     A, b, lam, m = problem.A, problem.b, problem.lam, problem.m
     if tau is None:
         tau = m / norm_2_2(problem.operator) ** 2
-    x = np.zeros(problem.n)
-    x_prev = x.copy()
-    t_k = 0.0
-    beta = 0.0
-    trace = []
-    converged = False
-    k = 0
-    for k in range(1, max_iters + 1):
-        w = x + beta * (x - x_prev)
-        x_new = shrink1(w - tau * (A.T @ (A @ w - b)) / m, lam * tau)
-        monitored = float(np.linalg.norm(x_new - x))
-        trace.append((k, monitored))
-        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_k**2))
-        beta = min(max((t_k - 1.0) / t_next, 0.0), 1.0)
-        t_k = t_next
-        x, x_prev = x_new, x
-        if monitored <= tol:
-            converged = True
-            break
+
+    def step(w):
+        return shrink1(w - tau * (A.T @ (A @ w - b)) / m, lam * tau)
+
+    def monitor(new, old):
+        return float(np.linalg.norm(new - old))
+
+    x, k, converged, trace = _fista(step, monitor, np.zeros(problem.n), tol, max_iters)
     wall_ms = 1000.0 * (time.perf_counter() - t0)
-    y = (A @ x - b) / m
-    return SolveReport(
-        problem_id=problem.problem_id,
-        regime="fista",
-        k=k,
-        converged=converged,
-        wall_ms=wall_ms,
-        residual_trace=trace,
-        terminal_primal_norm=float(np.linalg.norm(x)),
-        terminal_dual_norm=float(np.linalg.norm(y)),
-        x=x,
-        y=y,
-        x_ergodic=x.copy(),
-        y_ergodic=y.copy(),
-    )
+    return _report(problem, "fista", k, converged, wall_ms, trace, x, (A @ x - b) / m)
 
 
 def prox_gradient_lasso(A, b, lam, tol=1e-10, max_iters=500000, x0=None):
@@ -362,23 +326,6 @@ def _normalize_log(l):
     return l - np.log(np.sum(np.exp(l)))
 
 
-def _game_report(problem, regime, k, converged, wall_ms, trace, x, y):
-    return SolveReport(
-        problem_id=problem.problem_id,
-        regime=regime,
-        k=k,
-        converged=converged,
-        wall_ms=wall_ms,
-        residual_trace=trace,
-        terminal_primal_norm=float(np.linalg.norm(x)),
-        terminal_dual_norm=float(np.linalg.norm(y)),
-        x=x,
-        y=y,
-        x_ergodic=x.copy(),
-        y_ergodic=y.copy(),
-    )
-
-
 def solve_game_pu(problem, eta=None, tol=1e-8, max_iters=100000, seed=0, x0=None, y0=None):
     """Predictive (extragradient-style) multiplicative-weights update.
 
@@ -392,12 +339,9 @@ def solve_game_pu(problem, eta=None, tol=1e-8, max_iters=100000, seed=0, x0=None
     lam = problem.lam
     if eta is None:
         eta = pu_learning_rate(problem)
-    if x0 is None or y0 is None:
-        dx0, dy0 = problem.default_init(seed=seed)
-        x0 = dx0 if x0 is None else x0
-        y0 = dy0 if y0 is None else y0
-    lx = np.log(np.asarray(x0, dtype=float))
-    ly = np.log(np.asarray(y0, dtype=float))
+    x0, y0 = start_point(problem, x0, y0, problem.default_init(seed=seed))
+    lx = np.log(x0)
+    ly = np.log(y0)
     damp = 1.0 - eta * lam
     trace = []
     converged = False
@@ -418,7 +362,7 @@ def solve_game_pu(problem, eta=None, tol=1e-8, max_iters=100000, seed=0, x0=None
             converged = True
             break
     wall_ms = 1000.0 * (time.perf_counter() - t0)
-    return _game_report(problem, "pu", k, converged, wall_ms, trace, np.exp(lx), np.exp(ly))
+    return _report(problem, "pu", k, converged, wall_ms, trace, np.exp(lx), np.exp(ly))
 
 
 def solve_game_omwu(problem, eta=None, tol=1e-8, max_iters=100000, seed=0, x0=None, y0=None):
@@ -429,12 +373,9 @@ def solve_game_omwu(problem, eta=None, tol=1e-8, max_iters=100000, seed=0, x0=No
     lam = problem.lam
     if eta is None:
         eta = omwu_learning_rate(problem)
-    if x0 is None or y0 is None:
-        dx0, dy0 = problem.default_init(seed=seed)
-        x0 = dx0 if x0 is None else x0
-        y0 = dy0 if y0 is None else y0
-    lx = np.log(np.asarray(x0, dtype=float))
-    ly = np.log(np.asarray(y0, dtype=float))
+    x0, y0 = start_point(problem, x0, y0, problem.default_init(seed=seed))
+    lx = np.log(x0)
+    ly = np.log(y0)
     damp = 1.0 - eta * lam
     g_y_prev = A @ np.exp(lx)
     g_x_prev = A.T @ np.exp(ly)
@@ -458,4 +399,4 @@ def solve_game_omwu(problem, eta=None, tol=1e-8, max_iters=100000, seed=0, x0=No
             converged = True
             break
     wall_ms = 1000.0 * (time.perf_counter() - t0)
-    return _game_report(problem, "omwu", k, converged, wall_ms, trace, np.exp(lx), np.exp(ly))
+    return _report(problem, "omwu", k, converged, wall_ms, trace, np.exp(lx), np.exp(ly))

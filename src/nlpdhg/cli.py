@@ -30,31 +30,35 @@ from .problems.logreg import L1LogRegProblem
 _DEFAULT_LAM = {"logreg": 100.0, "game": 0.1, "lasso": None}
 
 
-def _cmd_gen_data(args):
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+def _generate(args):
+    """The fixture's matrices by file name, and its lambda."""
     lam = args.lam if args.lam is not None else _DEFAULT_LAM[args.kind]
-    meta = {"kind": args.kind, "m": args.m, "seed": args.seed}
     if args.kind == "logreg":
         if args.d is None:
             raise SystemExit("gen-data --kind logreg requires --d")
         B, _, _ = gen_logreg_data(args.m, args.d, args.seed)
-        save_matrix_csv(out / "matrix.csv", B)
-        meta.update(d=args.d, **{"lambda": lam})
-    elif args.kind == "game":
-        if args.n is None:
-            raise SystemExit("gen-data --kind game requires --n")
-        save_matrix_csv(out / "matrix.csv", gen_game_data(args.m, args.n, args.seed))
-        meta.update(n=args.n, **{"lambda": lam})
-    else:
-        if args.n is None:
-            raise SystemExit("gen-data --kind lasso requires --n")
-        A, b, _ = gen_lasso_data(args.m, args.n, args.sparsity, args.noise, args.seed)
-        save_matrix_csv(out / "matrix.csv", A)
-        save_matrix_csv(out / "b.csv", b.reshape(1, -1))
-        if lam is None:
-            lam = 0.3 * float(np.max(np.abs(A.T @ b))) / args.m
-        meta.update(n=args.n, **{"lambda": lam})
+        return {"matrix.csv": B}, lam
+    if args.n is None:
+        raise SystemExit(f"gen-data --kind {args.kind} requires --n")
+    if args.kind == "game":
+        return {"matrix.csv": gen_game_data(args.m, args.n, args.seed)}, lam
+    A, b, _ = gen_lasso_data(args.m, args.n, args.sparsity, args.noise, args.seed)
+    if lam is None:
+        lam = 0.3 * float(np.max(np.abs(A.T @ b))) / args.m
+    return {"matrix.csv": A, "b.csv": b.reshape(1, -1)}, lam
+
+
+def _cmd_gen_data(args):
+    try:
+        files, lam = _generate(args)
+    except ValueError as exc:
+        raise SystemExit(f"gen-data: {exc}") from None
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, matrix in files.items():
+        save_matrix_csv(out / name, matrix)
+    size = {"d": args.d} if args.kind == "logreg" else {"n": args.n}
+    meta = {"kind": args.kind, "m": args.m, "seed": args.seed, **size, "lambda": lam}
     (out / "meta.json").write_text(json.dumps(meta, indent=2) + "\n")
     print(f"wrote fixture to {out}")
 

@@ -3,8 +3,9 @@
 A problem supplies two Bregman proximal maps and a linear operator; the
 engine alternates them according to one of the step-size regimes and tracks
 ergodic averages, a residual trace, and an optional Lyapunov diagnostic.
-``run`` is the one iteration loop: the worked problems' ``solve_*``
-functions only build a schedule, a start point and a ``StoppingRule`` for it.
+``run`` is the one iteration loop of every PDHG solver: the worked problems'
+``solve_*`` functions and the Euclidean (linear) PDHG baselines only build a
+schedule, a start point and a ``StoppingRule`` for it.
 
 A solve run is single-threaded and deterministic; problems, schedules and
 reports can move freely between threads, and independent solves may run
@@ -131,9 +132,7 @@ class StoppingRule:
     """
 
     max_iters: int = 10000
-    primal_rel_change: float | None = None
     dual_rel_change: float | None = None
-    ergodic_primal_rel_change: float | None = None
     ergodic_dual_rel_change: float | None = None
     residual_fn: object = None
     residual_tol: float | None = None
@@ -162,13 +161,7 @@ class StoppingRule:
     def active(self):
         return any(
             v is not None
-            for v in (
-                self.primal_rel_change,
-                self.dual_rel_change,
-                self.ergodic_primal_rel_change,
-                self.ergodic_dual_rel_change,
-                self.residual_tol,
-            )
+            for v in (self.dual_rel_change, self.ergodic_dual_rel_change, self.residual_tol)
         )
 
 
@@ -179,17 +172,6 @@ def _rel_change(new, old, new_norm=None):
     if denom == 0.0:
         return float(np.linalg.norm(new - old))
     return float(np.linalg.norm(new - old) / denom)
-
-
-def check_stop(stop_on, regular_ok, ergodic_ok):
-    """Combine the regular and ergodic convergence flags per ``stop_on``."""
-    if stop_on == "regular":
-        return regular_ok
-    if stop_on == "ergodic":
-        return ergodic_ok
-    if stop_on == "both":
-        return regular_ok and ergodic_ok
-    raise ValueError(f"stop_on must be 'regular', 'ergodic' or 'both', got {stop_on!r}")
 
 
 def start_point(problem, x0, y0, default):
@@ -354,7 +336,6 @@ def run(problem, schedule, x0, y0, stop=None, delta_ref=None, problem_id=None):
     track_dual = stop.residual_fn is None or stop.dual_rel_change is not None
     t_start = time.perf_counter()
     converged = False
-    x_erg_prev = None
     y_erg_prev = None
     for _ in range(stop.max_iters):
         growth = schedule.ergodic_growth()
@@ -378,20 +359,12 @@ def run(problem, schedule, x0, y0, stop=None, delta_ref=None, problem_id=None):
         if deltas is not None:
             deltas.append((state.k, delta_diag(problem, state, schedule, *delta_ref)))
 
-        # Averages are fresh arrays, so the previous ones need no copy.
-        x_avg = acc.x_avg if stop.ergodic_primal_rel_change is not None else None
+        # Averages are fresh arrays, so the previous one needs no copy.
         y_avg = acc.y_avg if stop.ergodic_dual_rel_change is not None else None
         if active:
             ok = True
-            if stop.primal_rel_change is not None:
-                ok = ok and _rel_change(state.x, state.x_prev) <= stop.primal_rel_change
             if stop.dual_rel_change is not None:
                 ok = ok and dual_change <= stop.dual_rel_change
-            if x_avg is not None:
-                ok = ok and (
-                    x_erg_prev is not None
-                    and _rel_change(x_avg, x_erg_prev) <= stop.ergodic_primal_rel_change
-                )
             if y_avg is not None:
                 ok = ok and (
                     y_erg_prev is not None
@@ -401,7 +374,6 @@ def run(problem, schedule, x0, y0, stop=None, delta_ref=None, problem_id=None):
                 ok = ok and monitored <= stop.residual_tol
             if ok:
                 converged = True
-        x_erg_prev = x_avg
         y_erg_prev = y_avg
         if converged:
             break

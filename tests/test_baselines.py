@@ -131,6 +131,16 @@ class TestGameBaselines:
             r1, r2 = game_optimality_residual(p, rep.x, rep.y)
             assert r2 < 1e-8
 
+    @pytest.mark.parametrize("solver", [solve_game_pu, solve_game_omwu])
+    def test_start_outside_simplex_rejected(self, solver):
+        """A start point off the simplex interior raises up front instead of
+        iterating on NaN."""
+        p = MatrixGameProblem(gen_game_data(3, 4, 0), 0.2)
+        with pytest.raises(ValueError, match="simplex"):
+            solver(p, x0=[0.5, 0.6, -0.2, 0.1], max_iters=10)
+        with pytest.raises(ValueError, match="simplex"):
+            solver(p, y0=[0.0, 0.5, 0.5], max_iters=10)
+
     def test_linear_pdhg_game_agrees_with_nonlinear(self):
         p = MatrixGameProblem(gen_game_data(6, 6, 9), 0.3)
         lin = solve_linear_pdhg_game(p, tol=1e-9, max_iters=20000, seed=0)

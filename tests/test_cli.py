@@ -3,6 +3,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from nlpdhg.cli import main
 from nlpdhg.operators import load_matrix_csv
@@ -40,6 +41,18 @@ def test_gen_data_lasso_defaults_lambda(tmp_path):
     b = load_matrix_csv(fix / "b.csv").ravel()
     assert meta["lambda"] > 0
     np.testing.assert_allclose(meta["lambda"], 0.3 * np.max(np.abs(A.T @ b)) / 10)
+
+
+def test_gen_data_rejects_bad_sizes_before_writing(tmp_path):
+    """A generator's ValueError becomes a one-line exit message, and no
+    output directory is left behind."""
+    fix = tmp_path / "fix"
+    with pytest.raises(SystemExit) as exc:
+        main(["gen-data", "--kind", "lasso", "--m", "6", "--n", "8", "--out", str(fix)])
+    assert str(exc.value) == "gen-data: sparsity must lie in [0, 8], got 10"
+    with pytest.raises(SystemExit, match="requires --d"):
+        main(["gen-data", "--kind", "logreg", "--m", "6", "--out", str(fix)])
+    assert not fix.exists()
 
 
 def test_solve_game_with_baseline(tmp_path):

@@ -1,4 +1,4 @@
-"""Trajectory parity of the three worked-problem solvers.
+"""Trajectory parity of the worked-problem solvers and the baselines.
 
 The pinned values were recorded from the solvers' former hand-written
 iteration loops, before they were routed through ``engine.run``: iteration
@@ -8,11 +8,24 @@ iterate the same arithmetic as before and must match bit for bit. Logistic
 regression now re-derives the dual logit w = logit(m y) inside ``dual_prox``
 on every step instead of carrying it, which moves the iterates by roundoff
 only.
+
+The baselines are pinned the same way, from their own former hand-written
+loops, and must match bit for bit: iteration count, converged flag, regime,
+probes of the terminal and ergodic points, and a digest of the full residual
+trace.
 """
+
+import hashlib
 
 import numpy as np
 import pytest
 
+from nlpdhg.baselines import (
+    fista_lasso,
+    solve_fb_logreg,
+    solve_linear_pdhg_game,
+    solve_linear_pdhg_logreg,
+)
 from nlpdhg.data import gen_game_data, gen_lasso_data, gen_logreg_data
 from nlpdhg.problems.games import MatrixGameProblem, game_optimality_residual, solve_matrix_game
 from nlpdhg.problems.lasso import LassoProblem, lasso_optimality_residual, solve_lasso
@@ -94,3 +107,82 @@ def test_trajectory_matches_pinned(kind, case):
         assert got == (want_x, want_y)
     else:
         np.testing.assert_allclose(got, (want_x, want_y), rtol=0.0, atol=atol)
+
+
+# (k, converged, regime, probes of x, y, x_ergodic and y_ergodic, digest of
+# the residual trace)
+BASELINE_PINNED = {
+    ("linear-pdhg-logreg", "both"): (
+        105, True, "linear-pdhg",
+        (-2.955513433345664, 0.08269300229854387, -2.949448741040206, 0.08278204208903239),
+        "e817c2bd5da6e231",
+    ),
+    ("linear-pdhg-logreg", "regular"): (
+        54, True, "linear-pdhg",
+        (-2.9556307053888418, 0.08277355609564284, -2.9322259099635897, 0.08297211114395149),
+        "b9ada9846dbbe987",
+    ),
+    ("linear-pdhg-logreg", "ergodic"): (
+        105, True, "linear-pdhg",
+        (-2.955513433345664, 0.08269300229854387, -2.949448741040206, 0.08278204208903239),
+        "e817c2bd5da6e231",
+    ),
+    ("linear-pdhg-game", "both"): (
+        115, True, "linear-pdhg",
+        (-0.17986621911431824, -0.11776196610550953, -0.17986622204983876, -0.11776197998347768),
+        "c514aa4bd9e7bc6e",
+    ),
+    ("linear-pdhg-game", "regular"): (
+        32, True, "linear-pdhg",
+        (-0.17986621401291783, -0.11776196347447741, -0.17994858838744715, -0.11815129855995953),
+        "d141c56efd65cad6",
+    ),
+    ("linear-pdhg-game", "ergodic"): (
+        115, True, "linear-pdhg",
+        (-0.17986621911431824, -0.11776196610550953, -0.17986622204983876, -0.11776197998347768),
+        "c514aa4bd9e7bc6e",
+    ),
+    ("fb-logreg", None): (
+        17, True, "fb-splitting",
+        (-2.974939664989387, 0.0, -2.974939664989387, 0.0),
+        "6fb84a002c2d6308",
+    ),
+    ("fista", None): (
+        183, True, "fista",
+        (0.13602494290661524, -0.14641454249105923, 0.13602494290661524, -0.14641454249105923),
+        "f93f76276fc7c4d9",
+    ),
+}
+
+
+def _baseline_solve(solver, stop_on):
+    if solver == "fista":
+        A, b, _ = gen_lasso_data(12, 20, 3, 0.1, 3)
+        p = LassoProblem(A, b, 0.3 * np.max(np.abs(A.T @ b)) / 12)
+        return fista_lasso(p, tol=1e-7, max_iters=20000)
+    if solver == "linear-pdhg-game":
+        p = MatrixGameProblem(gen_game_data(6, 5, 1), 0.3)
+        return solve_linear_pdhg_game(p, tol=1e-8, max_iters=20000, seed=2, stop_on=stop_on)
+    B, _, _ = gen_logreg_data(10, 6, 4)
+    p = L1LogRegProblem(B, 3.0)
+    if solver == "fb-logreg":
+        return solve_fb_logreg(p, tol=1e-6, max_iters=20000)
+    return solve_linear_pdhg_logreg(p, tol=1e-4, max_iters=20000, stop_on=stop_on)
+
+
+@pytest.mark.parametrize("solver, stop_on", list(BASELINE_PINNED))
+def test_baseline_trajectory_matches_pinned(solver, stop_on):
+    rep = _baseline_solve(solver, stop_on)
+    rng = np.random.default_rng(7)
+    probe_x = rng.standard_normal(rep.x.shape[0])
+    probe_y = rng.standard_normal(rep.y.shape[0])
+    probes = tuple(
+        float(v)
+        for v in (rep.x @ probe_x, rep.y @ probe_y, rep.x_ergodic @ probe_x, rep.y_ergodic @ probe_y)
+    )
+    digest = hashlib.sha256(np.array(rep.residual_trace, dtype=float).tobytes()).hexdigest()
+    k, converged, regime, want_probes, want_digest = BASELINE_PINNED[solver, stop_on]
+    assert (rep.k, rep.converged, rep.regime) == (k, converged, regime)
+    assert len(rep.residual_trace) == k
+    assert probes == want_probes
+    assert digest[:16] == want_digest
