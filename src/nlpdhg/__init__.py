@@ -12,10 +12,7 @@ from .engine import (
     StoppingRule,
     delta_diag,
     run,
-    step_acc_dual,
-    step_acc_primal,
-    step_constant,
-    step_linear_rate,
+    step,
 )
 from .operators import (
     DenseOperator,
@@ -56,10 +53,7 @@ __all__ = [
     "ErgodicAccumulator",
     "StoppingRule",
     "SolveReport",
-    "step_constant",
-    "step_acc_primal",
-    "step_acc_dual",
-    "step_linear_rate",
+    "step",
     "delta_diag",
     "run",
 ]

@@ -38,6 +38,11 @@ __all__ = [
 ]
 
 
+# Tolerance and iteration cap of the linear-PDHG baselines' inner solves.
+_INNER_TOL = 1e-10
+_INNER_MAX_ITERS = 10000
+
+
 class InnerSolveError(RuntimeError):
     """A nested proximal subproblem did not reach its tolerance."""
 
@@ -131,15 +136,7 @@ def _linear_pdhg(problem, saddle, schedule, x0, y0, stop, t0):
     return report
 
 
-def solve_linear_pdhg_logreg(
-    problem,
-    tau0=None,
-    tol=1e-4,
-    max_iters=50000,
-    inner_tol=1e-10,
-    inner_max_iters=10000,
-    stop_on="both",
-):
+def solve_linear_pdhg_logreg(problem, tol=1e-4, max_iters=50000, stop_on="both"):
     """Accelerated Euclidean PDHG on the ball-constrained logistic problem.
 
     Works directly on B (m x d) and the radius-lam ball: a dual gradient
@@ -155,10 +152,10 @@ def solve_linear_pdhg_logreg(
     m, d = B.shape
     stop = StoppingRule.from_stop_on(stop_on, tol, max_iters)
     nrm = norm_2_2(DenseOperator(B))
-    schedule = AccDualSchedule(4.0 * m, nrm, tau0=2.0 * m / nrm**2 if tau0 is None else tau0)
+    schedule = AccDualSchedule(4.0 * m, nrm, tau0=2.0 * m / nrm**2)
 
     def dual_map(z, sigma, u_warm):
-        u = _logistic_conjugate_prox(z, sigma, m, u_warm, inner_tol, inner_max_iters)
+        u = _logistic_conjugate_prox(z, sigma, m, u_warm, _INNER_TOL, _INNER_MAX_ITERS)
         return z - u, u
 
     def primal_map(w, tau, _):
@@ -242,15 +239,7 @@ def _entropy_conjugate_prox(v, c, u_warm, tol, max_iters):
     return _fb_minimize(grad, lip, u_warm, tol, max_iters)
 
 
-def solve_linear_pdhg_game(
-    problem,
-    tol=1e-4,
-    max_iters=50000,
-    inner_tol=1e-10,
-    inner_max_iters=10000,
-    stop_on="both",
-    seed=0,
-):
+def solve_linear_pdhg_game(problem, tol=1e-4, max_iters=50000, stop_on="both", seed=0):
     """Euclidean PDHG on the entropy-regularized game.
 
     Uses the linear-rate parameters computed from the largest singular value
@@ -266,7 +255,7 @@ def solve_linear_pdhg_game(
     schedule = LinearRateSchedule(*params, order="y-first")
 
     def entropy_map(z, step, u_warm):
-        u = _entropy_conjugate_prox(z, lam * step, u_warm, inner_tol, inner_max_iters)
+        u = _entropy_conjugate_prox(z, lam * step, u_warm, _INNER_TOL, _INNER_MAX_ITERS)
         return z - u, u
 
     x0, y0 = problem.default_init(seed=seed)
@@ -274,14 +263,13 @@ def solve_linear_pdhg_game(
     return _linear_pdhg(problem, saddle, schedule, x0, y0, stop, t0)
 
 
-def fista_lasso(problem, tau=None, tol=1e-8, max_iters=100000):
+def fista_lasso(problem, tol=1e-8, max_iters=100000):
     """FISTA on the Lasso primal, stopping on the absolute iterate change;
     wall time includes the largest-singular-value estimate that sets the
     step size."""
     t0 = time.perf_counter()
     A, b, lam, m = problem.A, problem.b, problem.lam, problem.m
-    if tau is None:
-        tau = m / norm_2_2(problem.operator) ** 2
+    tau = m / norm_2_2(problem.operator) ** 2
 
     def step(w):
         return shrink1(w - tau * (A.T @ (A @ w - b)) / m, lam * tau)
@@ -326,7 +314,41 @@ def _normalize_log(l):
     return l - np.log(np.sum(np.exp(l)))
 
 
-def solve_game_pu(problem, eta=None, tol=1e-8, max_iters=100000, seed=0, x0=None, y0=None):
+def _mwu(problem, regime, eta, gradients, x0, y0, seed, tol, max_iters, t0):
+    """Damped multiplicative-weights loop in normalized log space.
+
+    Each iteration takes the step log x <- damp log x - eta g_x,
+    log y <- damp log y + eta g_y, with damp = 1 - eta lam and
+    (g_x, g_y) = gradients(step, lx, ly, x, y); ``step(lx, ly, g_x, g_y)``
+    is that same step, for a gradient rule that predicts with it. Stops once
+    the larger relative change of x and y is at most ``tol``.
+    """
+    damp = 1.0 - eta * problem.lam
+
+    def step(lx, ly, g_x, g_y):
+        return _normalize_log(damp * lx - eta * g_x), _normalize_log(damp * ly + eta * g_y)
+
+    x0, y0 = start_point(problem, x0, y0, problem.default_init(seed=seed))
+    lx = np.log(x0)
+    ly = np.log(y0)
+    trace = []
+    converged = False
+    k = 0
+    for k in range(1, max_iters + 1):
+        x = np.exp(lx)
+        y = np.exp(ly)
+        lx_new, ly_new = step(lx, ly, *gradients(step, lx, ly, x, y))
+        monitored = max(_rel_change(np.exp(lx_new), x), _rel_change(np.exp(ly_new), y))
+        trace.append((k, monitored))
+        lx, ly = lx_new, ly_new
+        if monitored <= tol:
+            converged = True
+            break
+    wall_ms = 1000.0 * (time.perf_counter() - t0)
+    return _report(problem, regime, k, converged, wall_ms, trace, np.exp(lx), np.exp(ly))
+
+
+def solve_game_pu(problem, tol=1e-8, max_iters=100000, seed=0, x0=None, y0=None):
     """Predictive (extragradient-style) multiplicative-weights update.
 
     Both players take a damped MWU half-step to predict the opponent, then
@@ -336,67 +358,29 @@ def solve_game_pu(problem, eta=None, tol=1e-8, max_iters=100000, seed=0, x0=None
     """
     t0 = time.perf_counter()
     A = problem.payoff
-    lam = problem.lam
-    if eta is None:
-        eta = pu_learning_rate(problem)
-    x0, y0 = start_point(problem, x0, y0, problem.default_init(seed=seed))
-    lx = np.log(x0)
-    ly = np.log(y0)
-    damp = 1.0 - eta * lam
-    trace = []
-    converged = False
-    k = 0
-    for k in range(1, max_iters + 1):
-        x = np.exp(lx)
-        y = np.exp(ly)
-        ly_bar = _normalize_log(damp * ly + eta * (A @ x))
-        lx_bar = _normalize_log(damp * lx - eta * (A.T @ y))
-        ly_new = _normalize_log(damp * ly + eta * (A @ np.exp(lx_bar)))
-        lx_new = _normalize_log(damp * lx - eta * (A.T @ np.exp(ly_bar)))
-        x_new = np.exp(lx_new)
-        y_new = np.exp(ly_new)
-        monitored = max(_rel_change(x_new, x), _rel_change(y_new, y))
-        trace.append((k, monitored))
-        lx, ly = lx_new, ly_new
-        if monitored <= tol:
-            converged = True
-            break
-    wall_ms = 1000.0 * (time.perf_counter() - t0)
-    return _report(problem, "pu", k, converged, wall_ms, trace, np.exp(lx), np.exp(ly))
+
+    def predicted(step, lx, ly, x, y):
+        lx_bar, ly_bar = step(lx, ly, A.T @ y, A @ x)
+        return A.T @ np.exp(ly_bar), A @ np.exp(lx_bar)
+
+    eta = pu_learning_rate(problem)
+    return _mwu(problem, "pu", eta, predicted, x0, y0, seed, tol, max_iters, t0)
 
 
-def solve_game_omwu(problem, eta=None, tol=1e-8, max_iters=100000, seed=0, x0=None, y0=None):
+def solve_game_omwu(problem, tol=1e-8, max_iters=100000, seed=0, x0=None, y0=None):
     """Optimistic multiplicative-weights update: a single damped MWU step
     against the extrapolated gradient 2 g_k - g_{k-1}."""
     t0 = time.perf_counter()
     A = problem.payoff
-    lam = problem.lam
-    if eta is None:
-        eta = omwu_learning_rate(problem)
-    x0, y0 = start_point(problem, x0, y0, problem.default_init(seed=seed))
-    lx = np.log(x0)
-    ly = np.log(y0)
-    damp = 1.0 - eta * lam
-    g_y_prev = A @ np.exp(lx)
-    g_x_prev = A.T @ np.exp(ly)
-    trace = []
-    converged = False
-    k = 0
-    for k in range(1, max_iters + 1):
-        x = np.exp(lx)
-        y = np.exp(ly)
-        g_y = A @ x
-        g_x = A.T @ y
-        ly_new = _normalize_log(damp * ly + eta * (2.0 * g_y - g_y_prev))
-        lx_new = _normalize_log(damp * lx - eta * (2.0 * g_x - g_x_prev))
-        x_new = np.exp(lx_new)
-        y_new = np.exp(ly_new)
-        monitored = max(_rel_change(x_new, x), _rel_change(y_new, y))
-        trace.append((k, monitored))
-        g_y_prev, g_x_prev = g_y, g_x
-        lx, ly = lx_new, ly_new
-        if monitored <= tol:
-            converged = True
-            break
-    wall_ms = 1000.0 * (time.perf_counter() - t0)
-    return _report(problem, "omwu", k, converged, wall_ms, trace, np.exp(lx), np.exp(ly))
+    g_prev = None
+
+    def optimistic(step, lx, ly, x, y):
+        nonlocal g_prev
+        g = (A.T @ y, A @ x)
+        # The first step has no history: it extrapolates with g_0 itself.
+        prev = g if g_prev is None else g_prev
+        g_prev = g
+        return 2.0 * g[0] - prev[0], 2.0 * g[1] - prev[1]
+
+    eta = omwu_learning_rate(problem)
+    return _mwu(problem, "omwu", eta, optimistic, x0, y0, seed, tol, max_iters, t0)

@@ -2,9 +2,10 @@
 
 An experiment spec names a problem kind, sizes, a regularization value, a
 seed, the solvers to run and the stopping tolerance. Every solver in one
-repetition sees identical data. Rows come out in canonical sorted order and
-seeded runs are bitwise reproducible at thread count 1; wall time is the
-only nondeterministic column and can be suppressed with ``record_timing``.
+repetition sees identical data. Rows are computed one after another, come
+out in canonical sorted order, and seeded runs are bitwise reproducible;
+wall time is the only nondeterministic column and can be suppressed with
+``record_timing``.
 
 Timing accounting: solver wall time excludes data generation and the cheap
 column/entry norm precomputation of the nonlinear methods (it happens at
@@ -16,8 +17,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 from . import baselines
@@ -38,8 +37,6 @@ __all__ = [
 ]
 
 CSV_HEADER = "solver,variant,m,n,lambda,seed,iters,wall_ms,residual,converged,error"
-
-THREADS_ENV = "NLPDHG_THREADS"
 
 
 @dataclass
@@ -189,12 +186,7 @@ def run_experiment(spec):
             variants = ("regular", "ergodic") if solver in ERGODIC_SOLVERS else ("regular",)
             for variant in variants:
                 tasks.append((solver, variant, seed))
-    threads = int(os.environ.get(THREADS_ENV, "1"))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(lambda t: _run_one(spec, *t), tasks))
-    else:
-        rows = [_run_one(spec, *t) for t in tasks]
+    rows = [_run_one(spec, *t) for t in tasks]
     rows.sort(key=lambda r: (r.solver, r.variant, r.seed))
     return rows
 

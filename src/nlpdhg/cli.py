@@ -6,9 +6,6 @@ Subcommands:
   directory.
 * ``solve`` -- load a fixture, run one solver, write a JSON report.
 * ``bench`` -- run an experiment spec (JSON) and write a results CSV.
-
-Thread count for bench rows is taken from the NLPDHG_THREADS environment
-variable (default 1; solves themselves are always single-threaded).
 """
 
 from __future__ import annotations
@@ -68,9 +65,11 @@ def _load_fixture(path):
     if p.is_dir():
         p = p / "meta.json"
     meta = json.loads(p.read_text())
+    kind = meta["kind"]
+    if kind not in {k for k, _ in SOLVERS}:
+        raise SystemExit(f"solve: unknown problem kind {kind!r} in {p}")
     root = p.parent
     matrix = load_matrix_csv(root / "matrix.csv")
-    kind = meta["kind"]
     lam = meta["lambda"]
     if kind == "logreg":
         return kind, L1LogRegProblem(matrix, lam)
@@ -96,7 +95,10 @@ def _cmd_solve(args):
 
 
 def _cmd_bench(args):
-    spec = ExperimentSpec.from_json(Path(args.spec).read_text())
+    try:
+        spec = ExperimentSpec.from_json(Path(args.spec).read_text())
+    except (TypeError, ValueError) as exc:
+        raise SystemExit(f"bench: {exc}") from None
     rows = run_experiment(spec)
     Path(args.out).write_text(rows_to_csv(rows))
     print(f"wrote {len(rows)} rows to {args.out}")

@@ -1,8 +1,10 @@
 """Generic saddle-point iteration engine.
 
-A problem supplies two Bregman proximal maps and a linear operator; the
-engine alternates them according to one of the step-size regimes and tracks
-ergodic averages, a residual trace, and an optional Lyapunov diagnostic.
+A problem supplies two Bregman proximal maps and a linear operator; a
+schedule supplies the step sizes and names its update order (overrelaxed,
+x-first or y-first). ``step`` carries out one iteration in that order;
+``run`` repeats it and tracks ergodic averages, a residual trace, and an
+optional Lyapunov diagnostic (``delta_diag``).
 ``run`` is the one iteration loop of every PDHG solver: the worked problems'
 ``solve_*`` functions and the Euclidean (linear) PDHG baselines only build a
 schedule, a start point and a ``StoppingRule`` for it.
@@ -27,10 +29,7 @@ __all__ = [
     "ErgodicAccumulator",
     "StoppingRule",
     "SolveReport",
-    "step_constant",
-    "step_acc_primal",
-    "step_acc_dual",
-    "step_linear_rate",
+    "step",
     "delta_diag",
     "start_point",
     "run",
@@ -215,41 +214,18 @@ class SolveReport:
         )
 
 
-def step_constant(problem, state, tau, sigma):
-    """One iteration of the basic method: x-prox at y_k, then y-prox at the
-    overrelaxed point A(2 x_{k+1} - x_k)."""
-    x_new = problem.primal_prox(state.y, state.x, tau)
-    y_new = problem.dual_prox(2.0 * x_new - state.x, state.y, sigma)
-    return IterateState(x=x_new, x_prev=state.x, y=y_new, y_prev=state.y, k=state.k + 1)
-
-
-def step_acc_primal(problem, state, schedule):
-    """Accelerated step for gamma_g > 0: the x-prox sees the extrapolated
-    dual point y_k + theta_k (y_k - y_{k-1}). Advances the schedule."""
-    y_tilde = state.y + schedule.theta * (state.y - state.y_prev)
-    x_new = problem.primal_prox(y_tilde, state.x, schedule.tau)
-    y_new = problem.dual_prox(x_new, state.y, schedule.sigma)
-    schedule.advance()
-    return IterateState(x=x_new, x_prev=state.x, y=y_new, y_prev=state.y, k=state.k + 1)
-
-
-def step_acc_dual(problem, state, schedule):
-    """Mirror of the accelerated primal step: the y-prox sees the
-    extrapolated primal point, then the x-prox uses the fresh dual point."""
-    x_tilde = state.x + schedule.theta * (state.x - state.x_prev)
-    y_new = problem.dual_prox(x_tilde, state.y, schedule.sigma)
-    x_new = problem.primal_prox(y_new, state.x, schedule.tau)
-    schedule.advance()
-    return IterateState(x=x_new, x_prev=state.x, y=y_new, y_prev=state.y, k=state.k + 1)
-
-
-def step_linear_rate(problem, state, theta, tau, sigma, order="x-first"):
-    """One linear-rate iteration with fixed parameters.
-
-    x-first extrapolates the dual history into the x-prox; y-first
-    extrapolates the primal history into the y-prox.
-    """
-    if order == "x-first":
+def step(problem, state, schedule):
+    """One iteration in the schedule's ``order`` at its current (theta, tau,
+    sigma), then ``schedule.advance()``. "overrelaxed": x-prox at y_k, y-prox
+    at 2 x_{k+1} - x_k. "x-first": x-prox at y_k + theta (y_k - y_{k-1}),
+    y-prox at x_{k+1}. "y-first": y-prox at x_k + theta (x_k - x_{k-1}),
+    x-prox at y_{k+1}."""
+    theta, tau, sigma = schedule.theta, schedule.tau, schedule.sigma
+    order = schedule.order
+    if order == "overrelaxed":
+        x_new = problem.primal_prox(state.y, state.x, tau)
+        y_new = problem.dual_prox(2.0 * x_new - state.x, state.y, sigma)
+    elif order == "x-first":
         y_tilde = state.y + theta * (state.y - state.y_prev)
         x_new = problem.primal_prox(y_tilde, state.x, tau)
         y_new = problem.dual_prox(x_new, state.y, sigma)
@@ -258,17 +234,20 @@ def step_linear_rate(problem, state, theta, tau, sigma, order="x-first"):
         y_new = problem.dual_prox(x_tilde, state.y, sigma)
         x_new = problem.primal_prox(y_new, state.x, tau)
     else:
-        raise ValueError(f"order must be 'x-first' or 'y-first', got {order!r}")
+        raise ValueError(f"unknown update order {order!r}")
+    schedule.advance()
     return IterateState(x=x_new, x_prev=state.x, y=y_new, y_prev=state.y, k=state.k + 1)
 
 
 def delta_diag(problem, state, schedule, x_ref, y_ref):
-    """Regime-specific Lyapunov quantity Delta_k at a reference point.
+    """Lyapunov quantity Delta_k of the schedule's update order at a
+    reference point.
 
     The schedule must be aligned with the state: its current (theta, tau,
-    sigma) are the index-k parameters. At a saddle-point reference the value
-    is nonnegative and contracts per the regime's guarantee; at arbitrary
-    references the bilinear terms can make it negative.
+    sigma) are the index-k parameters; the extrapolated orders weigh their
+    history term by ``schedule.history_weight``. At a saddle-point reference
+    the value is nonnegative and contracts per the regime's guarantee; at
+    arbitrary references the bilinear terms can make it negative.
     """
     A = problem.operator
     gx = problem.geom_x
@@ -276,53 +255,26 @@ def delta_diag(problem, state, schedule, x_ref, y_ref):
     tau, sigma, theta = schedule.tau, schedule.sigma, schedule.theta
     d_x = gx.divergence(x_ref, state.x) / tau
     d_y = gy.divergence(y_ref, state.y) / sigma
-    regime = schedule.regime
-    if regime == "constant":
+    order = schedule.order
+    if order == "overrelaxed":
         cross = float((y_ref - state.y) @ A.apply(x_ref - state.x))
         return d_x + d_y - cross
-    if regime == "acc-primal":
-        hist = gy.divergence(state.y, state.y_prev) / sigma
+    if order == "x-first":
+        hist = schedule.history_weight * gy.divergence(state.y, state.y_prev) / sigma
         cross = theta * float((state.y - state.y_prev) @ A.apply(x_ref - state.x))
-        return d_x + d_y + hist + cross
-    if regime == "acc-dual":
-        hist = gx.divergence(state.x, state.x_prev) / tau
+    elif order == "y-first":
+        hist = schedule.history_weight * gx.divergence(state.x, state.x_prev) / tau
         cross = theta * float((y_ref - state.y) @ A.apply(state.x - state.x_prev))
-        return d_x + d_y + hist + cross
-    if regime == "linear-rate-x-first":
-        hist = theta * gy.divergence(state.y, state.y_prev) / sigma
-        cross = theta * float((state.y - state.y_prev) @ A.apply(x_ref - state.x))
-        return d_x + d_y + hist + cross
-    if regime == "linear-rate-y-first":
-        hist = theta * gx.divergence(state.x, state.x_prev) / tau
-        cross = theta * float((y_ref - state.y) @ A.apply(state.x - state.x_prev))
-        return d_x + d_y + hist + cross
-    raise ValueError(f"unknown regime {regime!r}")
-
-
-def _one_step(problem, state, schedule):
-    regime = schedule.regime
-    if regime == "constant":
-        new = step_constant(problem, state, schedule.tau, schedule.sigma)
-        schedule.advance()
-        return new
-    if regime == "acc-primal":
-        return step_acc_primal(problem, state, schedule)
-    if regime == "acc-dual":
-        return step_acc_dual(problem, state, schedule)
-    if regime.startswith("linear-rate-"):
-        new = step_linear_rate(
-            problem, state, schedule.theta, schedule.tau, schedule.sigma, order=schedule.order
-        )
-        schedule.advance()
-        return new
-    raise ValueError(f"unknown regime {regime!r}")
+    else:
+        raise ValueError(f"unknown update order {order!r}")
+    return d_x + d_y + hist + cross
 
 
 def run(problem, schedule, x0, y0, stop=None, delta_ref=None, problem_id=None):
     """Iterate until the stopping rule fires or max_iters is exhausted.
 
-    ``delta_ref``, when given as a pair (x_ref, y_ref), records the
-    regime-appropriate Delta_k at every iterate (this costs extra divergence
+    ``delta_ref``, when given as a pair (x_ref, y_ref), records
+    ``delta_diag`` at every iterate (this costs extra divergence
     evaluations per step, so it is opt-in). Exhausting max_iters flags the
     report as non-converged; a non-finite iterate raises.
     """
@@ -339,7 +291,7 @@ def run(problem, schedule, x0, y0, stop=None, delta_ref=None, problem_id=None):
     y_erg_prev = None
     for _ in range(stop.max_iters):
         growth = schedule.ergodic_growth()
-        state = _one_step(problem, state, schedule)
+        state = step(problem, state, schedule)
         y_norm = np.linalg.norm(state.y)
         # A finite ||y|| proves every entry of y finite; only an overflowing
         # norm needs the entrywise scan.

@@ -122,8 +122,6 @@ def solve_l1_logreg(
     problem,
     x0=None,
     y0=None,
-    tau0=None,
-    theta0=0.0,
     tol=1e-4,
     max_iters=50000,
     residual_fn=None,
@@ -138,11 +136,6 @@ def solve_l1_logreg(
     dual change and its ergodic counterpart both fall below ``tol``.
     """
     x0, y0 = start_point(problem, x0, y0, problem.default_init())
-    schedule = AccDualSchedule(
-        problem.gamma_h_star,
-        problem.op_norm,
-        tau0=problem.default_tau0() if tau0 is None else tau0,
-        theta0=theta0,
-    )
+    schedule = AccDualSchedule(problem.gamma_h_star, problem.op_norm, tau0=problem.default_tau0())
     stop = StoppingRule.from_stop_on(stop_on, tol, max_iters, residual_fn, residual_tol)
     return run(problem, schedule, x0, y0, stop)

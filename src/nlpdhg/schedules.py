@@ -1,18 +1,19 @@
 """Step-size schedules for the PDHG iteration family.
 
-Four regimes:
+Four regimes, each naming the update ``order`` that ``engine.step`` runs:
 
-* ``ConstantSchedule`` -- fixed (tau, sigma) with tau*sigma*||A||^2 < 1.
+* ``ConstantSchedule`` -- fixed (tau, sigma) with tau*sigma*||A||^2 < 1;
+  overrelaxed.
 * ``AccPrimalSchedule`` -- for a strongly convex primal part (gamma_g > 0);
-  theta_{k+1} = 1/sqrt(1 + gamma_g tau_k), tau shrinks, sigma grows.
+  theta_{k+1} = 1/sqrt(1 + gamma_g tau_k), tau shrinks, sigma grows; x-first.
 * ``AccDualSchedule`` -- mirror regime for a strongly convex dual part
-  (gamma_h_star > 0); tau grows, sigma shrinks.
+  (gamma_h_star > 0); tau grows, sigma shrinks; y-first.
 * ``LinearRateSchedule`` -- fixed (theta, tau, sigma) from
-  ``linear_rate_params`` when both parts are strongly convex; applied either
-  x-first (dual extrapolation) or y-first (primal extrapolation).
+  ``linear_rate_params`` when both parts are strongly convex; either order.
 
 The accelerated schedules keep tau_k * sigma_k * ||A||^2 = 1 for every k; the
 linear-rate parameters satisfy tau * sigma * theta * ||A||^2 = 1.
+``history_weight`` weighs the history term of ``engine.delta_diag``.
 """
 
 from __future__ import annotations
@@ -52,10 +53,11 @@ def linear_rate_params(gamma_g, gamma_h_star, op_norm):
 
 
 class ConstantSchedule:
-    """Fixed step sizes for the basic method; theta is unused (the basic
-    x-first iteration hard-codes the 2x_{k+1} - x_k overrelaxation)."""
+    """Fixed step sizes for the basic method; theta is unused (the
+    overrelaxed iteration hard-codes 2x_{k+1} - x_k)."""
 
     regime = "constant"
+    order = "overrelaxed"
 
     def __init__(self, tau, sigma, op_norm):
         if not (tau > 0 and sigma > 0):
@@ -87,6 +89,8 @@ class AccPrimalSchedule:
     """
 
     regime = "acc-primal"
+    order = "x-first"
+    history_weight = 1.0
 
     def __init__(self, gamma_g, op_norm, sigma0=None, theta0=1.0):
         if not gamma_g > 0:
@@ -129,6 +133,8 @@ class AccDualSchedule:
     """
 
     regime = "acc-dual"
+    order = "y-first"
+    history_weight = 1.0
 
     def __init__(self, gamma_h_star, op_norm, tau0=None, theta0=0.0):
         if not gamma_h_star > 0:
@@ -178,14 +184,13 @@ class LinearRateSchedule:
         self.order = order
         self.k = 0
 
-    @classmethod
-    def from_gammas(cls, gamma_g, gamma_h_star, op_norm, order="x-first"):
-        theta, tau, sigma = linear_rate_params(gamma_g, gamma_h_star, op_norm)
-        return cls(theta, tau, sigma, order=order)
-
     @property
     def regime(self):
         return "linear-rate-" + self.order
+
+    @property
+    def history_weight(self):
+        return self.theta
 
     def advance(self):
         self.k += 1

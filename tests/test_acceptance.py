@@ -27,7 +27,7 @@ from nlpdhg.baselines import (
 from nlpdhg.bench import ExperimentSpec, rows_to_csv, run_experiment
 from nlpdhg.bregman import BinaryEntropyAverage, NegativeEntropy, Quadratic, three_point_check
 from nlpdhg.data import gen_game_data, gen_lasso_data, gen_logreg_data
-from nlpdhg.engine import IterateState, delta_diag, step_linear_rate
+from nlpdhg.engine import IterateState, delta_diag, step
 from nlpdhg.operators import DenseOperator, norm_1_2, norm_1_inf, norm_2_2
 from nlpdhg.problems.games import MatrixGameProblem, game_optimality_residual, solve_matrix_game
 from nlpdhg.problems.lasso import LassoProblem, lasso_optimality_residual, shrink1, solve_lasso
@@ -136,7 +136,7 @@ def test_criterion_03_linear_rate_contraction():
         st = IterateState.initial(np.ones(n), np.ones(m))
         d0 = delta_diag(prob, st, sched, xs, ys)
         for K in range(1, 201):
-            st = step_linear_rate(prob, st, theta, tau, sigma, order="x-first")
+            st = step(prob, st, sched)
             dK = delta_diag(prob, st, sched, xs, ys)
             ok &= dK <= theta**K * d0 * (1 + 1e-9) + 1e-28
             lower = prob.geom_y.divergence(ys, st.y) / sigma
@@ -359,9 +359,8 @@ def test_criterion_09_speedup_direction():
     _verdict(9, "speedup-direction", ok, time.perf_counter() - t0, 300.0)
 
 
-def test_criterion_10_bench_determinism(tmp_path, monkeypatch):
+def test_criterion_10_bench_determinism(tmp_path):
     t0 = time.perf_counter()
-    monkeypatch.setenv("NLPDHG_THREADS", "1")
     spec = ExperimentSpec(
         kind="lasso",
         m=12,

@@ -106,14 +106,6 @@ class TestRunExperiment:
         rows = run_experiment(spec)
         assert all(r.converged for r in rows)
 
-    def test_thread_pool_matches_serial(self, monkeypatch):
-        spec = small_spec(reps=2)
-        monkeypatch.setenv("NLPDHG_THREADS", "1")
-        serial = rows_to_csv(run_experiment(spec))
-        monkeypatch.setenv("NLPDHG_THREADS", "4")
-        pooled = rows_to_csv(run_experiment(spec))
-        assert serial == pooled
-
     def test_desk_scale_specs_shape(self):
         from nlpdhg.bench import desk_scale_specs
 

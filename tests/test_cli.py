@@ -83,3 +83,25 @@ def test_bench_writes_sorted_csv(tmp_path):
     lines = text.strip().splitlines()
     assert lines[0].startswith("solver,variant")
     assert len(lines) == 4  # header + fista + nonlinear x 2 variants
+
+
+def test_solve_rejects_unknown_fixture_kind(tmp_path):
+    """A fixture kind outside the solver registry ends in a one-line exit
+    message, not in an attempt to load it as another kind."""
+    fix = tmp_path / "fix"
+    main(["gen-data", "--kind", "game", "--m", "3", "--n", "3", "--out", str(fix)])
+    meta = json.loads((fix / "meta.json").read_text())
+    (fix / "meta.json").write_text(json.dumps({**meta, "kind": "games"}))
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--problem", str(fix), "--method", "pu"])
+    assert str(exc.value) == f"solve: unknown problem kind 'games' in {fix / 'meta.json'}"
+
+
+def test_bench_rejects_unknown_spec_key(tmp_path):
+    spec = {"kind": "lasso", "m": 8, "n": 12, "lam": 0.3, "seed": 0, "bogus": 1}
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec))
+    out = tmp_path / "rows.csv"
+    with pytest.raises(SystemExit, match="^bench: .*unexpected keyword argument 'bogus'$"):
+        main(["bench", "--spec", str(spec_path), "--out", str(out)])
+    assert not out.exists()

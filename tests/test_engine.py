@@ -10,10 +10,7 @@ from nlpdhg.engine import (
     StoppingRule,
     delta_diag,
     run,
-    step_acc_dual,
-    step_acc_primal,
-    step_constant,
-    step_linear_rate,
+    step,
 )
 from nlpdhg.problems.quadratic import QuadraticSaddleProblem
 from nlpdhg.schedules import (
@@ -46,8 +43,9 @@ def random_game(seed, n=4, m=3, gamma_lo=0.1, gamma_hi=0.5):
 class TestStepConstant:
     def test_hand_computed_first_step(self):
         """tau = sigma = 0.5 from (1, 1): x1 = 1/3, then y1 = 5/9."""
+        prob = one_d_game()
         st = IterateState.initial(np.array([1.0]), np.array([1.0]))
-        st = step_constant(one_d_game(), st, 0.5, 0.5)
+        st = step(prob, st, ConstantSchedule(0.5, 0.5, prob.op_norm))
         np.testing.assert_allclose(st.x, [1.0 / 3.0], rtol=1e-15)
         np.testing.assert_allclose(st.y, [5.0 / 9.0], rtol=1e-15)
 
@@ -55,7 +53,7 @@ class TestStepConstant:
         prob = random_game(0)
         xs, ys = prob.saddle_point()
         st = IterateState.initial(xs, ys)
-        st = step_constant(prob, st, 0.3 / prob.op_norm, 0.3 / prob.op_norm)
+        st = step(prob, st, ConstantSchedule(0.3 / prob.op_norm, 0.3 / prob.op_norm, prob.op_norm))
         np.testing.assert_allclose(st.x, xs, atol=1e-10)
         np.testing.assert_allclose(st.y, ys, atol=1e-10)
 
@@ -71,7 +69,7 @@ class TestStepAccelerated:
         sched = AccPrimalSchedule(prob.gamma_g, prob.op_norm)
         st = IterateState.initial(xs, ys)
         for _ in range(3):
-            st = step_acc_primal(prob, st, sched)
+            st = step(prob, st, sched)
         np.testing.assert_allclose(st.x, xs, atol=1e-10)
         np.testing.assert_allclose(st.y, ys, atol=1e-10)
 
@@ -81,7 +79,7 @@ class TestStepAccelerated:
         x0 = np.zeros(prob.operator.cols)
         y0 = np.zeros(prob.operator.rows)
         sched = AccDualSchedule(prob.gamma_h_star, prob.op_norm, theta0=0.0)
-        st = step_acc_dual(prob, IterateState.initial(x0, y0), sched)
+        st = step(prob, IterateState.initial(x0, y0), sched)
         expect = prob.dual_prox(x0, y0, sched.sigma0)
         np.testing.assert_allclose(st.y, expect, rtol=1e-14)
 
@@ -91,7 +89,7 @@ class TestStepAccelerated:
         sched = AccDualSchedule(prob.gamma_h_star, prob.op_norm)
         st = IterateState.initial(np.zeros_like(xs), np.zeros_like(ys))
         for _ in range(4000):
-            st = step_acc_dual(prob, st, sched)
+            st = step(prob, st, sched)
         np.testing.assert_allclose(st.y, ys, atol=1e-8)
 
 
@@ -102,7 +100,7 @@ class TestLinearRate:
         theta, tau, sigma = linear_rate_params(prob.gamma_g, prob.gamma_h_star, prob.op_norm)
         for order in ("x-first", "y-first"):
             st = IterateState.initial(xs, ys)
-            st = step_linear_rate(prob, st, theta, tau, sigma, order=order)
+            st = step(prob, st, LinearRateSchedule(theta, tau, sigma, order=order))
             np.testing.assert_allclose(st.x, xs, atol=1e-10)
             np.testing.assert_allclose(st.y, ys, atol=1e-10)
 
@@ -112,10 +110,11 @@ class TestLinearRate:
         theta, tau, sigma = linear_rate_params(1.0, 1.0, 1.0)
         finals = {}
         for order in ("x-first", "y-first"):
+            sched = LinearRateSchedule(theta, tau, sigma, order=order)
             st = IterateState.initial(np.array([1.0]), np.array([1.0]))
             seen = []
             for _ in range(80):
-                st = step_linear_rate(prob, st, theta, tau, sigma, order=order)
+                st = step(prob, st, sched)
                 seen.append(st.x[0])
             finals[order] = (st.x[0], st.y[0])
         assert abs(finals["x-first"][0] - finals["y-first"][0]) < 1e-8
@@ -131,7 +130,7 @@ class TestLinearRate:
         st = IterateState.initial(np.array([1.0]), np.array([1.0]))
         d0 = delta_diag(prob, st, sched, xs, ys)
         for K in range(1, 201):
-            st = step_linear_rate(prob, st, theta, tau, sigma, order="x-first")
+            st = step(prob, st, sched)
             dK = delta_diag(prob, st, sched, xs, ys)
             # additive floor covers double-precision saturation of tiny deltas
             assert dK <= theta**K * d0 * (1 + 1e-9) + 1e-28
@@ -172,7 +171,7 @@ class TestDelta:
         prev = delta_diag(prob, st, sched, xs, ys)
         assert prev >= 0.0
         for _ in range(100):
-            st = step_constant(prob, st, tau, sigma)
+            st = step(prob, st, sched)
             cur = delta_diag(prob, st, sched, xs, ys)
             assert cur <= prev * (1 + 1e-12) + 1e-14
             assert cur >= -1e-14
@@ -278,7 +277,7 @@ class TestErgodic:
         st = IterateState.initial(np.array([1.0]), np.array([1.0]))
         xs_seen = []
         for _ in range(7):
-            st = step_constant(prob, st, 0.5, 0.5)
+            st = step(prob, st, sched)
             xs_seen.append(st.x[0])
         rep = run(
             prob, sched, np.array([1.0]), np.array([1.0]), StoppingRule(max_iters=7)
@@ -295,7 +294,7 @@ class TestErgodic:
         den = 0.0
         for _ in range(K):
             w = sched.sigma / sched.sigma0
-            st = step_acc_primal(prob, st, sched)
+            st = step(prob, st, sched)
             num += w * st.x
             den += w
         sched2 = AccPrimalSchedule(prob.gamma_g, prob.op_norm)
@@ -360,7 +359,7 @@ class TestAccPrimalGlobalBound:
         d0 = delta_diag(prob, st, sched, xs, ys)
         tau0, sigma0 = sched.tau0, sched.sigma0
         for _ in range(800):
-            st = step_acc_primal(prob, st, sched)
+            st = step(prob, st, sched)
             lhs = (
                 prob.gamma_g
                 / (1.0 + prob.gamma_g * tau0)

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from nlpdhg.data import gen_game_data
-from nlpdhg.engine import IterateState, step_linear_rate
+from nlpdhg.engine import IterateState, step
 from nlpdhg.problems.games import MatrixGameProblem, game_optimality_residual, solve_matrix_game
+from nlpdhg.schedules import LinearRateSchedule
 
 from _oracles import entropy_prox_oracle
 
@@ -17,7 +18,7 @@ def step_params(problem):
 
 def game_step(problem, state, theta, tau, sigma):
     """The iteration solve_matrix_game runs: y-first linear rate."""
-    return step_linear_rate(problem, state, theta, tau, sigma, order="y-first")
+    return step(problem, state, LinearRateSchedule(theta, tau, sigma, order="y-first"))
 
 
 class TestStep:

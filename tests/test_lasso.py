@@ -73,12 +73,13 @@ class TestSolve:
         x_fb = prox_gradient_lasso(A, b, lam, tol=1e-10)
         assert abs(p.objective(rep.x) - p.objective(x_fb)) < 1e-6
 
-    def test_non_finite_iterate_raises(self):
+    def test_non_finite_iterate_raises(self, monkeypatch):
         """An infinite primal step makes the soft threshold return NaN; the
         solve stops there instead of returning it."""
         p = LassoProblem(np.array([[1.0, 2.0], [0.5, -1.0]]), np.array([1.0, 0.3]), 0.1)
+        monkeypatch.setattr(p, "default_tau0", lambda: np.inf)
         with np.errstate(invalid="ignore"), pytest.raises(RuntimeError, match="non-finite"):
-            solve_lasso(p, tau0=np.inf, max_iters=5)
+            solve_lasso(p, max_iters=5)
 
     def test_zero_pattern_matches_dual_criterion(self):
         """Entries whose dual value sits strictly below lam are bitwise

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from nlpdhg.data import gen_logreg_data
-from nlpdhg.engine import IterateState, step_acc_dual
+from nlpdhg.engine import IterateState, step
 from nlpdhg.problems.logreg import (
     L1LogRegProblem,
     l1logreg_dual_residual,
@@ -49,7 +49,7 @@ class TestStep:
         x0, y0 = p.default_init()
         sched = AccDualSchedule(p.gamma_h_star, p.op_norm, tau0=p.default_tau0(), theta0=0.0)
         sched.sigma = 1e8
-        st = step_acc_dual(p, IterateState.initial(x0, y0), sched)
+        st = step(p, IterateState.initial(x0, y0), sched)
         target = 1.0 / (p.m + p.m * np.exp(-p.operator.apply(x0)))
         np.testing.assert_allclose(st.y, target, rtol=1e-6)
 
@@ -169,7 +169,7 @@ class TestInvariants:
         sched = AccDualSchedule(p.gamma_h_star, p.op_norm, tau0=p.default_tau0())
         st = IterateState.initial(*p.default_init())
         for k in range(1, 201):
-            st = step_acc_dual(p, st, sched)
+            st = step(p, st, sched)
             assert abs(st.x.sum() - 1.0) < 1e-12
             assert st.x.min() >= 0.0
             if k <= 60:

@@ -12,7 +12,10 @@ only.
 The baselines are pinned the same way, from their own former hand-written
 loops, and must match bit for bit: iteration count, converged flag, regime,
 probes of the terminal and ergodic points, and a digest of the full residual
-trace.
+trace. So are the PU and OMWU game solvers, recorded before they shared one
+multiplicative-weights loop, and ``engine.run`` under each of the five
+schedules, recorded while every regime still had its own step function:
+probes, the residual trace and every ``delta_diag`` value.
 """
 
 import hashlib
@@ -23,13 +26,24 @@ import pytest
 from nlpdhg.baselines import (
     fista_lasso,
     solve_fb_logreg,
+    solve_game_omwu,
+    solve_game_pu,
     solve_linear_pdhg_game,
     solve_linear_pdhg_logreg,
 )
 from nlpdhg.data import gen_game_data, gen_lasso_data, gen_logreg_data
+from nlpdhg.engine import StoppingRule, run
 from nlpdhg.problems.games import MatrixGameProblem, game_optimality_residual, solve_matrix_game
 from nlpdhg.problems.lasso import LassoProblem, lasso_optimality_residual, solve_lasso
 from nlpdhg.problems.logreg import L1LogRegProblem, l1logreg_dual_residual, solve_l1_logreg
+from nlpdhg.problems.quadratic import QuadraticSaddleProblem
+from nlpdhg.schedules import (
+    AccDualSchedule,
+    AccPrimalSchedule,
+    ConstantSchedule,
+    LinearRateSchedule,
+    linear_rate_params,
+)
 
 # (k, converged, x @ probe_x, y @ probe_y)
 PINNED = {
@@ -186,3 +200,96 @@ def test_baseline_trajectory_matches_pinned(solver, stop_on):
     assert len(rep.residual_trace) == k
     assert probes == want_probes
     assert digest[:16] == want_digest
+
+
+# Engine step regimes on one quadratic game, pinned bitwise: probes of x, y,
+# x_ergodic and y_ergodic, and digests of the residual trace and of the
+# Lyapunov values recorded against the saddle point.
+ENGINE_PINNED = {
+    "constant": (
+        (-0.9206685046772778, 0.31163320541842515, -0.8311464635741167, 0.24870856422255694),
+        "bddc238fa1ab1c65", "de55e5e81e8187f6",
+    ),
+    "acc-primal": (
+        (-0.9206378192020286, 0.3116305201672711, -0.9143058005698085, 0.3116143802957118),
+        "fa8c897f17bbb617", "66b6cbfa115961e4",
+    ),
+    "acc-dual": (
+        (-0.9206759090150048, 0.31163779769993005, -0.8973318152499462, 0.2972772069244023),
+        "ec8fd7c72d09944b", "a1a5362ab5566314",
+    ),
+    "linear-rate-x-first": (
+        (-0.9206685043789523, 0.311633203871791, -0.9206684960415986, 0.31163320367501873),
+        "c8b8ad86ca78b996", "66357c089599d1c0",
+    ),
+    "linear-rate-y-first": (
+        (-0.9206685043789486, 0.31163320387178683, -0.9206684960411602, 0.31163320367431574),
+        "734a170876063c7a", "3e3e1326c65485f0",
+    ),
+}
+
+
+def _quadratic_game():
+    rng = np.random.default_rng(3)
+    A = rng.standard_normal((5, 7))
+    return QuadraticSaddleProblem(
+        A, gamma_g=0.4, gamma_h_star=0.3, c=rng.standard_normal(7), d=rng.standard_normal(5)
+    )
+
+
+def _engine_schedule(name, p):
+    if name == "constant":
+        return ConstantSchedule(0.9 / p.op_norm, 0.9 / p.op_norm, p.op_norm)
+    if name == "acc-primal":
+        return AccPrimalSchedule(p.gamma_g, p.op_norm)
+    if name == "acc-dual":
+        return AccDualSchedule(p.gamma_h_star, p.op_norm)
+    params = linear_rate_params(p.gamma_g, p.gamma_h_star, p.op_norm)
+    return LinearRateSchedule(*params, order=name.removeprefix("linear-rate-"))
+
+
+def _digest(pairs):
+    return hashlib.sha256(np.array(pairs, dtype=float).tobytes()).hexdigest()[:16]
+
+
+def _probes(rep):
+    rng = np.random.default_rng(7)
+    probe_x = rng.standard_normal(rep.x.shape[0])
+    probe_y = rng.standard_normal(rep.y.shape[0])
+    return tuple(
+        float(v)
+        for v in (rep.x @ probe_x, rep.y @ probe_y, rep.x_ergodic @ probe_x, rep.y_ergodic @ probe_y)
+    )
+
+
+@pytest.mark.parametrize("name", list(ENGINE_PINNED))
+def test_engine_schedule_matches_pinned(name):
+    p = _quadratic_game()
+    n, m = p.operator.cols, p.operator.rows
+    rep = run(
+        p,
+        _engine_schedule(name, p),
+        np.ones(n),
+        -np.ones(m),
+        StoppingRule(max_iters=300),
+        delta_ref=p.saddle_point(),
+    )
+    assert rep.k == 300
+    assert (_probes(rep), _digest(rep.residual_trace), _digest(rep.deltas)) == ENGINE_PINNED[name]
+
+
+# PU and OMWU on the game fixture, pinned bitwise: k, converged, probes of
+# x and y, and a digest of the residual trace.
+MWU_PINNED = {
+    "pu": (146, True, (-0.17986621054037016, -0.117761942583449), "16e847631b875c60"),
+    "omwu": (192, True, (-0.17986620751664464, -0.11776193460548215), "8a785024408ef7c4"),
+}
+
+
+@pytest.mark.parametrize("solver", list(MWU_PINNED))
+def test_mwu_trajectory_matches_pinned(solver):
+    p = MatrixGameProblem(gen_game_data(6, 5, 1), 0.3)
+    solve = {"pu": solve_game_pu, "omwu": solve_game_omwu}[solver]
+    rep = solve(p, tol=1e-8, seed=2)
+    got = (rep.k, rep.converged, _probes(rep)[:2], _digest(rep.residual_trace))
+    assert got == MWU_PINNED[solver]
