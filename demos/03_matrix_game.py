@@ -16,7 +16,7 @@ from nlpdhg.problems import MatrixGameProblem, game_optimality_residual, solve_m
 
 m = n = 200
 prob = MatrixGameProblem(gen_game_data(m, n, seed=1), lam=0.1)
-theta, tau, sigma = prob.step_params()
+theta = prob.schedule().theta
 print(f"payoff {m} x {n}, lam = {prob.lam}, ||A||_{{1,inf}} = {prob.op_norm:.4f}")
 print(f"contraction factor theta = {theta:.4f} per iteration")
 

@@ -12,6 +12,7 @@ from .engine import (
     StoppingRule,
     delta_diag,
     run,
+    solve,
     step,
 )
 from .operators import (
@@ -56,4 +57,5 @@ __all__ = [
     "step",
     "delta_diag",
     "run",
+    "solve",
 ]

@@ -104,12 +104,14 @@ class _WarmStartedProxes(SaddleProblem):
     <y, M x> with the raw matrix M, finished by ``dual_map(z, sigma, warm)``
     or ``primal_map(w, tau, warm)``. A map returns the new point and the warm
     start for its next inner solve; the instance carries the warm starts
-    across iterations, so every solve builds a fresh one.
+    across iterations, so every solve builds a fresh one. ``problem_id`` is
+    that of the problem being solved, so that the report names it.
     """
 
     geom_x = geom_y = Quadratic()
 
-    def __init__(self, matrix, dual_map, primal_map, warm_y, warm_x):
+    def __init__(self, problem_id, matrix, dual_map, primal_map, warm_y, warm_x):
+        self.problem_id = problem_id
         self.matrix = matrix
         self.dual_map = dual_map
         self.primal_map = primal_map
@@ -127,10 +129,10 @@ class _WarmStartedProxes(SaddleProblem):
         return x
 
 
-def _linear_pdhg(problem, saddle, schedule, x0, y0, stop, t0):
+def _linear_pdhg(saddle, schedule, x0, y0, stop, t0):
     """Run one linear-PDHG solve; its wall time counts from ``t0``, so it
     includes the norm computation."""
-    report = run(saddle, schedule, x0, y0, stop, problem_id=problem.problem_id)
+    report = run(saddle, schedule, x0, y0, stop)
     report.regime = "linear-pdhg"
     report.wall_ms = 1000.0 * (time.perf_counter() - t0)
     return report
@@ -162,26 +164,8 @@ def solve_linear_pdhg_logreg(problem, tol=1e-4, max_iters=50000, stop_on="both")
         return project_l1_ball(w, problem.lam), None
 
     y0 = np.full(m, 1.0 / (2.0 * m))
-    saddle = _WarmStartedProxes(B, dual_map, primal_map, y0, None)
-    return _linear_pdhg(problem, saddle, schedule, np.full(d, 1.0 / d), y0, stop, t0)
-
-
-def _report(problem, regime, k, converged, wall_ms, trace, x, y):
-    """Report of a solver that keeps no ergodic average."""
-    return SolveReport(
-        problem_id=problem.problem_id,
-        regime=regime,
-        k=k,
-        converged=converged,
-        wall_ms=wall_ms,
-        residual_trace=trace,
-        terminal_primal_norm=float(np.linalg.norm(x)),
-        terminal_dual_norm=float(np.linalg.norm(y)),
-        x=x,
-        y=y,
-        x_ergodic=x.copy(),
-        y_ergodic=y.copy(),
-    )
+    saddle = _WarmStartedProxes(problem.problem_id, B, dual_map, primal_map, y0, None)
+    return _linear_pdhg(saddle, schedule, np.full(d, 1.0 / d), y0, stop, t0)
 
 
 def _fista(step, monitor, x0, tol, max_iters):
@@ -226,7 +210,9 @@ def solve_fb_logreg(problem, tol=1e-4, max_iters=50000):
 
     v, k, converged, trace = _fista(step, monitor, np.full(d, 1.0 / d), tol, max_iters)
     wall_ms = 1000.0 * (time.perf_counter() - t0)
-    return _report(problem, "fb-splitting", k, converged, wall_ms, trace, v, np.zeros(m))
+    return SolveReport(
+        problem.problem_id, "fb-splitting", k, converged, wall_ms, trace, v, np.zeros(m)
+    )
 
 
 def _entropy_conjugate_prox(v, c, u_warm, tol, max_iters):
@@ -259,8 +245,8 @@ def solve_linear_pdhg_game(problem, tol=1e-4, max_iters=50000, stop_on="both", s
         return z - u, u
 
     x0, y0 = problem.default_init(seed=seed)
-    saddle = _WarmStartedProxes(A, entropy_map, entropy_map, y0, x0)
-    return _linear_pdhg(problem, saddle, schedule, x0, y0, stop, t0)
+    saddle = _WarmStartedProxes(problem.problem_id, A, entropy_map, entropy_map, y0, x0)
+    return _linear_pdhg(saddle, schedule, x0, y0, stop, t0)
 
 
 def fista_lasso(problem, tol=1e-8, max_iters=100000):
@@ -279,7 +265,9 @@ def fista_lasso(problem, tol=1e-8, max_iters=100000):
 
     x, k, converged, trace = _fista(step, monitor, np.zeros(problem.n), tol, max_iters)
     wall_ms = 1000.0 * (time.perf_counter() - t0)
-    return _report(problem, "fista", k, converged, wall_ms, trace, x, (A @ x - b) / m)
+    return SolveReport(
+        problem.problem_id, "fista", k, converged, wall_ms, trace, x, (A @ x - b) / m
+    )
 
 
 def prox_gradient_lasso(A, b, lam, tol=1e-10, max_iters=500000, x0=None):
@@ -345,7 +333,9 @@ def _mwu(problem, regime, eta, gradients, x0, y0, seed, tol, max_iters, t0):
             converged = True
             break
     wall_ms = 1000.0 * (time.perf_counter() - t0)
-    return _report(problem, regime, k, converged, wall_ms, trace, np.exp(lx), np.exp(ly))
+    return SolveReport(
+        problem.problem_id, regime, k, converged, wall_ms, trace, np.exp(lx), np.exp(ly)
+    )
 
 
 def solve_game_pu(problem, tol=1e-8, max_iters=100000, seed=0, x0=None, y0=None):

@@ -21,9 +21,10 @@ from dataclasses import asdict, dataclass, field
 
 from . import baselines
 from .data import gen_game_data, gen_lasso_data, gen_logreg_data
-from .problems.games import MatrixGameProblem, solve_matrix_game
-from .problems.lasso import LassoProblem, solve_lasso
-from .problems.logreg import L1LogRegProblem, solve_l1_logreg
+from .engine import solve
+from .problems.games import MatrixGameProblem
+from .problems.lasso import LassoProblem
+from .problems.logreg import L1LogRegProblem
 
 __all__ = [
     "ExperimentSpec",
@@ -83,22 +84,22 @@ class ResultRow:
     error: str = ""  # "ClassName: message" of a failed solve
 
 
+def _nonlinear_pdhg(p, tol, iters, seed, variant):
+    return solve(p, tol=tol, max_iters=iters, seed=seed, stop_on=variant)
+
+
 # Every solver of every problem kind, called as
 # solve(problem, tol, max_iters, seed, variant), where ``variant`` is a
 # stop_on value. Insertion order is each kind's default solver order.
 SOLVERS = {
-    ("logreg", "nonlinear-pdhg"): lambda p, tol, iters, seed, variant: solve_l1_logreg(
-        p, tol=tol, max_iters=iters, stop_on=variant
-    ),
+    ("logreg", "nonlinear-pdhg"): _nonlinear_pdhg,
     ("logreg", "linear-pdhg"): lambda p, tol, iters, seed, variant: (
         baselines.solve_linear_pdhg_logreg(p, tol=tol, max_iters=iters, stop_on=variant)
     ),
     ("logreg", "fb-splitting"): lambda p, tol, iters, seed, variant: (
         baselines.solve_fb_logreg(p, tol=tol, max_iters=iters)
     ),
-    ("game", "nonlinear-pdhg"): lambda p, tol, iters, seed, variant: solve_matrix_game(
-        p, tol=tol, max_iters=iters, seed=seed, stop_on=variant
-    ),
+    ("game", "nonlinear-pdhg"): _nonlinear_pdhg,
     ("game", "linear-pdhg"): lambda p, tol, iters, seed, variant: (
         baselines.solve_linear_pdhg_game(p, tol=tol, max_iters=iters, seed=seed, stop_on=variant)
     ),
@@ -108,9 +109,7 @@ SOLVERS = {
     ("game", "omwu"): lambda p, tol, iters, seed, variant: (
         baselines.solve_game_omwu(p, tol=tol, max_iters=iters, seed=seed)
     ),
-    ("lasso", "nonlinear-pdhg"): lambda p, tol, iters, seed, variant: solve_lasso(
-        p, tol=tol, max_iters=iters, stop_on=variant
-    ),
+    ("lasso", "nonlinear-pdhg"): _nonlinear_pdhg,
     ("lasso", "fista"): lambda p, tol, iters, seed, variant: (
         baselines.fista_lasso(p, tol=tol, max_iters=iters)
     ),

@@ -88,11 +88,8 @@ class BregmanGeometry:
     """Common interface for distance-generating functions.
 
     Subclasses implement ``value``, ``gradient`` and ``divergence``;
-    ``validate_point`` enforces the domain described by ``domain``.
+    ``validate_point`` enforces the geometry's domain.
     """
-
-    kind = "abstract"
-    domain = ""
 
     def value(self, x):
         raise NotImplementedError
@@ -109,9 +106,6 @@ class BregmanGeometry:
 
 class Quadratic(BregmanGeometry):
     """phi(x) = (scale/2) ||x||_2^2; divergence (scale/2) ||x - x_bar||_2^2."""
-
-    kind = "quadratic"
-    domain = "all real vectors"
 
     def __init__(self, scale=1.0):
         if not (np.isfinite(scale) and scale > 0):
@@ -145,9 +139,6 @@ class NegativeEntropy(BregmanGeometry):
     rather than as a difference of phi values, which would cancel
     catastrophically for nearby points.
     """
-
-    kind = "negative-entropy"
-    domain = "closure of the unit simplex; interior for the second argument"
 
     def __init__(self, dim):
         if int(dim) != dim or dim < 1:
@@ -191,9 +182,6 @@ class BinaryEntropyAverage(BregmanGeometry):
     1-strongly convex with respect to the Euclidean norm, since each binary
     entropy term has second derivative m/(s(1-s)) >= 4m in s = m y_i.
     """
-
-    kind = "binary-entropy-average"
-    domain = "box [0, 1/m]^m; open box (0, 1/m)^m for the second argument"
 
     def __init__(self, m, scale=None):
         if int(m) != m or m < 1:

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bench import SOLVERS, ExperimentSpec, get_solver, rows_to_csv, run_experiment
+from .bench import DEFAULT_SOLVERS, SOLVERS, ExperimentSpec, get_solver, rows_to_csv, run_experiment
 from .data import gen_game_data, gen_lasso_data, gen_logreg_data
 from .operators import load_matrix_csv, save_matrix_csv
 from .problems.games import MatrixGameProblem
@@ -64,18 +64,22 @@ def _load_fixture(path):
     p = Path(path)
     if p.is_dir():
         p = p / "meta.json"
-    meta = json.loads(p.read_text())
-    kind = meta["kind"]
-    if kind not in {k for k, _ in SOLVERS}:
-        raise SystemExit(f"solve: unknown problem kind {kind!r} in {p}")
-    root = p.parent
-    matrix = load_matrix_csv(root / "matrix.csv")
-    lam = meta["lambda"]
+    try:
+        meta = json.loads(p.read_text())
+        kind, lam = meta["kind"], meta["lambda"]
+        if kind not in DEFAULT_SOLVERS:
+            raise SystemExit(f"solve: unknown problem kind {kind!r} in {p}")
+        matrix = load_matrix_csv(p.parent / "matrix.csv")
+        if kind == "lasso":
+            b = load_matrix_csv(p.parent / "b.csv").ravel()
+    except FileNotFoundError as exc:
+        raise SystemExit(f"solve: fixture file not found: {exc.filename}") from None
+    except KeyError as exc:
+        raise SystemExit(f"solve: {p} has no {exc} entry") from None
     if kind == "logreg":
         return kind, L1LogRegProblem(matrix, lam)
     if kind == "game":
         return kind, MatrixGameProblem(matrix, lam)
-    b = load_matrix_csv(root / "b.csv").ravel()
     return kind, LassoProblem(matrix, b, lam)
 
 
@@ -109,7 +113,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gen-data", help="generate a seeded problem fixture")
-    g.add_argument("--kind", choices=("logreg", "game", "lasso"), required=True)
+    g.add_argument("--kind", choices=tuple(DEFAULT_SOLVERS), required=True)
     g.add_argument("--m", type=int, required=True)
     g.add_argument("--d", type=int, default=None, help="feature count (logreg)")
     g.add_argument("--n", type=int, default=None, help="column count (game, lasso)")

@@ -5,9 +5,10 @@ schedule supplies the step sizes and names its update order (overrelaxed,
 x-first or y-first). ``step`` carries out one iteration in that order;
 ``run`` repeats it and tracks ergodic averages, a residual trace, and an
 optional Lyapunov diagnostic (``delta_diag``).
-``run`` is the one iteration loop of every PDHG solver: the worked problems'
-``solve_*`` functions and the Euclidean (linear) PDHG baselines only build a
-schedule, a start point and a ``StoppingRule`` for it.
+``run`` is the one iteration loop of every PDHG solver. ``solve`` runs it on
+a worked problem, which names its own start point (``default_init``) and
+schedule (``schedule()``); the Euclidean (linear) PDHG baselines build
+theirs and call ``run`` directly.
 
 A solve run is single-threaded and deterministic; problems, schedules and
 reports can move freely between threads, and independent solves may run
@@ -33,6 +34,7 @@ __all__ = [
     "delta_diag",
     "start_point",
     "run",
+    "solve",
 ]
 
 
@@ -51,6 +53,9 @@ class SaddleProblem:
     ``gamma_g`` and ``gamma_h_star`` (0 when the assumption is absent), and
     the geometries ``geom_x``, ``geom_y``. Prox outputs must land in the
     geometry domain interiors.
+
+    For ``solve``, a problem also provides ``default_init(seed)``, its start
+    pair (x0, y0), and ``schedule()``, a fresh schedule from its constants.
     """
 
     problem_id = "saddle"
@@ -185,19 +190,30 @@ def start_point(problem, x0, y0, default):
 
 @dataclass
 class SolveReport:
+    """Outcome of one solve. A solver that keeps no ergodic average leaves
+    ``x_ergodic``/``y_ergodic`` out; they then hold copies of x and y."""
+
     problem_id: str
     regime: str
     k: int
     converged: bool
     wall_ms: float
-    residual_trace: list = field(default_factory=list)
-    terminal_primal_norm: float = 0.0
-    terminal_dual_norm: float = 0.0
-    x: np.ndarray | None = None
-    y: np.ndarray | None = None
+    residual_trace: list
+    x: np.ndarray
+    y: np.ndarray
     x_ergodic: np.ndarray | None = None
     y_ergodic: np.ndarray | None = None
     deltas: list | None = None
+    terminal_primal_norm: float = field(init=False)
+    terminal_dual_norm: float = field(init=False)
+
+    def __post_init__(self):
+        self.terminal_primal_norm = float(np.linalg.norm(self.x))
+        self.terminal_dual_norm = float(np.linalg.norm(self.y))
+        if self.x_ergodic is None:
+            self.x_ergodic = self.x.copy()
+        if self.y_ergodic is None:
+            self.y_ergodic = self.y.copy()
 
     def to_json(self):
         return json.dumps(
@@ -270,7 +286,7 @@ def delta_diag(problem, state, schedule, x_ref, y_ref):
     return d_x + d_y + hist + cross
 
 
-def run(problem, schedule, x0, y0, stop=None, delta_ref=None, problem_id=None):
+def run(problem, schedule, x0, y0, stop=None, delta_ref=None):
     """Iterate until the stopping rule fires or max_iters is exhausted.
 
     ``delta_ref``, when given as a pair (x_ref, y_ref), records
@@ -332,17 +348,37 @@ def run(problem, schedule, x0, y0, stop=None, delta_ref=None, problem_id=None):
     wall_ms = 1000.0 * (time.perf_counter() - t_start)
     has_avg = acc.total > 0.0
     return SolveReport(
-        problem_id=problem_id or getattr(problem, "problem_id", "saddle"),
+        problem_id=getattr(problem, "problem_id", "saddle"),
         regime=schedule.regime,
         k=state.k,
         converged=converged,
         wall_ms=wall_ms,
         residual_trace=trace,
-        terminal_primal_norm=float(np.linalg.norm(state.x)),
-        terminal_dual_norm=float(np.linalg.norm(state.y)),
         x=state.x,
         y=state.y,
-        x_ergodic=acc.x_avg if has_avg else state.x.copy(),
-        y_ergodic=acc.y_avg if has_avg else state.y.copy(),
+        x_ergodic=acc.x_avg if has_avg else None,
+        y_ergodic=acc.y_avg if has_avg else None,
         deltas=deltas,
     )
+
+
+def solve(
+    problem,
+    x0=None,
+    y0=None,
+    tol=1e-4,
+    max_iters=100000,
+    residual_fn=None,
+    residual_tol=None,
+    stop_on="both",
+    seed=0,
+):
+    """Run a worked problem on its own ``schedule()``.
+
+    A missing x0 or y0 comes from ``problem.default_init(seed)``. Stops per
+    ``StoppingRule.from_stop_on``: by default once the relative dual change
+    and its ergodic counterpart are both at most ``tol``.
+    """
+    x0, y0 = start_point(problem, x0, y0, problem.default_init(seed))
+    stop = StoppingRule.from_stop_on(stop_on, tol, max_iters, residual_fn, residual_tol)
+    return run(problem, problem.schedule(), x0, y0, stop)

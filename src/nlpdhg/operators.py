@@ -40,8 +40,6 @@ class PowerIterationError(RuntimeError):
 class DenseOperator:
     """A dense m x n matrix with apply/adjoint actions."""
 
-    kind = "dense"
-
     def __init__(self, matrix):
         a = np.asarray(matrix, dtype=float)
         if a.ndim != 2:
@@ -82,8 +80,6 @@ class ScaledConcat:
     adjoint_apply(y) = scale * (B^T y, -B^T y).
     """
 
-    kind = "scaled-concat"
-
     def __init__(self, base, scale):
         b = np.asarray(base, dtype=float)
         if b.ndim != 2 or b.size == 0:
@@ -115,9 +111,6 @@ class ScaledConcat:
         # Columns of -B have the same norms as those of B.
         base_sq = self.scale**2 * np.einsum("ij,ij->j", self.base, self.base)
         return np.concatenate([base_sq, base_sq])
-
-    def row_norms_sq(self):
-        return 2.0 * self.scale**2 * np.einsum("ij,ij->i", self.base, self.base)
 
     def max_abs_entry(self):
         return self.scale * float(np.max(np.abs(self.base)))

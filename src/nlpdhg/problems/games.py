@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..bregman import NegativeEntropy, softmax
-from ..engine import SaddleProblem, StoppingRule, run, start_point
+from ..engine import SaddleProblem, solve
 from ..operators import DenseOperator, norm_1_inf
 from ..schedules import LinearRateSchedule, linear_rate_params
 
@@ -64,10 +64,15 @@ class MatrixGameProblem(SaddleProblem):
         t = np.log(y_bar) + sigma * self.operator.apply(x_tilde)
         return softmax(t / (1.0 + self.lam * sigma))
 
-    def step_params(self):
-        return linear_rate_params(self.lam, self.lam, self.op_norm)
+    def schedule(self):
+        """Linear-rate schedule from gamma_g = gamma_h_star = lam, y-first:
+        the dual update at the primal extrapolation x_k + theta (x_k -
+        x_{k-1}) is the form the linear-rate guarantee is proved for."""
+        params = linear_rate_params(self.lam, self.lam, self.op_norm)
+        return LinearRateSchedule(*params, order="y-first")
 
     def default_init(self, seed=0):
+        """A random interior point of each simplex, drawn from ``seed``."""
         rng = np.random.default_rng(seed)
         x0 = rng.uniform(0.0, 1.0, size=self.n)
         y0 = rng.uniform(0.0, 1.0, size=self.m)
@@ -91,28 +96,4 @@ def game_optimality_residual(problem, x, y):
     return r1, r2
 
 
-def solve_matrix_game(
-    problem,
-    x0=None,
-    y0=None,
-    tol=1e-4,
-    max_iters=100000,
-    residual_fn=None,
-    residual_tol=None,
-    seed=0,
-    stop_on="both",
-):
-    """Linear-rate y-first solve through ``engine.run``.
-
-    Each iteration is a pair of multiplicative updates: the dual one at the
-    primal extrapolation x_k + theta (x_k - x_{k-1}), the form the
-    linear-rate guarantee is proved for, then the primal one at the fresh
-    dual point. A missing start point is drawn by ``default_init(seed)``.
-    Stops per ``StoppingRule.from_stop_on``: by default when the relative
-    dual change and its ergodic counterpart are both <= tol.
-    """
-    x0, y0 = start_point(problem, x0, y0, problem.default_init(seed=seed))
-    theta, tau, sigma = problem.step_params()
-    schedule = LinearRateSchedule(theta, tau, sigma, order="y-first")
-    stop = StoppingRule.from_stop_on(stop_on, tol, max_iters, residual_fn, residual_tol)
-    return run(problem, schedule, x0, y0, stop)
+solve_matrix_game = solve

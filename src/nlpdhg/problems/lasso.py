@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..bregman import Quadratic
-from ..engine import SaddleProblem, StoppingRule, run, start_point
+from ..engine import SaddleProblem, solve
 from ..operators import DenseOperator
 from ..schedules import AccDualSchedule
 
@@ -60,7 +60,6 @@ class LassoProblem(SaddleProblem):
         self.op_norm = float(np.sqrt(np.max(self.operator.row_norms_sq())))
         self.geom_x = Quadratic(1.0)
         self.geom_y = Quadratic(float(self.m))
-        self.gamma_g = 0.0
         self.gamma_h_star = 1.0
 
     def primal_prox(self, y_tilde, x_bar, tau):
@@ -73,11 +72,14 @@ class LassoProblem(SaddleProblem):
         r = self.operator.apply(np.asarray(x, dtype=float)) - self.b
         return float(self.lam * np.sum(np.abs(x)) + 0.5 / self.m * (r @ r))
 
-    def default_init(self):
+    def default_init(self, seed=0):
+        """x0 = 0 and y0 = b; ``seed`` is unused."""
         return np.zeros(self.n), self.b.copy()
 
-    def default_tau0(self):
-        return 1.0 / (2.0 * self.op_norm**2)
+    def schedule(self):
+        """Accelerated dual schedule with tau0 = 1/(2 ||A||^2), so sigma0 = 2."""
+        tau0 = 1.0 / (2.0 * self.op_norm**2)
+        return AccDualSchedule(self.gamma_h_star, self.op_norm, tau0=tau0)
 
 
 def lasso_optimality_residual(problem, x, y, tol=0.0):
@@ -98,25 +100,4 @@ def lasso_optimality_residual(problem, x, y, tol=0.0):
     return r_fit + r_sub
 
 
-def solve_lasso(
-    problem,
-    x0=None,
-    y0=None,
-    tol=1e-6,
-    max_iters=100000,
-    residual_fn=None,
-    residual_tol=None,
-    stop_on="both",
-):
-    """Accelerated-dual solve through ``engine.run``, from x0 = 0, y0 = b by
-    default.
-
-    Each iteration is a dual averaging step at the extrapolated primal point,
-    then soft thresholding. Stops per ``StoppingRule.from_stop_on``: by
-    default when the relative dual change and its ergodic counterpart both
-    fall below ``tol``.
-    """
-    x0, y0 = start_point(problem, x0, y0, problem.default_init())
-    schedule = AccDualSchedule(problem.gamma_h_star, problem.op_norm, tau0=problem.default_tau0())
-    stop = StoppingRule.from_stop_on(stop_on, tol, max_iters, residual_fn, residual_tol)
-    return run(problem, schedule, x0, y0, stop)
+solve_lasso = solve

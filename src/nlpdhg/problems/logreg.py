@@ -11,7 +11,7 @@ box (0, 1/m)^m carrying the averaged-binary-entropy geometry, so both proxes
 have closed forms: a multiplicative-weights step in x and a logit-shift step
 in y. The dual part is strongly convex with gamma_h_star = 4m, which enables
 the accelerated dual schedule; operator norm is the max column l2 norm.
-``solve_l1_logreg`` runs that schedule through ``engine.run``.
+``schedule()`` builds that schedule; ``solve_l1_logreg`` (``engine.solve``) runs it.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..bregman import BinaryEntropyAverage, NegativeEntropy, logit, sigmoid, softmax
-from ..engine import SaddleProblem, StoppingRule, run, start_point
+from ..engine import SaddleProblem, solve
 from ..operators import ScaledConcat, norm_1_2
 from ..schedules import AccDualSchedule
 
@@ -59,7 +59,6 @@ class L1LogRegProblem(SaddleProblem):
         self.op_norm = norm_1_2(self.operator)
         self.geom_x = NegativeEntropy(self.n)
         self.geom_y = BinaryEntropyAverage(self.m)
-        self.gamma_g = 0.0
         self.gamma_h_star = 4.0 * self.m
 
     def primal_prox(self, y_tilde, x_bar, tau):
@@ -84,14 +83,17 @@ class L1LogRegProblem(SaddleProblem):
     def objective(self, x):
         return float(np.mean(_softplus(self.operator.apply(x))))
 
-    def default_init(self):
+    def default_init(self, seed=0):
+        """The simplex barycentre and the dual box centre; ``seed`` is unused."""
         x0 = np.full(self.n, 1.0 / self.n)
         y0 = np.full(self.m, 1.0 / (2.0 * self.m))
         return x0, y0
 
-    def default_tau0(self):
-        """tau0 = 2m / ||A||_{1,2}^2, which pairs with sigma0 = 1/(2m)."""
-        return 2.0 * self.m / self.op_norm**2
+    def schedule(self):
+        """Accelerated dual schedule with tau0 = 2m / ||A||_{1,2}^2, which
+        pairs with sigma0 = 1/(2m)."""
+        tau0 = 2.0 * self.m / self.op_norm**2
+        return AccDualSchedule(self.gamma_h_star, self.op_norm, tau0=tau0)
 
 
 def recover_v(x, lam):
@@ -118,24 +120,4 @@ def support_from_dual(problem, y, tol):
     return np.flatnonzero(s >= s.max() - tol)
 
 
-def solve_l1_logreg(
-    problem,
-    x0=None,
-    y0=None,
-    tol=1e-4,
-    max_iters=50000,
-    residual_fn=None,
-    residual_tol=None,
-    stop_on="both",
-):
-    """Accelerated-dual solve through ``engine.run``.
-
-    Each iteration is a logit-shift step in y at the extrapolated primal
-    point, then a multiplicative-weights step in x at the fresh dual point.
-    Stops per ``StoppingRule.from_stop_on``: by default when the relative
-    dual change and its ergodic counterpart both fall below ``tol``.
-    """
-    x0, y0 = start_point(problem, x0, y0, problem.default_init())
-    schedule = AccDualSchedule(problem.gamma_h_star, problem.op_norm, tau0=problem.default_tau0())
-    stop = StoppingRule.from_stop_on(stop_on, tol, max_iters, residual_fn, residual_tol)
-    return run(problem, schedule, x0, y0, stop)
+solve_l1_logreg = solve

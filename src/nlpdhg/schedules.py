@@ -69,7 +69,6 @@ class ConstantSchedule:
         self.tau = float(tau)
         self.sigma = float(sigma)
         self.theta = 0.0
-        self.op_norm = float(op_norm)
         self.k = 0
 
     def advance(self):
@@ -104,7 +103,6 @@ class AccPrimalSchedule:
         if not 0.0 <= theta0 <= 1.0:
             raise ValueError(f"theta0 must lie in [0, 1], got {theta0}")
         self.gamma = float(gamma_g)
-        self.op_norm = float(op_norm)
         self.sigma = float(sigma0)
         self.tau = 1.0 / (op_norm**2 * sigma0)
         self.theta = float(theta0)
@@ -150,7 +148,6 @@ class AccDualSchedule:
         if not 0.0 <= theta0 <= 1.0:
             raise ValueError(f"theta0 must lie in [0, 1], got {theta0}")
         self.gamma = float(gamma_h_star)
-        self.op_norm = float(op_norm)
         self.tau = float(tau0)
         self.sigma = 1.0 / (op_norm**2 * tau0)
         self.theta = float(theta0)

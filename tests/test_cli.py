@@ -105,3 +105,29 @@ def test_bench_rejects_unknown_spec_key(tmp_path):
     with pytest.raises(SystemExit, match="^bench: .*unexpected keyword argument 'bogus'$"):
         main(["bench", "--spec", str(spec_path), "--out", str(out)])
     assert not out.exists()
+
+
+def test_solve_rejects_missing_fixture_path(tmp_path):
+    missing = tmp_path / "nowhere"
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--problem", str(missing), "--method", "pu"])
+    assert str(exc.value) == f"solve: fixture file not found: {missing}"
+
+
+def test_solve_rejects_sidecar_without_matrix(tmp_path):
+    (tmp_path / "meta.json").write_text(json.dumps({"kind": "game", "m": 3, "lambda": 0.1}))
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--problem", str(tmp_path), "--method", "pu"])
+    assert str(exc.value) == f"solve: fixture file not found: {tmp_path / 'matrix.csv'}"
+
+
+@pytest.mark.parametrize("key", ["kind", "lambda"])
+def test_solve_rejects_sidecar_without_key(tmp_path, key):
+    fix = tmp_path / "fix"
+    main(["gen-data", "--kind", "game", "--m", "3", "--n", "3", "--out", str(fix)])
+    meta = json.loads((fix / "meta.json").read_text())
+    del meta[key]
+    (fix / "meta.json").write_text(json.dumps(meta))
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--problem", str(fix), "--method", "pu"])
+    assert str(exc.value) == f"solve: {fix / 'meta.json'} has no '{key}' entry"

@@ -5,6 +5,8 @@ import json
 import numpy as np
 import pytest
 
+import nlpdhg
+from nlpdhg import engine
 from nlpdhg.engine import (
     IterateState,
     StoppingRule,
@@ -12,6 +14,7 @@ from nlpdhg.engine import (
     run,
     step,
 )
+from nlpdhg.problems import solve_l1_logreg, solve_lasso, solve_matrix_game
 from nlpdhg.problems.quadratic import QuadraticSaddleProblem
 from nlpdhg.schedules import (
     AccDualSchedule,
@@ -368,3 +371,8 @@ class TestAccPrimalGlobalBound:
             assert lhs <= (sigma0 / sched.sigma) * d0 * (1 + 1e-9) + 1e-20
         # and the primal iterate actually converged
         np.testing.assert_allclose(st.x, xs, atol=1e-4)
+
+
+def test_worked_solvers_are_engine_solve():
+    """The worked problems' solver names all bind the one ``engine.solve``."""
+    assert solve_l1_logreg is solve_matrix_game is solve_lasso is engine.solve is nlpdhg.solve

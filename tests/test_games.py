@@ -13,7 +13,8 @@ from _oracles import entropy_prox_oracle
 
 
 def step_params(problem):
-    return problem.step_params()
+    s = problem.schedule()
+    return s.theta, s.tau, s.sigma
 
 
 def game_step(problem, state, theta, tau, sigma):

@@ -12,6 +12,7 @@ from nlpdhg.problems.lasso import (
     shrink1,
     solve_lasso,
 )
+from nlpdhg.schedules import AccDualSchedule
 
 from _oracles import euclidean_prox_oracle, shrink1_scalar_oracle
 
@@ -77,7 +78,7 @@ class TestSolve:
         """An infinite primal step makes the soft threshold return NaN; the
         solve stops there instead of returning it."""
         p = LassoProblem(np.array([[1.0, 2.0], [0.5, -1.0]]), np.array([1.0, 0.3]), 0.1)
-        monkeypatch.setattr(p, "default_tau0", lambda: np.inf)
+        monkeypatch.setattr(p, "schedule", lambda: AccDualSchedule(1.0, p.op_norm, tau0=np.inf))
         with np.errstate(invalid="ignore"), pytest.raises(RuntimeError, match="non-finite"):
             solve_lasso(p, max_iters=5)
 

@@ -13,7 +13,6 @@ from nlpdhg.problems.logreg import (
     solve_l1_logreg,
     support_from_dual,
 )
-from nlpdhg.schedules import AccDualSchedule
 
 from _oracles import binary_entropy_prox_oracle, entropy_prox_oracle
 
@@ -47,7 +46,7 @@ class TestStep:
         """sigma -> infinity drives y straight to 1/(m + m exp(-[A x]_i))."""
         p = small_problem(1)
         x0, y0 = p.default_init()
-        sched = AccDualSchedule(p.gamma_h_star, p.op_norm, tau0=p.default_tau0(), theta0=0.0)
+        sched = p.schedule()
         sched.sigma = 1e8
         st = step(p, IterateState.initial(x0, y0), sched)
         target = 1.0 / (p.m + p.m * np.exp(-p.operator.apply(x0)))
@@ -166,7 +165,7 @@ class TestInvariants:
         coordinates underflow double precision once the accumulated exponent
         passes ~-745, so it is asserted over the representable horizon."""
         p = small_problem(9, m=8, d=6, lam=2.0)
-        sched = AccDualSchedule(p.gamma_h_star, p.op_norm, tau0=p.default_tau0())
+        sched = p.schedule()
         st = IterateState.initial(*p.default_init())
         for k in range(1, 201):
             st = step(p, st, sched)

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from nlpdhg.data import gen_game_data, gen_lasso_data, gen_logreg_data
+from nlpdhg.problems import L1LogRegProblem, LassoProblem, MatrixGameProblem
 from nlpdhg.schedules import (
     AccDualSchedule,
     AccPrimalSchedule,
@@ -155,3 +157,27 @@ class TestLinearRate:
     def test_order_validation(self):
         with pytest.raises(ValueError, match="order"):
             LinearRateSchedule(0.5, 1.0, 1.0, order="sideways")
+
+
+WORKED_PROBLEMS = {
+    "logreg": lambda: L1LogRegProblem(gen_logreg_data(6, 4, 0)[0], 2.0),
+    "game": lambda: MatrixGameProblem(gen_game_data(4, 3, 0), 0.5),
+    "lasso": lambda: LassoProblem(*gen_lasso_data(6, 8, 2, 0.1, 0)[:2], 0.1),
+}
+
+
+class TestProblemSchedules:
+    """Each worked problem builds its schedule afresh on every call, so a
+    restart can begin from ``problem.schedule()``."""
+
+    @pytest.mark.parametrize("kind", list(WORKED_PROBLEMS))
+    def test_schedule_is_fresh_after_an_earlier_one_advanced(self, kind):
+        p = WORKED_PROBLEMS[kind]()
+        first = p.schedule()
+        initial = (first.theta, first.tau, first.sigma)
+        for _ in range(3):
+            first.advance()
+        again = p.schedule()
+        assert again is not first and first.k == 3
+        assert again.k == 0
+        assert (again.theta, again.tau, again.sigma) == initial
