@@ -13,12 +13,13 @@ FISTA on the Lasso share one FISTA loop.
 
 from __future__ import annotations
 
+import math
 import time
 
 import numpy as np
 
 from .bregman import Quadratic, sigmoid, softmax
-from .engine import SaddleProblem, SolveReport, StoppingRule, _rel_change, run, start_point
+from .engine import SaddleProblem, SolveReport, StoppingRule, _norm, _rel_change, run, start_point
 from .operators import DenseOperator, norm_1_inf, norm_2_2
 from .problems.lasso import shrink1
 from .schedules import AccDualSchedule, LinearRateSchedule, linear_rate_params
@@ -77,8 +78,14 @@ def _fb_minimize(grad, lipschitz, u0, tol, max_iters):
     u = u0.copy()
     step = 1.0 / lipschitz
     for _ in range(max_iters):
-        u_new = u - step * grad(u)
-        delta = float(np.max(np.abs(u_new - u)))
+        # u - step * grad(u), then max |u_new - u|, in the fresh gradient
+        # and difference arrays.
+        u_new = grad(u)
+        u_new *= step
+        np.subtract(u, u_new, out=u_new)
+        diff = u_new - u
+        np.abs(diff, out=diff)
+        delta = float(diff.max())
         u = u_new
         if delta <= tol:
             return u
@@ -91,7 +98,10 @@ def _logistic_conjugate_prox(z, sigma, m, u0, tol, max_iters):
     """argmin_u 0.5||u - z||^2 + (sigma/m) sum log(1 + exp(u_i/sigma))."""
 
     def grad(u):
-        return u - z + sigmoid(u / sigma) / m
+        g = sigmoid(u / sigma)
+        g /= m
+        g += u - z
+        return g
 
     lip = 1.0 + 1.0 / (4.0 * sigma * m)
     return _fb_minimize(grad, lip, u0, tol, max_iters)
@@ -179,10 +189,13 @@ def _fista(step, monitor, x0, tol, max_iters):
     trace = []
     k = 0
     for k in range(1, max_iters + 1):
-        x_new = step(x + beta * (x - x_prev))
+        x_bar = x - x_prev
+        x_bar *= beta
+        x_bar += x
+        x_new = step(x_bar)
         monitored = monitor(x_new, x)
         trace.append((k, monitored))
-        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_k**2))
+        t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_k**2))
         # t0 = beta0 = 0 makes the raw first coefficient negative; clamp.
         beta = min(max((t_k - 1.0) / t_next, 0.0), 1.0)
         t_k = t_next
@@ -202,11 +215,17 @@ def solve_fb_logreg(problem, tol=1e-4, max_iters=50000):
     tau = 4.0 * m / norm_2_2(DenseOperator(B)) ** 2
 
     def step(w):
-        return project_l1_ball(w - tau * (B.T @ (sigmoid(B @ w) / m)), problem.lam)
+        s = sigmoid(B @ w)
+        s /= m
+        g = B.T @ s
+        g *= tau
+        return project_l1_ball(np.subtract(w, g, out=g), problem.lam)
 
     def monitor(new, old):
-        denom = np.sum(np.abs(new))
-        return float(np.sum(np.abs(new - old)) / (denom if denom > 0 else 1.0))
+        denom = np.abs(new).sum()
+        diff = new - old
+        np.abs(diff, out=diff)
+        return float(diff.sum() / (denom if denom > 0 else 1.0))
 
     v, k, converged, trace = _fista(step, monitor, np.full(d, 1.0 / d), tol, max_iters)
     wall_ms = 1000.0 * (time.perf_counter() - t0)
@@ -219,7 +238,9 @@ def _entropy_conjugate_prox(v, c, u_warm, tol, max_iters):
     """argmin_z 0.5||z - v||^2 + c * logsumexp(z/c)."""
 
     def grad(z):
-        return z - v + softmax(z / c)
+        g = softmax(z / c)
+        g += z - v
+        return g
 
     lip = 1.0 + 1.0 / c
     return _fb_minimize(grad, lip, u_warm, tol, max_iters)
@@ -258,10 +279,15 @@ def fista_lasso(problem, tol=1e-8, max_iters=100000):
     tau = m / norm_2_2(problem.operator) ** 2
 
     def step(w):
-        return shrink1(w - tau * (A.T @ (A @ w - b)) / m, lam * tau)
+        r = A @ w
+        r -= b
+        g = A.T @ r
+        g *= tau
+        g /= m
+        return shrink1(np.subtract(w, g, out=g), lam * tau)
 
     def monitor(new, old):
-        return float(np.linalg.norm(new - old))
+        return _norm(new - old)
 
     x, k, converged, trace = _fista(step, monitor, np.zeros(problem.n), tol, max_iters)
     wall_ms = 1000.0 * (time.perf_counter() - t0)
@@ -298,8 +324,8 @@ def omwu_learning_rate(problem):
 
 
 def _normalize_log(l):
-    l = l - np.max(l)
-    return l - np.log(np.sum(np.exp(l)))
+    l = l - l.max()
+    return l - np.log(np.exp(l).sum())
 
 
 def _mwu(problem, regime, eta, gradients, x0, y0, seed, tol, max_iters, t0):

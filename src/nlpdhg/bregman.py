@@ -62,10 +62,13 @@ def _xlogratio(a, b):
 
 def softmax(t):
     """exp(t) normalized to the unit simplex: the inverse mirror map of the
-    negative entropy. Shifts by max(t) first, so nothing overflows."""
-    t = t - np.max(t)
-    e = np.exp(t)
-    return e / e.sum()
+    negative entropy. Shifts by max(t) first, so nothing overflows. The
+    result is a fresh array."""
+    t = np.asarray(t, dtype=float)
+    e = t - t.max()
+    np.exp(e, out=e)
+    e /= e.sum()
+    return e
 
 
 def sigmoid(w):
@@ -81,7 +84,9 @@ def sigmoid(w):
 
 def logit(s):
     """Componentwise log(s / (1 - s)): the mirror map of the binary entropy."""
-    return np.log(s) - np.log1p(-s)
+    out = np.log(s)
+    out -= np.log1p(-s)
+    return out
 
 
 class BregmanGeometry:

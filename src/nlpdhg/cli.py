@@ -66,21 +66,25 @@ def _load_fixture(path):
         p = p / "meta.json"
     try:
         meta = json.loads(p.read_text())
+        if not isinstance(meta, dict):
+            raise SystemExit(f"solve: {p} does not hold a JSON object")
         kind, lam = meta["kind"], meta["lambda"]
         if kind not in DEFAULT_SOLVERS:
             raise SystemExit(f"solve: unknown problem kind {kind!r} in {p}")
         matrix = load_matrix_csv(p.parent / "matrix.csv")
         if kind == "lasso":
             b = load_matrix_csv(p.parent / "b.csv").ravel()
+        if kind == "logreg":
+            return kind, L1LogRegProblem(matrix, lam)
+        if kind == "game":
+            return kind, MatrixGameProblem(matrix, lam)
+        return kind, LassoProblem(matrix, b, lam)
     except FileNotFoundError as exc:
         raise SystemExit(f"solve: fixture file not found: {exc.filename}") from None
     except KeyError as exc:
         raise SystemExit(f"solve: {p} has no {exc} entry") from None
-    if kind == "logreg":
-        return kind, L1LogRegProblem(matrix, lam)
-    if kind == "game":
-        return kind, MatrixGameProblem(matrix, lam)
-    return kind, LassoProblem(matrix, b, lam)
+    except (TypeError, ValueError) as exc:
+        raise SystemExit(f"solve: {exc}") from None
 
 
 def _cmd_solve(args):

@@ -52,7 +52,11 @@ class SaddleProblem:
     compatible with the chosen geometries), strong-convexity constants
     ``gamma_g`` and ``gamma_h_star`` (0 when the assumption is absent), and
     the geometries ``geom_x``, ``geom_y``. Prox outputs must land in the
-    geometry domain interiors.
+    geometry domain interiors. A prox returns a fresh array and never writes
+    to its arguments (``run`` passes its iterates without copying); it may
+    work in place on arrays it allocated itself, but not on what
+    ``operator.apply``/``adjoint_apply`` return, which a caller's operator
+    may share.
 
     For ``solve``, a problem also provides ``default_init(seed)``, its start
     pair (x0, y0), and ``schedule()``, a fresh schedule from its constants.
@@ -169,13 +173,19 @@ class StoppingRule:
         )
 
 
+def _norm(v):
+    """``np.linalg.norm(v)`` of a float vector, computed the way numpy does
+    (sqrt of the dot product of the contiguous ravel) without its dispatch."""
+    v = v.ravel(order="K")
+    return math.sqrt(v.dot(v))
+
+
 def _rel_change(new, old, new_norm=None):
     """||new - old|| / ||new|| (plain ||new - old|| when new = 0); pass
     ``new_norm`` when ||new|| is already known."""
-    denom = np.linalg.norm(new) if new_norm is None else new_norm
-    if denom == 0.0:
-        return float(np.linalg.norm(new - old))
-    return float(np.linalg.norm(new - old) / denom)
+    denom = _norm(new) if new_norm is None else new_norm
+    change = _norm(new - old)
+    return change if denom == 0.0 else change / denom
 
 
 def start_point(problem, x0, y0, default):
@@ -236,23 +246,29 @@ def step(problem, state, schedule):
     at 2 x_{k+1} - x_k. "x-first": x-prox at y_k + theta (y_k - y_{k-1}),
     y-prox at x_{k+1}. "y-first": y-prox at x_k + theta (x_k - x_{k-1}),
     x-prox at y_{k+1}."""
-    theta, tau, sigma = schedule.theta, schedule.tau, schedule.sigma
     order = schedule.order
+    x, y = state.x, state.y
     if order == "overrelaxed":
-        x_new = problem.primal_prox(state.y, state.x, tau)
-        y_new = problem.dual_prox(2.0 * x_new - state.x, state.y, sigma)
+        x_new = problem.primal_prox(y, x, schedule.tau)
+        x_bar = 2.0 * x_new
+        x_bar -= x
+        y_new = problem.dual_prox(x_bar, y, schedule.sigma)
     elif order == "x-first":
-        y_tilde = state.y + theta * (state.y - state.y_prev)
-        x_new = problem.primal_prox(y_tilde, state.x, tau)
-        y_new = problem.dual_prox(x_new, state.y, sigma)
+        y_tilde = y - state.y_prev
+        y_tilde *= schedule.theta
+        y_tilde += y
+        x_new = problem.primal_prox(y_tilde, x, schedule.tau)
+        y_new = problem.dual_prox(x_new, y, schedule.sigma)
     elif order == "y-first":
-        x_tilde = state.x + theta * (state.x - state.x_prev)
-        y_new = problem.dual_prox(x_tilde, state.y, sigma)
-        x_new = problem.primal_prox(y_new, state.x, tau)
+        x_tilde = x - state.x_prev
+        x_tilde *= schedule.theta
+        x_tilde += x
+        y_new = problem.dual_prox(x_tilde, y, schedule.sigma)
+        x_new = problem.primal_prox(y_new, x, schedule.tau)
     else:
         raise ValueError(f"unknown update order {order!r}")
     schedule.advance()
-    return IterateState(x=x_new, x_prev=state.x, y=y_new, y_prev=state.y, k=state.k + 1)
+    return IterateState(x_new, x, y_new, y, state.k + 1)
 
 
 def delta_diag(problem, state, schedule, x_ref, y_ref):
@@ -308,19 +324,20 @@ def run(problem, schedule, x0, y0, stop=None, delta_ref=None):
     for _ in range(stop.max_iters):
         growth = schedule.ergodic_growth()
         state = step(problem, state, schedule)
-        y_norm = np.linalg.norm(state.y)
-        # A finite ||y|| proves every entry of y finite; only an overflowing
-        # norm needs the entrywise scan.
+        x, y = state.x, state.y
+        y_norm = _norm(y)
+        # A finite x . x or ||y|| proves every entry finite; only an
+        # overflowing one needs the entrywise scan.
         if not (
-            np.isfinite(state.x).all()
-            and (math.isfinite(y_norm) or np.isfinite(state.y).all())
+            (math.isfinite(x.dot(x)) or np.isfinite(x).all())
+            and (math.isfinite(y_norm) or np.isfinite(y).all())
         ):
             raise RuntimeError(f"non-finite iterate at k={state.k}")
-        acc.add(state.x, state.y, growth)
+        acc.add(x, y, growth)
 
-        dual_change = _rel_change(state.y, state.y_prev, y_norm) if track_dual else None
+        dual_change = _rel_change(y, state.y_prev, y_norm) if track_dual else None
         if stop.residual_fn is not None:
-            monitored = float(stop.residual_fn(state.x, state.y))
+            monitored = float(stop.residual_fn(x, y))
         else:
             monitored = dual_change
         trace.append((state.k, monitored))

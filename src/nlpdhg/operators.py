@@ -15,6 +15,8 @@ All operators are immutable and their apply/adjoint methods are pure.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = [
@@ -49,6 +51,7 @@ class DenseOperator:
         if not np.all(np.isfinite(a)):
             raise ValueError("matrix contains NaN or Inf entries")
         self.matrix = a
+        self._matrix_t = a.T
         self.rows, self.cols = a.shape
 
     def apply(self, x):
@@ -61,7 +64,7 @@ class DenseOperator:
         y = np.asarray(y, dtype=float)
         if y.shape != (self.rows,):
             raise ValueError(f"expected input of shape ({self.rows},), got {y.shape}")
-        return self.matrix.T @ y
+        return self._matrix_t @ y
 
     def column_norms_sq(self):
         return np.einsum("ij,ij->j", self.matrix, self.matrix)
@@ -89,23 +92,31 @@ class ScaledConcat:
         if not (np.isfinite(scale) and scale > 0):
             raise ValueError(f"scale must be a positive real, got {scale}")
         self.base = b
+        self._base_t = b.T
         self.scale = float(scale)
-        self.rows = b.shape[0]
-        self.cols = 2 * b.shape[1]
+        self.rows, self._d = b.shape
+        self.cols = 2 * self._d
 
     def apply(self, x):
         x = np.asarray(x, dtype=float)
         if x.shape != (self.cols,):
             raise ValueError(f"expected input of shape ({self.cols},), got {x.shape}")
-        d = self.base.shape[1]
-        return self.scale * (self.base @ (x[:d] - x[d:]))
+        d = self._d
+        out = self.base @ (x[:d] - x[d:])
+        out *= self.scale
+        return out
 
     def adjoint_apply(self, y):
         y = np.asarray(y, dtype=float)
         if y.shape != (self.rows,):
             raise ValueError(f"expected input of shape ({self.rows},), got {y.shape}")
-        bty = self.scale * (self.base.T @ y)
-        return np.concatenate([bty, -bty])
+        # scale * B^T y into the first half, its negation into the second.
+        out = np.empty(self.cols)
+        bty = out[: self._d]
+        np.matmul(self._base_t, y, out=bty)
+        bty *= self.scale
+        np.negative(bty, out=out[self._d :])
+        return out
 
     def column_norms_sq(self):
         # Columns of -B have the same norms as those of B.
@@ -147,12 +158,15 @@ def norm_2_2(op, tol=1e-10, max_iters=5000):
             # v is (numerically) in the nullspace of A^T A.
             return 0.0
         if rho_prev is not None and abs(rho - rho_prev) <= tol * rho:
-            return float(np.sqrt(rho))
+            return math.sqrt(rho)
         rho_prev = rho
-        v = w / np.linalg.norm(w)
+        # w / ||w||; w is a fresh contiguous vector, for which sqrt(w . w)
+        # is exactly what np.linalg.norm computes.
+        w /= math.sqrt(w.dot(w))
+        v = w
     raise PowerIterationError(
         f"power iteration did not converge in {max_iters} iterations",
-        last_estimate=float(np.sqrt(rho_prev)),
+        last_estimate=math.sqrt(rho_prev),
     )
 
 

@@ -55,14 +55,18 @@ class MatrixGameProblem(SaddleProblem):
     def primal_prox(self, y_tilde, x_bar, tau):
         # argmin over the simplex of lam*H(x) + <A^T y, x> + KL(x, x_bar)/tau:
         # x_j propto (x_bar_j exp(-tau [A^T y]_j))^{1/(1+lam tau)}.
-        t = np.log(x_bar) - tau * self.operator.adjoint_apply(y_tilde)
-        return softmax(t / (1.0 + self.lam * tau))
+        t = np.log(x_bar)
+        t -= tau * self.operator.adjoint_apply(y_tilde)
+        t /= 1.0 + self.lam * tau
+        return softmax(t)
 
     def dual_prox(self, x_tilde, y_bar, sigma):
         # argmax over the simplex of -lam*H(y) + <y, A x> - KL(y, y_bar)/sigma:
         # y_i propto (y_bar_i exp(+sigma [A x]_i))^{1/(1+lam sigma)}.
-        t = np.log(y_bar) + sigma * self.operator.apply(x_tilde)
-        return softmax(t / (1.0 + self.lam * sigma))
+        t = np.log(y_bar)
+        t += sigma * self.operator.apply(x_tilde)
+        t /= 1.0 + self.lam * sigma
+        return softmax(t)
 
     def schedule(self):
         """Linear-rate schedule from gamma_g = gamma_h_star = lam, y-first:

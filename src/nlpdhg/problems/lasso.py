@@ -40,7 +40,11 @@ def shrink1(x, beta):
     if not beta > 0:
         raise ValueError(f"beta must be positive, got {beta}")
     x = np.asarray(x, dtype=float)
-    return np.sign(x) * np.maximum(np.abs(x) - beta, 0.0)
+    out = np.abs(x)
+    out -= beta
+    np.maximum(out, 0.0, out=out)
+    out *= np.sign(x)
+    return out
 
 
 class LassoProblem(SaddleProblem):
@@ -63,10 +67,17 @@ class LassoProblem(SaddleProblem):
         self.gamma_h_star = 1.0
 
     def primal_prox(self, y_tilde, x_bar, tau):
-        return shrink1(x_bar - tau * self.operator.adjoint_apply(y_tilde), self.lam * tau)
+        u = tau * self.operator.adjoint_apply(y_tilde)
+        return shrink1(np.subtract(x_bar, u, out=u), self.lam * tau)
 
     def dual_prox(self, x_tilde, y_bar, sigma):
-        return (y_bar + sigma * (self.operator.apply(x_tilde) - self.b) / self.m) / (1.0 + sigma)
+        # (y_bar + sigma (A x - b) / m) / (1 + sigma)
+        v = self.operator.apply(x_tilde) - self.b
+        v *= sigma
+        v /= self.m
+        v += y_bar
+        v /= 1.0 + sigma
+        return v
 
     def objective(self, x):
         r = self.operator.apply(np.asarray(x, dtype=float)) - self.b

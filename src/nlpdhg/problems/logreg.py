@@ -66,15 +66,19 @@ class L1LogRegProblem(SaddleProblem):
         # arithmetic; coordinates suppressed past the double-precision
         # exponent range underflow to exact zeros on long runs and stay
         # there.
-        t = _log_interior(x_bar) - tau * self.operator.adjoint_apply(y_tilde)
+        t = _log_interior(x_bar)
+        t -= tau * self.operator.adjoint_apply(y_tilde)
         return softmax(t)
 
     def dual_prox(self, x_tilde, y_bar, sigma):
         w_bar = logit(self.m * np.asarray(y_bar, dtype=float))
-        w = (4.0 * self.m * sigma * self.operator.apply(x_tilde) + w_bar) / (
-            1.0 + 4.0 * self.m * sigma
-        )
-        return sigmoid(w) / self.m
+        c = 4.0 * self.m * sigma
+        w = c * self.operator.apply(x_tilde)
+        w += w_bar
+        w /= 1.0 + c
+        y = sigmoid(w)
+        y /= self.m
+        return y
 
     def objective_v(self, v):
         """Primal objective of the original ball-constrained problem at v."""

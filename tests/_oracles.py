@@ -3,17 +3,37 @@
 Each oracle minimizes a defining objective directly (scipy BFGS on smooth
 reparameterizations, golden-section search for the scalar nonsmooth case,
 bisection for the projection threshold) and never reuses the closed-form
-update it is checking.
+update it is checking. The ``*_reference`` functions are the exception: they
+keep the plain formulas (one fresh array per operation) of helpers that the
+solvers compute in place, and those helpers must match them bit for bit.
 """
 
 import numpy as np
 from scipy import optimize
 
 
-def _softmax(u):
+def softmax_reference(u):
+    """Shifted softmax written out with a fresh array per step; the in-place
+    ``bregman.softmax`` must agree with it bit for bit."""
     u = u - np.max(u)
     e = np.exp(u)
     return e / e.sum()
+
+
+def shrink1_reference(x, beta):
+    """Soft threshold as sign(x) * max(|x| - beta, 0), one fresh array per
+    step; the in-place ``shrink1`` must agree with it bit for bit."""
+    x = np.asarray(x, dtype=float)
+    return np.sign(x) * np.maximum(np.abs(x) - beta, 0.0)
+
+
+def rel_change_reference(new, old):
+    """||new - old|| / ||new|| (plain ||new - old|| when new = 0) through
+    ``np.linalg.norm``; ``engine._rel_change`` must agree bit for bit."""
+    denom = np.linalg.norm(new)
+    if denom == 0.0:
+        return float(np.linalg.norm(new - old))
+    return float(np.linalg.norm(new - old) / denom)
 
 
 def entropy_prox_oracle(x_bar, cost, t, lam=0.0):
@@ -27,14 +47,14 @@ def entropy_prox_oracle(x_bar, cost, t, lam=0.0):
     cost = np.asarray(cost, dtype=float)
 
     def fungrad(u):
-        p = _softmax(u)
+        p = softmax_reference(u)
         val = lam * np.sum(p * np.log(p)) + cost @ p + np.sum(p * np.log(p / x_bar)) / t
         g = lam * (1.0 + np.log(p)) + cost + (np.log(p / x_bar) + 1.0) / t
         return val, p * (g - p @ g)
 
     res = optimize.minimize(fungrad, np.log(x_bar), jac=True, method="BFGS",
                             options={"gtol": 1e-13, "maxiter": 2000})
-    return _softmax(res.x)
+    return softmax_reference(res.x)
 
 
 def binary_entropy_prox_oracle(y_bar, z, sigma, m):

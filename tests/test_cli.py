@@ -131,3 +131,36 @@ def test_solve_rejects_sidecar_without_key(tmp_path, key):
     with pytest.raises(SystemExit) as exc:
         main(["solve", "--problem", str(fix), "--method", "pu"])
     assert str(exc.value) == f"solve: {fix / 'meta.json'} has no '{key}' entry"
+
+
+
+def _game_fixture(tmp_path):
+    fix = tmp_path / "fix"
+    main(["gen-data", "--kind", "game", "--m", "3", "--n", "3", "--out", str(fix)])
+    return fix
+
+
+def _solve_exit_message(fix):
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--problem", str(fix), "--method", "pu"])
+    return str(exc.value)
+
+
+def test_solve_rejects_sidecar_that_is_not_an_object(tmp_path):
+    fix = _game_fixture(tmp_path)
+    (fix / "meta.json").write_text("[1, 2]")
+    assert _solve_exit_message(fix) == f"solve: {fix / 'meta.json'} does not hold a JSON object"
+
+
+def test_solve_rejects_non_numeric_matrix_cell(tmp_path):
+    fix = _game_fixture(tmp_path)
+    text = (fix / "matrix.csv").read_text()
+    (fix / "matrix.csv").write_text("a" + text[text.index(","):])
+    assert _solve_exit_message(fix) == "solve: could not convert string to float: 'a'"
+
+
+def test_solve_rejects_negative_lambda(tmp_path):
+    fix = _game_fixture(tmp_path)
+    meta = json.loads((fix / "meta.json").read_text())
+    (fix / "meta.json").write_text(json.dumps({**meta, "lambda": -1}))
+    assert _solve_exit_message(fix) == "solve: lam must be positive, got -1"

@@ -219,6 +219,25 @@ class TestRun:
             rep = run(prob, sched, np.array([1.0]), np.array([1.0]), StoppingRule(max_iters=2))
         assert rep.k == 2 and rep.y[0] == 1e200
 
+    def test_huge_finite_primal_iterate_passes_guard(self):
+        """x . x overflows to inf at x = 1e200, yet x is finite: the guard
+        must check the entries before raising."""
+        prob = one_d_game()
+        prob.primal_prox = lambda y_tilde, x_bar, tau: np.array([1e200])
+        prob.dual_prox = lambda x_tilde, y_bar, sigma: np.array([1.0])
+        sched = ConstantSchedule(0.5, 0.5, prob.op_norm)
+        with np.errstate(over="ignore", invalid="ignore"):
+            rep = run(prob, sched, np.array([1.0]), np.array([1.0]), StoppingRule(max_iters=2))
+        assert rep.k == 2 and rep.x[0] == 1e200
+
+    def test_nan_primal_iterate_raises(self):
+        prob = one_d_game()
+        prob.primal_prox = lambda y_tilde, x_bar, tau: np.array([0.0, np.nan])
+        prob.dual_prox = lambda x_tilde, y_bar, sigma: np.array([1.0])
+        sched = ConstantSchedule(0.5, 0.5, prob.op_norm)
+        with pytest.raises(RuntimeError, match="non-finite iterate at k=1"):
+            run(prob, sched, np.array([1.0, 1.0]), np.array([1.0]), StoppingRule(max_iters=2))
+
     def test_stop_on_rules(self):
         rule = StoppingRule.from_stop_on("ergodic", 1e-3, 50)
         assert (rule.max_iters, rule.dual_rel_change, rule.ergodic_dual_rel_change) == (

@@ -1,0 +1,130 @@
+"""The in-place hot path: each rewritten helper equals its plain formula bit
+for bit, and no prox or operator action writes to its arguments."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from _oracles import rel_change_reference, shrink1_reference, softmax_reference
+from nlpdhg.bregman import softmax
+from nlpdhg.data import gen_game_data, gen_lasso_data, gen_logreg_data
+from nlpdhg.engine import _norm, _rel_change
+from nlpdhg.operators import DenseOperator, ScaledConcat
+from nlpdhg.problems import L1LogRegProblem, LassoProblem, MatrixGameProblem
+from nlpdhg.problems.lasso import shrink1
+from nlpdhg.problems.quadratic import QuadraticSaddleProblem
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+vectors = arrays(np.float64, st.integers(1, 40), elements=finite)
+# Moderate entries make the normalisation round; extreme ones overflow the shift.
+softmax_inputs = arrays(
+    np.float64, st.integers(1, 40), elements=st.one_of(st.floats(-30.0, 30.0), finite)
+)
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@given(softmax_inputs)
+@settings(max_examples=300, deadline=None)
+def test_softmax_matches_reference_at_extreme_inputs(t):
+    with np.errstate(over="ignore"):
+        assert same_bits(softmax(t), softmax_reference(t))
+
+
+@given(finite, st.integers(1, 40))
+@settings(max_examples=100, deadline=None)
+def test_softmax_matches_reference_at_constant_inputs(c, n):
+    t = np.full(n, c)
+    assert same_bits(softmax(t), softmax_reference(t))
+    assert same_bits(softmax(t), np.full(n, 1.0 / n))
+
+
+@st.composite
+def threshold_cases(draw):
+    beta = draw(st.floats(1e-300, 1e300))
+    special = st.sampled_from(
+        [0.0, -0.0, beta, -beta, np.nextafter(beta, 0.0), np.nextafter(-beta, 0.0)]
+    )
+    x = draw(st.lists(st.one_of(special, finite), min_size=1, max_size=30))
+    return np.array(x), beta
+
+
+@given(threshold_cases())
+@settings(max_examples=200, deadline=None)
+def test_shrink1_matches_reference_at_zeros_and_ties(case):
+    x, beta = case
+    assert same_bits(shrink1(x, beta), shrink1_reference(x, beta))
+
+
+@given(st.data(), st.integers(1, 30))
+@settings(max_examples=200, deadline=None)
+def test_rel_change_matches_reference(data, n):
+    elems = st.floats(-1e150, 1e150)
+    old = data.draw(arrays(np.float64, n, elements=elems))
+    zero = data.draw(st.booleans())
+    new = np.zeros(n) if zero else data.draw(arrays(np.float64, n, elements=elems))
+    assert _rel_change(new, old) == rel_change_reference(new, old)
+    assert _rel_change(new, old, np.linalg.norm(new)) == rel_change_reference(new, old)
+
+
+@given(vectors, st.integers(1, 3))
+@settings(max_examples=100, deadline=None)
+def test_norm_matches_numpy_on_strided_views(v, stride):
+    with np.errstate(over="ignore"):
+        assert _norm(v[::stride]) == np.linalg.norm(v[::stride])
+
+
+def test_scaled_concat_matches_plain_formula():
+    rng = np.random.default_rng(4)
+    B = rng.standard_normal((7, 5))
+    op = ScaledConcat(B, 2.5)
+    x, y = rng.random(10), rng.standard_normal(7)
+    bty = 2.5 * (B.T @ y)
+    assert same_bits(op.apply(x), 2.5 * (B @ (x[:5] - x[5:])))
+    assert same_bits(op.adjoint_apply(y), np.concatenate([bty, -bty]))
+
+
+def _problems_with_points():
+    """Each worked problem with an interior (x, y) of its geometries."""
+    B, _, _ = gen_logreg_data(6, 4, 1)
+    A, b, _ = gen_lasso_data(6, 9, 3, 0.1, 1)
+    quad = QuadraticSaddleProblem(np.random.default_rng(11).standard_normal((3, 4)), 0.5, 0.7)
+    cases = [
+        MatrixGameProblem(gen_game_data(5, 4, 1), 0.2),
+        LassoProblem(A, b, 0.05),
+        L1LogRegProblem(B, 3.0),
+    ]
+    points = [(p, *p.default_init(seed=3)) for p in cases]
+    points.append((quad, np.linspace(-1.0, 1.0, 4), np.linspace(0.5, -0.5, 3)))
+    return [pytest.param(*case, id=case[0].problem_id) for case in points]
+
+
+@pytest.mark.parametrize("problem, x, y", _problems_with_points())
+def test_proxes_leave_their_arguments_alone(problem, x, y):
+    """Proxes work in place only on arrays they allocate: every argument
+    keeps its bits and the result shares no memory with it."""
+    for prox, args in ((problem.primal_prox, (y, x, 0.7)), (problem.dual_prox, (x, y, 0.3))):
+        before = [a.copy() for a in args[:2]]
+        out = prox(*args)
+        for arg, kept in zip(args[:2], before):
+            assert same_bits(arg, kept)
+            assert not np.shares_memory(out, arg)
+
+
+@pytest.mark.parametrize(
+    "op",
+    [DenseOperator(np.arange(12.0).reshape(3, 4)), ScaledConcat(np.arange(6.0).reshape(3, 2), 1.5)],
+    ids=["dense", "scaled-concat"],
+)
+def test_operator_actions_leave_their_arguments_alone(op):
+    x, y = np.linspace(-1.0, 1.0, op.cols), np.linspace(2.0, 3.0, op.rows)
+    for action, arg in ((op.apply, x), (op.adjoint_apply, y)):
+        kept = arg.copy()
+        out = action(arg)
+        assert same_bits(arg, kept)
+        assert not np.shares_memory(out, arg)

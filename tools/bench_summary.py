@@ -1,0 +1,124 @@
+"""Summarise parent/change benchmark records into a ``BENCH_<topic>.json``.
+
+    python3 tools/bench_summary.py --topic game --claim game-swarm \
+        --parent PARENT/perfbench/results --change CHANGE/perfbench/results \
+        --out BENCH_game.json
+
+PARENT and CHANGE are two checkouts on which ``perfbench/run.py`` ran with
+the same workloads, seeds and ``--seconds``. Every record the two results
+directories share (``<workload>-seed<N>-trace<T>.json``) becomes one pair.
+For each workload, untraced pairs give each end-to-end metric's per-run
+values, the median and quartiles of each side, and how many pairs the change
+won; traced pairs give the per-layer metrics side by side.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+from pathlib import Path
+
+# Whether a higher value of an end-to-end metric is better.
+HIGHER_IS_BETTER = {"best_solves_per_s": True, "setup_s": False, "peak_rss_mb": False}
+
+
+def load(directory):
+    records = {}
+    for path in sorted(Path(directory).glob("*-seed*-trace*.json")):
+        rec = json.loads(path.read_text())
+        rounds = rec["rounds"]
+        records[path.name] = {
+            "workload": rec["workload"],
+            "seed": rec["seed"],
+            "trace": rec["trace"],
+            "seconds": rec["seconds"],
+            "git_commit": rec["provenance"]["git_commit"],
+            "metrics": {k: v["value"] for k, v in rec["metrics"].items()},
+            "attempted": len(rounds),
+            "failed": sum(not r["ok"] for r in rounds),
+        }
+    return records
+
+
+def quartiles(values):
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": q2, "q1": q1, "q3": q3, "iqr": q3 - q1}
+
+
+def summarise(pairs):
+    """Per end-to-end metric: both sides' quartiles and the change's wins."""
+    out = {}
+    for name, higher in HIGHER_IS_BETTER.items():
+        a = [p["metrics"][name] for p, _ in pairs]
+        b = [c["metrics"][name] for _, c in pairs]
+        wins = sum((y > x) if higher else (y < x) for x, y in zip(a, b))
+        pa, pb = quartiles(a), quartiles(b)
+        out[name] = {
+            "parent": pa,
+            "change": pb,
+            "median_change_rel": pb["median"] / pa["median"] - 1.0,
+            "change_wins": wins,
+            "ties": sum(x == y for x, y in zip(a, b)),
+            "pairs": len(pairs),
+            "medians_differ_by_more_than_parent_iqr": abs(pb["median"] - pa["median"]) > pa["iqr"],
+        }
+    return out
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--topic", required=True)
+    ap.add_argument("--claim", required=True, help="workload whose best_solves_per_s is claimed")
+    ap.add_argument("--parent", required=True)
+    ap.add_argument("--change", required=True)
+    ap.add_argument("--out", required=True)
+    args = ap.parse_args(argv)
+
+    parent, change = load(args.parent), load(args.change)
+    workloads = {}
+    for name in sorted(parent.keys() & change.keys()):
+        p, c = parent[name], change[name]
+        w = workloads.setdefault(p["workload"], {"runs": [], "traced": []})
+        command = (
+            f"python3 perfbench/run.py --workload {p['workload']} --seed {p['seed']}"
+            f" --seconds {p['seconds']:g} --trace {p['trace']}"
+        )
+        run = {"seed": p["seed"], "command": command, "parent": p, "change": c}
+        w["traced" if p["trace"] else "runs"].append(run)
+    for w in workloads.values():
+        w["runs"].sort(key=lambda r: r["seed"])
+        pairs = [(r["parent"], r["change"]) for r in w["runs"]]
+        if len(pairs) >= 2:
+            w["end_to_end"] = summarise(pairs)
+        w["failed"] = {
+            side: sum(r[side]["failed"] for r in w["runs"] + w["traced"])
+            for side in ("parent", "change")
+        }
+
+    claim = workloads[args.claim]["end_to_end"]["best_solves_per_s"]
+    bench = {
+        "topic": args.topic,
+        "regenerate": [
+            "check out the parent commit in PARENT and the change in CHANGE",
+            "run each workload's 'command' below in PARENT and in CHANGE, one pair at a"
+            " time, alternating which side runs first",
+            f"python3 tools/bench_summary.py --topic {args.topic} --claim {args.claim}"
+            f" --parent PARENT/perfbench/results --change CHANGE/perfbench/results"
+            f" --out BENCH_{args.topic}.json",
+        ],
+        "claim": {
+            "workload": args.claim,
+            "metric": "best_solves_per_s",
+            "holds": claim["change_wins"] >= 0.9 * claim["pairs"]
+            and claim["medians_differ_by_more_than_parent_iqr"]
+            and claim["median_change_rel"] > 0,
+        },
+        "workloads": workloads,
+    }
+    Path(args.out).write_text(json.dumps(bench, indent=1) + "\n")
+    print(f"wrote {args.out}: claim holds = {bench['claim']['holds']}")
+
+
+if __name__ == "__main__":
+    main()
