@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import time
+from array import array
 
 import numpy as np
 
@@ -181,12 +182,13 @@ def solve_linear_pdhg_logreg(problem, tol=1e-4, max_iters=50000, stop_on="both")
 def _fista(step, monitor, x0, tol, max_iters):
     """FISTA from x0: x_{k+1} = step(x_k + beta_k (x_k - x_{k-1})), with the
     first extrapolation clamped to zero. Stops once monitor(x_{k+1}, x_k) <=
-    tol; returns (x, k, converged, trace)."""
+    tol; returns (x, k, converged, trace), the trace a flat ``array('d')``
+    of (k, monitored) pairs."""
     x = x0
     x_prev = x0.copy()
     t_k = 0.0
     beta = 0.0
-    trace = []
+    trace = array("d")
     k = 0
     for k in range(1, max_iters + 1):
         x_bar = x - x_prev
@@ -194,7 +196,8 @@ def _fista(step, monitor, x0, tol, max_iters):
         x_bar += x
         x_new = step(x_bar)
         monitored = monitor(x_new, x)
-        trace.append((k, monitored))
+        trace.append(k)
+        trace.append(monitored)
         t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_k**2))
         # t0 = beta0 = 0 makes the raw first coefficient negative; clamp.
         beta = min(max((t_k - 1.0) / t_next, 0.0), 1.0)
@@ -345,7 +348,7 @@ def _mwu(problem, regime, eta, gradients, x0, y0, seed, tol, max_iters, t0):
     x0, y0 = start_point(problem, x0, y0, problem.default_init(seed=seed))
     lx = np.log(x0)
     ly = np.log(y0)
-    trace = []
+    trace = array("d")
     converged = False
     k = 0
     for k in range(1, max_iters + 1):
@@ -353,7 +356,8 @@ def _mwu(problem, regime, eta, gradients, x0, y0, seed, tol, max_iters, t0):
         y = np.exp(ly)
         lx_new, ly_new = step(lx, ly, *gradients(step, lx, ly, x, y))
         monitored = max(_rel_change(np.exp(lx_new), x), _rel_change(np.exp(ly_new), y))
-        trace.append((k, monitored))
+        trace.append(k)
+        trace.append(monitored)
         lx, ly = lx_new, ly_new
         if monitored <= tol:
             converged = True

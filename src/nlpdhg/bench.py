@@ -166,7 +166,7 @@ def _run_one(spec, solver, variant, seed):
         return ResultRow(
             **row, iters=0, wall_ms=0.0, residual=math.nan, converged=False, error=_error_text(exc)
         )
-    residual = report.residual_trace[-1][1] if report.residual_trace else math.nan
+    residual = report.residual_trace[-1][1] if len(report.residual_trace) else math.nan
     return ResultRow(
         **row,
         iters=report.k,

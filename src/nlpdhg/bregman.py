@@ -74,6 +74,7 @@ def softmax(t):
 def sigmoid(w):
     """Componentwise 1 / (1 + exp(-w)), the inverse of ``logit``; each
     branch exponentiates only nonpositive values, so nothing overflows."""
+    w = np.asarray(w, dtype=float)
     out = np.empty_like(w)
     pos = w >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-w[pos]))

@@ -22,7 +22,8 @@ def gen_logreg_data(m, d, seed, noise=1.0):
     iid standard Gaussian; the planted vector has ceil(0.01 d) coefficients
     equal to 10 on a random support and zeros elsewhere; labels are the sign
     of the noisy margin (sign(0) counts as +1). Returns (B, v_true, labels)
-    where row i of B is -labels_i * features_i.
+    where row i of B is -labels_i * features_i. B is the features buffer
+    itself, negated by label in place, so generation holds one m x d matrix.
     """
     if m < 1 or d < 1:
         raise ValueError(f"m and d must be >= 1, got {m}, {d}")
@@ -34,8 +35,8 @@ def gen_logreg_data(m, d, seed, noise=1.0):
     v_true[support] = 10.0
     xi = noise * np.random.default_rng(s_noise).standard_normal(m)
     labels = np.where(u @ v_true + xi >= 0.0, 1.0, -1.0)
-    B = -labels[:, None] * u
-    return B, v_true, labels
+    u *= -labels[:, None]
+    return u, v_true, labels
 
 
 def gen_game_data(m, n, seed):

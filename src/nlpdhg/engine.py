@@ -4,7 +4,10 @@ A problem supplies two Bregman proximal maps and a linear operator; a
 schedule supplies the step sizes and names its update order (overrelaxed,
 x-first or y-first). ``step`` carries out one iteration in that order;
 ``run`` repeats it and tracks ergodic averages, a residual trace, and an
-optional Lyapunov diagnostic (``delta_diag``).
+optional Lyapunov diagnostic (``delta_diag``). Besides the problem's data, a
+run holds O(m + n) state and a trace of 16 bytes per iteration: the (k,
+value) pairs go into one flat ``array('d')`` that the report views as a
+(K, 2) float64 array without copying.
 ``run`` is the one iteration loop of every PDHG solver. ``solve`` runs it on
 a worked problem, which names its own start point (``default_init``) and
 schedule (``schedule()``); the Euclidean (linear) PDHG baselines build
@@ -20,6 +23,7 @@ from __future__ import annotations
 import json
 import math
 import time
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -201,14 +205,23 @@ def start_point(problem, x0, y0, default):
 @dataclass
 class SolveReport:
     """Outcome of one solve. A solver that keeps no ergodic average leaves
-    ``x_ergodic``/``y_ergodic`` out; they then hold copies of x and y."""
+    ``x_ergodic``/``y_ergodic`` out; they then hold copies of x and y.
+
+    ``residual_trace`` holds row (k, monitored value) for each iteration k
+    as a (K, 2) float64 array, 16 bytes per iteration. Pass it as any
+    sequence of pairs; a flat ``array('d')`` of k, value, k, value, ... is
+    viewed in place, not copied. It was a list of ``(int, float)`` tuples;
+    callers written for that list must test ``len(trace)`` rather than its
+    truth value (ambiguous for two or more rows) and cast k with ``int`` to
+    use it as an index, since the k column is float64.
+    """
 
     problem_id: str
     regime: str
     k: int
     converged: bool
     wall_ms: float
-    residual_trace: list
+    residual_trace: np.ndarray
     x: np.ndarray
     y: np.ndarray
     x_ergodic: np.ndarray | None = None
@@ -218,6 +231,7 @@ class SolveReport:
     terminal_dual_norm: float = field(init=False)
 
     def __post_init__(self):
+        self.residual_trace = np.asarray(self.residual_trace, dtype=float).reshape(-1, 2)
         self.terminal_primal_norm = float(np.linalg.norm(self.x))
         self.terminal_dual_norm = float(np.linalg.norm(self.y))
         if self.x_ergodic is None:
@@ -233,7 +247,7 @@ class SolveReport:
                 "k": self.k,
                 "converged": self.converged,
                 "wall_ms": self.wall_ms,
-                "residual_trace": [[int(k), float(v)] for k, v in self.residual_trace],
+                "residual_trace": [[int(k), v] for k, v in self.residual_trace.tolist()],
                 "terminal_primal_norm": self.terminal_primal_norm,
                 "terminal_dual_norm": self.terminal_dual_norm,
             }
@@ -308,14 +322,16 @@ def run(problem, schedule, x0, y0, stop=None, delta_ref=None):
     ``delta_ref``, when given as a pair (x_ref, y_ref), records
     ``delta_diag`` at every iterate (this costs extra divergence
     evaluations per step, so it is opt-in). Exhausting max_iters flags the
-    report as non-converged; a non-finite iterate raises.
+    report as non-converged; a non-finite iterate raises. The dual-change
+    criterion waits for k = 2: a first step that leaves y at its start point
+    says nothing about convergence.
     """
     if stop is None:
         stop = StoppingRule()
     state = IterateState.initial(x0, y0)
     acc = ErgodicAccumulator(state.x.shape[0], state.y.shape[0])
     deltas = [] if delta_ref is not None else None
-    trace = []
+    trace = array("d")
     active = stop.active()
     track_dual = stop.residual_fn is None or stop.dual_rel_change is not None
     t_start = time.perf_counter()
@@ -340,7 +356,8 @@ def run(problem, schedule, x0, y0, stop=None, delta_ref=None):
             monitored = float(stop.residual_fn(x, y))
         else:
             monitored = dual_change
-        trace.append((state.k, monitored))
+        trace.append(state.k)
+        trace.append(monitored)
         if deltas is not None:
             deltas.append((state.k, delta_diag(problem, state, schedule, *delta_ref)))
 
@@ -349,7 +366,7 @@ def run(problem, schedule, x0, y0, stop=None, delta_ref=None):
         if active:
             ok = True
             if stop.dual_rel_change is not None:
-                ok = ok and dual_change <= stop.dual_rel_change
+                ok = ok and state.k > 1 and dual_change <= stop.dual_rel_change
             if y_avg is not None:
                 ok = ok and (
                     y_erg_prev is not None

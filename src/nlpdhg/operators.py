@@ -39,6 +39,16 @@ class PowerIterationError(RuntimeError):
         self.last_estimate = last_estimate
 
 
+def _check_finite(a, name):
+    """Raise unless every entry of ``a`` is finite. A finite sum proves that
+    in one pass with no temporary; only a finite matrix whose sum overflows
+    needs the entrywise scan."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = a.sum()
+    if not (math.isfinite(total) or np.isfinite(a).all()):
+        raise ValueError(f"{name} contains NaN or Inf entries")
+
+
 class DenseOperator:
     """A dense m x n matrix with apply/adjoint actions."""
 
@@ -48,8 +58,7 @@ class DenseOperator:
             raise ValueError(f"matrix must be 2-d, got shape {a.shape}")
         if a.size == 0:
             raise ValueError("empty operator")
-        if not np.all(np.isfinite(a)):
-            raise ValueError("matrix contains NaN or Inf entries")
+        _check_finite(a, "matrix")
         self.matrix = a
         self._matrix_t = a.T
         self.rows, self.cols = a.shape
@@ -87,8 +96,7 @@ class ScaledConcat:
         b = np.asarray(base, dtype=float)
         if b.ndim != 2 or b.size == 0:
             raise ValueError(f"base must be a non-empty 2-d matrix, got shape {b.shape}")
-        if not np.all(np.isfinite(b)):
-            raise ValueError("base contains NaN or Inf entries")
+        _check_finite(b, "base")
         if not (np.isfinite(scale) and scale > 0):
             raise ValueError(f"scale must be a positive real, got {scale}")
         self.base = b
@@ -148,6 +156,8 @@ def norm_2_2(op, tol=1e-10, max_iters=5000):
     """
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
+    if not max_iters >= 1:
+        raise ValueError(f"max_iters must be at least 1, got {max_iters}")
     n = op.cols
     v = np.full(n, 1.0 / np.sqrt(n))
     rho_prev = None

@@ -27,6 +27,15 @@ def shrink1_reference(x, beta):
     return np.sign(x) * np.maximum(np.abs(x) - beta, 0.0)
 
 
+def sigmoid_reference(w):
+    """Both logistic branches over the whole vector, picked by sign with
+    ``np.where``; ``bregman.sigmoid`` must agree with it bit for bit."""
+    w = np.asarray(w, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ew = np.exp(w)
+        return np.where(w >= 0, 1.0 / (1.0 + np.exp(-w)), ew / (1.0 + ew))
+
+
 def rel_change_reference(new, old):
     """||new - old|| / ||new|| (plain ||new - old|| when new = 0) through
     ``np.linalg.norm``; ``engine._rel_change`` must agree bit for bit."""

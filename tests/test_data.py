@@ -1,5 +1,7 @@
 """Seeded data generators: determinism, planted structure, distributions."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,22 @@ class TestLogRegData:
         B, v, labels = gen_logreg_data(200, 50, 1, noise=0.0)
         u = -labels[:, None] * B
         assert np.array_equal(labels, np.where(u @ v >= 0, 1.0, -1.0))
+
+    @pytest.mark.parametrize(
+        "m, d, seed, digest",
+        [
+            (500, 2000, 0, "b1984b876eff85bc"),
+            (10, 6, 4, "099d5a4b6919addf"),
+            (7, 3, 1, "d748be3e6d9f4675"),
+            (1, 1, 2, "d792ca5b2aabd39d"),
+        ],
+    )
+    def test_matrix_bytes_pinned(self, m, d, seed, digest):
+        """B's bytes, pinned by SHA-256 prefix, stay those of the fresh
+        product -labels[:, None] * features."""
+        B, _, _ = gen_logreg_data(m, d, seed)
+        assert B.dtype == np.float64 and B.flags.c_contiguous
+        assert hashlib.sha256(B.tobytes()).hexdigest()[:16] == digest
 
     def test_bitwise_determinism(self):
         B1, v1, l1 = gen_logreg_data(30, 40, 7)

@@ -14,7 +14,8 @@ from nlpdhg.engine import (
     run,
     step,
 )
-from nlpdhg.problems import solve_l1_logreg, solve_lasso, solve_matrix_game
+from nlpdhg.data import gen_logreg_data
+from nlpdhg.problems import L1LogRegProblem, solve_l1_logreg, solve_lasso, solve_matrix_game
 from nlpdhg.problems.quadratic import QuadraticSaddleProblem
 from nlpdhg.schedules import (
     AccDualSchedule,
@@ -248,6 +249,18 @@ class TestRun:
         with pytest.raises(ValueError, match="residual_tol"):
             StoppingRule.from_stop_on("both", 1e-3, 50, residual_fn=lambda x, y: 0.0)
 
+    def test_regular_stop_waits_for_a_second_iterate(self):
+        """From the barycentre, A x0 = 0 and the first acc-dual step leaves y
+        at the box centre: its relative dual change is exactly 0, which must
+        not stop the solve at k = 1."""
+        prob = L1LogRegProblem(gen_logreg_data(30, 40, 0)[0], 5.0)
+        regular = solve_l1_logreg(prob, stop_on="regular")
+        both = solve_l1_logreg(prob, stop_on="both")
+        assert regular.residual_trace[0].tolist() == [1.0, 0.0]
+        assert regular.converged and regular.k > 1
+        assert regular.residual_trace[-1][1] <= 1e-4
+        assert regular.k <= both.k
+
     def test_max_iters_flagged_not_raised(self):
         prob = one_d_game()
         sched = ConstantSchedule(0.5, 0.5, prob.op_norm)
@@ -272,6 +285,8 @@ class TestRun:
         }
         assert payload["k"] == 5
         assert len(payload["residual_trace"]) == 5
+        assert [k for k, _ in payload["residual_trace"]] == [1, 2, 3, 4, 5]
+        assert all(type(k) is int and type(v) is float for k, v in payload["residual_trace"])
 
     def test_delta_recording(self):
         prob = random_game(9)

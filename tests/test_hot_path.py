@@ -7,8 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from _oracles import rel_change_reference, shrink1_reference, softmax_reference
-from nlpdhg.bregman import softmax
+from _oracles import (
+    rel_change_reference,
+    shrink1_reference,
+    sigmoid_reference,
+    softmax_reference,
+)
+from nlpdhg.bregman import sigmoid, softmax
 from nlpdhg.data import gen_game_data, gen_lasso_data, gen_logreg_data
 from nlpdhg.engine import _norm, _rel_change
 from nlpdhg.operators import DenseOperator, ScaledConcat
@@ -42,6 +47,22 @@ def test_softmax_matches_reference_at_constant_inputs(c, n):
     t = np.full(n, c)
     assert same_bits(softmax(t), softmax_reference(t))
     assert same_bits(softmax(t), np.full(n, 1.0 / n))
+
+
+@given(vectors)
+@settings(max_examples=200, deadline=None)
+def test_sigmoid_matches_reference(w):
+    assert same_bits(sigmoid(w), sigmoid_reference(w))
+
+
+def test_sigmoid_takes_integer_and_list_input():
+    """Integer input is converted to float, not cut to an integer result,
+    and a list is taken like the array it names."""
+    ints = np.array([0, 1, -2, 40, -800])
+    want = sigmoid_reference(ints.astype(float))
+    assert same_bits(sigmoid(ints), want)
+    assert same_bits(sigmoid(ints.tolist()), want)
+    assert sigmoid(ints)[0] == 0.5 and 0.0 < sigmoid(ints)[2] < 0.5
 
 
 @st.composite

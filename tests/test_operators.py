@@ -111,6 +111,16 @@ class TestNorms:
             norm_2_2(DenseOperator(A), tol=1e-10, max_iters=2)
         assert exc.value.last_estimate > 0
 
+    @pytest.mark.parametrize("max_iters", [0, -3])
+    def test_norm_2_2_rejects_max_iters_below_one(self, max_iters):
+        with pytest.raises(ValueError, match="max_iters must be at least 1"):
+            norm_2_2(DenseOperator(np.eye(3)), max_iters=max_iters)
+
+    def test_norm_2_2_single_iteration_cap(self):
+        with pytest.raises(PowerIterationError) as exc:
+            norm_2_2(DenseOperator(np.diag([3.0, 1.0])), max_iters=1)
+        assert exc.value.last_estimate > 0
+
     def test_norm_equivalence_chain(self):
         """norm_1_2 <= norm_2_2 <= sqrt(n) * norm_1_2 on random matrices."""
         rng = np.random.default_rng(5)

@@ -2,14 +2,17 @@
 
     python3 tools/bench_summary.py --topic game --claim game-swarm \
         --parent PARENT/perfbench/results --change CHANGE/perfbench/results \
-        --out BENCH_game.json
+        --out BENCH_game.json [--metric best_solves_per_s]
 
 PARENT and CHANGE are two checkouts on which ``perfbench/run.py`` ran with
 the same workloads, seeds and ``--seconds``. Every record the two results
 directories share (``<workload>-seed<N>-trace<T>.json``) becomes one pair.
 For each workload, untraced pairs give each end-to-end metric's per-run
 values, the median and quartiles of each side, and how many pairs the change
-won; traced pairs give the per-layer metrics side by side.
+won; traced pairs give the per-layer metrics side by side. The claim is
+that ``--metric`` (an end-to-end metric, ``best_solves_per_s`` by default)
+improves on the ``--claim`` workload, in the direction ``HIGHER_IS_BETTER``
+gives it.
 """
 
 from __future__ import annotations
@@ -69,7 +72,13 @@ def summarise(pairs):
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--topic", required=True)
-    ap.add_argument("--claim", required=True, help="workload whose best_solves_per_s is claimed")
+    ap.add_argument("--claim", required=True, help="workload whose --metric is claimed")
+    ap.add_argument(
+        "--metric",
+        default="best_solves_per_s",
+        choices=tuple(HIGHER_IS_BETTER),
+        help="end-to-end metric the claim is about",
+    )
     ap.add_argument("--parent", required=True)
     ap.add_argument("--change", required=True)
     ap.add_argument("--out", required=True)
@@ -96,7 +105,8 @@ def main(argv=None):
             for side in ("parent", "change")
         }
 
-    claim = workloads[args.claim]["end_to_end"]["best_solves_per_s"]
+    claim = workloads[args.claim]["end_to_end"][args.metric]
+    sign = 1.0 if HIGHER_IS_BETTER[args.metric] else -1.0
     bench = {
         "topic": args.topic,
         "regenerate": [
@@ -104,15 +114,16 @@ def main(argv=None):
             "run each workload's 'command' below in PARENT and in CHANGE, one pair at a"
             " time, alternating which side runs first",
             f"python3 tools/bench_summary.py --topic {args.topic} --claim {args.claim}"
+            f" --metric {args.metric}"
             f" --parent PARENT/perfbench/results --change CHANGE/perfbench/results"
             f" --out BENCH_{args.topic}.json",
         ],
         "claim": {
             "workload": args.claim,
-            "metric": "best_solves_per_s",
+            "metric": args.metric,
             "holds": claim["change_wins"] >= 0.9 * claim["pairs"]
             and claim["medians_differ_by_more_than_parent_iqr"]
-            and claim["median_change_rel"] > 0,
+            and sign * claim["median_change_rel"] > 0,
         },
         "workloads": workloads,
     }
