@@ -37,7 +37,7 @@ rep = run(
     ConstantSchedule(tau, sigma, prob.op_norm),
     x0,
     y0,
-    StoppingRule(max_iters=20000, dual_rel_change=1e-8, ergodic_dual_rel_change=1e-8),
+    StoppingRule(max_iters=20000, tol=1e-8),
 )
 print(f"\nbasic method   : {rep.k:6d} iterations, "
       f"|x - x*| = {np.linalg.norm(rep.x - x_star):.2e}")
@@ -48,7 +48,7 @@ rep = run(
     AccPrimalSchedule(prob.gamma_g, prob.op_norm),
     x0,
     y0,
-    StoppingRule(max_iters=20000, dual_rel_change=1e-8, ergodic_dual_rel_change=1e-8),
+    StoppingRule(max_iters=20000, tol=1e-8),
 )
 print(f"accel primal   : {rep.k:6d} iterations, "
       f"|x - x*| = {np.linalg.norm(rep.x - x_star):.2e}")

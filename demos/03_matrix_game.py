@@ -11,6 +11,7 @@ import time
 import numpy as np
 
 from nlpdhg.baselines import solve_game_omwu, solve_game_pu
+from nlpdhg.bregman import softmax
 from nlpdhg.data import gen_game_data
 from nlpdhg.problems import MatrixGameProblem, game_optimality_residual, solve_matrix_game
 
@@ -41,7 +42,5 @@ for name in ("PU", "OMWU"):
     print(f"l1 distance nonlinear PDHG <-> {name}: {gap:.2e}")
 
 # The equilibrium is a softmax fixed point in both directions.
-z = prob.operator.apply(ref.x) / prob.lam
-soft = np.exp(z - z.max())
-soft /= soft.sum()
+soft = softmax(prob.operator.apply(ref.x) / prob.lam)
 print("max |y - softmax(Ax/lam)|:", f"{np.max(np.abs(ref.y - soft)):.2e}")

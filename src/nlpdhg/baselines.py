@@ -158,12 +158,12 @@ def solve_linear_pdhg_logreg(problem, tol=1e-4, max_iters=50000, stop_on="both")
     warm-started across iterations), then an exact l1-ball projection. The
     schedule is the accelerated dual recurrence driven by gamma = 4m and the
     largest singular value of B, whose power-iteration cost is part of the
-    reported wall time. Stops per ``StoppingRule.from_stop_on``.
+    reported wall time. Stops per ``StoppingRule(max_iters, tol, stop_on)``.
     """
     t0 = time.perf_counter()
     B = problem.B
     m, d = B.shape
-    stop = StoppingRule.from_stop_on(stop_on, tol, max_iters)
+    stop = StoppingRule(max_iters, tol, stop_on)
     nrm = norm_2_2(DenseOperator(B))
     schedule = AccDualSchedule(4.0 * m, nrm, tau0=2.0 * m / nrm**2)
 
@@ -255,12 +255,12 @@ def solve_linear_pdhg_game(problem, tol=1e-4, max_iters=50000, stop_on="both", s
     Uses the linear-rate parameters computed from the largest singular value
     of the payoff matrix, applied y-first; both entropic proxes are evaluated
     through their conjugates with warm-started inner forward-backward solves.
-    Stops per ``StoppingRule.from_stop_on``.
+    Stops per ``StoppingRule(max_iters, tol, stop_on)``.
     """
     t0 = time.perf_counter()
     A = problem.payoff
     lam = problem.lam
-    stop = StoppingRule.from_stop_on(stop_on, tol, max_iters)
+    stop = StoppingRule(max_iters, tol, stop_on)
     params = linear_rate_params(lam, lam, norm_2_2(DenseOperator(A)))
     schedule = LinearRateSchedule(*params, order="y-first")
 

@@ -219,8 +219,7 @@ class BinaryEntropyAverage(BregmanGeometry):
     def gradient(self, y):
         """Componentwise logit of m*y, times the scale factor."""
         y = self._check(y, "y", interior=True)
-        s = self.m * y
-        return self.scale * np.log(s / (1.0 - s))
+        return self.scale * logit(self.m * y)
 
     def divergence(self, y, y_bar):
         y = self._check(y, "y", interior=False)

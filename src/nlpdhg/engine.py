@@ -3,15 +3,16 @@
 A problem supplies two Bregman proximal maps and a linear operator; a
 schedule supplies the step sizes and names its update order (overrelaxed,
 x-first or y-first). ``step`` carries out one iteration in that order;
-``run`` repeats it and tracks ergodic averages, a residual trace, and an
-optional Lyapunov diagnostic (``delta_diag``). Besides the problem's data, a
-run holds O(m + n) state and a trace of 16 bytes per iteration: the (k,
-value) pairs go into one flat ``array('d')`` that the report views as a
-(K, 2) float64 array without copying.
+``run`` repeats it until a ``StoppingRule`` fires (one ``tol``; ``stop_on``
+or a ``residual_fn`` says what it bounds) and tracks ergodic averages, a
+residual trace, and an optional Lyapunov diagnostic (``delta_diag``).
+Besides the problem's data, a run holds O(m + n) state and a trace of 16
+bytes per iteration: the (k, value) pairs go into one flat ``array('d')``
+that the report views as a (K, 2) float64 array without copying.
 ``run`` is the one iteration loop of every PDHG solver. ``solve`` runs it on
 a worked problem, which names its own start point (``default_init``) and
 schedule (``schedule()``); the Euclidean (linear) PDHG baselines build
-theirs and call ``run`` directly.
+theirs and their ``StoppingRule`` and call ``run`` directly.
 
 A solve run is single-threaded and deterministic; problems, schedules and
 reports can move freely between threads, and independent solves may run
@@ -135,46 +136,28 @@ class ErgodicAccumulator:
 
 @dataclass
 class StoppingRule:
-    """Conjunction of convergence criteria, checked after every iteration.
+    """When ``run`` stops, checked after every iteration.
 
-    Criteria left at ``None`` are inactive; the rule fires when every active
-    criterion holds simultaneously. ``max_iters`` alone never marks a run as
-    converged. Relative changes compare l2 norms, e.g.
-    ||y_{k+1} - y_k|| <= tol * ||y_{k+1}||.
+    ``max_iters`` caps the run and never marks it converged; with ``tol``
+    left at None nothing else stops it. With ``tol`` set, ``stop_on`` picks
+    the test: "regular" bounds the relative dual change,
+    ||y_{k+1} - y_k|| <= tol * ||y_{k+1}|| (from k = 2 on), "ergodic" the
+    same change of the ergodic dual average, and "both" requires both. A
+    ``residual_fn(x, y)`` replaces those tests: the rule fires once the
+    residual is at most ``tol``, and the trace records the residual instead
+    of the dual change.
     """
 
     max_iters: int = 10000
-    dual_rel_change: float | None = None
-    ergodic_dual_rel_change: float | None = None
+    tol: float | None = None
+    stop_on: str = "both"
     residual_fn: object = None
-    residual_tol: float | None = None
 
-    @classmethod
-    def from_stop_on(cls, stop_on, tol, max_iters, residual_fn=None, residual_tol=None):
-        """The rule behind the worked solvers' ``stop_on`` argument.
-
-        "regular" bounds the relative dual change by ``tol``, "ergodic" the
-        relative change of the ergodic dual average, and "both" requires
-        both. A ``residual_fn`` replaces them: the rule then fires once the
-        residual is at most ``residual_tol``, whatever ``stop_on`` says.
-        """
-        if residual_fn is not None:
-            if residual_tol is None:
-                raise ValueError("residual_fn needs a residual_tol to stop on")
-            return cls(max_iters=max_iters, residual_fn=residual_fn, residual_tol=residual_tol)
-        if stop_on not in ("regular", "ergodic", "both"):
-            raise ValueError(f"stop_on must be 'regular', 'ergodic' or 'both', got {stop_on!r}")
-        return cls(
-            max_iters=max_iters,
-            dual_rel_change=None if stop_on == "ergodic" else tol,
-            ergodic_dual_rel_change=None if stop_on == "regular" else tol,
-        )
-
-    def active(self):
-        return any(
-            v is not None
-            for v in (self.dual_rel_change, self.ergodic_dual_rel_change, self.residual_tol)
-        )
+    def __post_init__(self):
+        if self.stop_on not in ("regular", "ergodic", "both"):
+            raise ValueError(
+                f"stop_on must be 'regular', 'ergodic' or 'both', got {self.stop_on!r}"
+            )
 
 
 def _norm(v):
@@ -317,14 +300,16 @@ def delta_diag(problem, state, schedule, x_ref, y_ref):
 
 
 def run(problem, schedule, x0, y0, stop=None, delta_ref=None):
-    """Iterate until the stopping rule fires or max_iters is exhausted.
+    """Iterate until the stopping rule ``stop`` fires or its max_iters is
+    exhausted; the default ``StoppingRule()`` only caps the iterations.
 
-    ``delta_ref``, when given as a pair (x_ref, y_ref), records
-    ``delta_diag`` at every iterate (this costs extra divergence
-    evaluations per step, so it is opt-in). Exhausting max_iters flags the
-    report as non-converged; a non-finite iterate raises. The dual-change
-    criterion waits for k = 2: a first step that leaves y at its start point
-    says nothing about convergence.
+    The trace records the rule's residual when it has a ``residual_fn`` and
+    the relative dual change otherwise. ``delta_ref``, when given as a pair
+    (x_ref, y_ref), records ``delta_diag`` at every iterate (this costs
+    extra divergence evaluations per step, so it is opt-in). Exhausting
+    max_iters flags the report as non-converged; a non-finite iterate
+    raises. The regular dual-change test waits for k = 2: a first step that
+    leaves y at its start point says nothing about convergence.
     """
     if stop is None:
         stop = StoppingRule()
@@ -332,8 +317,10 @@ def run(problem, schedule, x0, y0, stop=None, delta_ref=None):
     acc = ErgodicAccumulator(state.x.shape[0], state.y.shape[0])
     deltas = [] if delta_ref is not None else None
     trace = array("d")
-    active = stop.active()
-    track_dual = stop.residual_fn is None or stop.dual_rel_change is not None
+    tol, residual_fn = stop.tol, stop.residual_fn
+    dual_tests = tol is not None and residual_fn is None
+    regular = dual_tests and stop.stop_on != "ergodic"
+    ergodic = dual_tests and stop.stop_on != "regular"
     t_start = time.perf_counter()
     converged = False
     y_erg_prev = None
@@ -351,31 +338,23 @@ def run(problem, schedule, x0, y0, stop=None, delta_ref=None):
             raise RuntimeError(f"non-finite iterate at k={state.k}")
         acc.add(x, y, growth)
 
-        dual_change = _rel_change(y, state.y_prev, y_norm) if track_dual else None
-        if stop.residual_fn is not None:
-            monitored = float(stop.residual_fn(x, y))
+        if residual_fn is not None:
+            monitored = float(residual_fn(x, y))
         else:
-            monitored = dual_change
+            monitored = _rel_change(y, state.y_prev, y_norm)
         trace.append(state.k)
         trace.append(monitored)
         if deltas is not None:
             deltas.append((state.k, delta_diag(problem, state, schedule, *delta_ref)))
 
         # Averages are fresh arrays, so the previous one needs no copy.
-        y_avg = acc.y_avg if stop.ergodic_dual_rel_change is not None else None
-        if active:
-            ok = True
-            if stop.dual_rel_change is not None:
-                ok = ok and state.k > 1 and dual_change <= stop.dual_rel_change
-            if y_avg is not None:
-                ok = ok and (
-                    y_erg_prev is not None
-                    and _rel_change(y_avg, y_erg_prev) <= stop.ergodic_dual_rel_change
-                )
-            if stop.residual_tol is not None:
-                ok = ok and monitored <= stop.residual_tol
-            if ok:
-                converged = True
+        y_avg = acc.y_avg if ergodic else None
+        if residual_fn is not None:
+            converged = tol is not None and monitored <= tol
+        elif dual_tests:
+            converged = (not regular or (state.k > 1 and monitored <= tol)) and (
+                not ergodic or (y_erg_prev is not None and _rel_change(y_avg, y_erg_prev) <= tol)
+            )
         y_erg_prev = y_avg
         if converged:
             break
@@ -403,16 +382,16 @@ def solve(
     tol=1e-4,
     max_iters=100000,
     residual_fn=None,
-    residual_tol=None,
     stop_on="both",
     seed=0,
 ):
     """Run a worked problem on its own ``schedule()``.
 
     A missing x0 or y0 comes from ``problem.default_init(seed)``. Stops per
-    ``StoppingRule.from_stop_on``: by default once the relative dual change
-    and its ergodic counterpart are both at most ``tol``.
+    ``StoppingRule(max_iters, tol, stop_on, residual_fn)``: by default once
+    the relative dual change and its ergodic counterpart are both at most
+    ``tol``, or, given a ``residual_fn``, once the residual is.
     """
     x0, y0 = start_point(problem, x0, y0, problem.default_init(seed))
-    stop = StoppingRule.from_stop_on(stop_on, tol, max_iters, residual_fn, residual_tol)
+    stop = StoppingRule(max_iters, tol, stop_on, residual_fn)
     return run(problem, problem.schedule(), x0, y0, stop)

@@ -62,6 +62,8 @@ class LassoProblem(SaddleProblem):
         self.b = b
         self.lam = float(lam)
         self.op_norm = float(np.sqrt(np.max(self.operator.row_norms_sq())))
+        if self.op_norm == 0.0:
+            raise ValueError("A has operator norm 0 (all zeros): no step size exists")
         self.geom_x = Quadratic(1.0)
         self.geom_y = Quadratic(float(self.m))
         self.gamma_h_star = 1.0

@@ -57,6 +57,8 @@ class L1LogRegProblem(SaddleProblem):
         self.n = 2 * self.d
         self.operator = ScaledConcat(B, self.lam)
         self.op_norm = norm_1_2(self.operator)
+        if self.op_norm == 0.0:
+            raise ValueError("B has operator norm 0 (all zeros): no step size exists")
         self.geom_x = NegativeEntropy(self.n)
         self.geom_y = BinaryEntropyAverage(self.m)
         self.gamma_h_star = 4.0 * self.m

@@ -83,15 +83,14 @@ class AccPrimalSchedule:
 
     sigma0 defaults to gamma_g / (2 ||A||^2), the choice maximizing the K^2
     coefficient in the lower bound on the weight sum T_K. tau0 is pinned to
-    1/(||A||^2 sigma0). theta0 = 1 by default; theta0 = 0 (no extrapolation
-    on the first step) is also accepted.
+    1/(||A||^2 sigma0). theta starts at 1: the first step extrapolates fully.
     """
 
     regime = "acc-primal"
     order = "x-first"
     history_weight = 1.0
 
-    def __init__(self, gamma_g, op_norm, sigma0=None, theta0=1.0):
+    def __init__(self, gamma_g, op_norm, sigma0=None):
         if not gamma_g > 0:
             raise ValueError(f"the accelerated primal regime requires gamma_g > 0, got {gamma_g}")
         if not op_norm > 0:
@@ -100,12 +99,10 @@ class AccPrimalSchedule:
             sigma0 = gamma_g / (2.0 * op_norm**2)
         if not sigma0 > 0:
             raise ValueError(f"sigma0 must be positive, got {sigma0}")
-        if not 0.0 <= theta0 <= 1.0:
-            raise ValueError(f"theta0 must lie in [0, 1], got {theta0}")
         self.gamma = float(gamma_g)
         self.sigma = float(sigma0)
         self.tau = 1.0 / (op_norm**2 * sigma0)
-        self.theta = float(theta0)
+        self.theta = 1.0
         self.sigma0 = float(sigma0)
         self.tau0 = self.tau
         self.k = 0
@@ -126,15 +123,15 @@ class AccDualSchedule:
     """Mirror of the accelerated primal schedule, driven by gamma_h_star.
 
     tau0 is free (default gamma_h_star / (2 ||A||^2) by symmetry with the
-    primal regime); sigma0 is pinned to 1/(||A||^2 tau0). theta0 defaults
-    to 0 (no extrapolation on the first step).
+    primal regime); sigma0 is pinned to 1/(||A||^2 tau0). theta starts at 0:
+    the first step does not extrapolate.
     """
 
     regime = "acc-dual"
     order = "y-first"
     history_weight = 1.0
 
-    def __init__(self, gamma_h_star, op_norm, tau0=None, theta0=0.0):
+    def __init__(self, gamma_h_star, op_norm, tau0=None):
         if not gamma_h_star > 0:
             raise ValueError(
                 f"the accelerated dual regime requires gamma_h_star > 0, got {gamma_h_star}"
@@ -145,12 +142,10 @@ class AccDualSchedule:
             tau0 = gamma_h_star / (2.0 * op_norm**2)
         if not tau0 > 0:
             raise ValueError(f"tau0 must be positive, got {tau0}")
-        if not 0.0 <= theta0 <= 1.0:
-            raise ValueError(f"theta0 must lie in [0, 1], got {theta0}")
         self.gamma = float(gamma_h_star)
         self.tau = float(tau0)
         self.sigma = 1.0 / (op_norm**2 * tau0)
-        self.theta = float(theta0)
+        self.theta = 0.0
         self.tau0 = float(tau0)
         self.sigma0 = self.sigma
         self.k = 0

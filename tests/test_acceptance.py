@@ -201,7 +201,7 @@ def test_criterion_05_logreg_optimality():
     rep = solve_l1_logreg(
         prob,
         residual_fn=lambda x, y: l1logreg_dual_residual(prob, x, y),
-        residual_tol=9e-5,
+        tol=9e-5,
         max_iters=100000,
     )
     resid = l1logreg_dual_residual(prob, rep.x, rep.y)
@@ -243,7 +243,7 @@ def test_criterion_07_lasso_oracle_equivalence():
         rep = solve_lasso(
             prob,
             residual_fn=lambda x, y: lasso_optimality_residual(prob, x, y),
-            residual_tol=9e-6,
+            tol=9e-6,
             max_iters=400000,
         )
         x_fb = prox_gradient_lasso(A, b, lam, tol=1e-10)

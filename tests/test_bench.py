@@ -122,3 +122,15 @@ class TestRunExperiment:
         good = [r for r in rows if r.solver == "fista"]
         assert good[0].converged and good[0].error == ""
         assert rows_from_csv(rows_to_csv(bad))[0].error == bad[0].error
+
+    def test_all_zero_matrix_lands_in_rows(self, monkeypatch):
+        from nlpdhg import bench
+
+        def zero_data(m, n, sparsity, noise, seed):
+            return np.zeros((m, n)), np.ones(m), np.zeros(n)
+
+        monkeypatch.setattr(bench, "gen_lasso_data", zero_data)
+        rows = run_experiment(small_spec(reps=1))
+        assert rows and all(not r.converged for r in rows)
+        want = "ValueError: A has operator norm 0 (all zeros): no step size exists"
+        assert {r.error for r in rows} == {want}

@@ -1,0 +1,126 @@
+"""tools/bench_summary.py on synthetic perfbench records."""
+
+import json
+import shlex
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "tools"))
+
+import bench_summary  # noqa: E402
+
+
+def write_record(directory, workload, seed, metrics, failed=0, rounds=10, trace=0):
+    directory.mkdir(parents=True, exist_ok=True)
+    rec = {
+        "workload": workload,
+        "seed": seed,
+        "trace": trace,
+        "seconds": 40.0,
+        "provenance": {"git_commit": "0" * 40},
+        "metrics": {name: {"value": v} for name, v in metrics.items()},
+        "rounds": [{"ok": i >= failed} for i in range(rounds)],
+    }
+    (directory / f"{workload}-seed{seed}-trace{trace}.json").write_text(json.dumps(rec))
+
+
+def metrics(rate, setup=0.03, rss=50.0):
+    return {"best_solves_per_s": rate, "setup_s": setup, "peak_rss_mb": rss}
+
+
+def summarise(tmp_path, parent_metrics, change_metrics, parent_failed=0, change_failed=0,
+              metric="best_solves_per_s"):
+    for seed, (p, c) in enumerate(zip(parent_metrics, change_metrics)):
+        failed = (parent_failed, change_failed) if seed == 0 else (0, 0)
+        write_record(tmp_path / "parent", "game-swarm", seed, p, failed[0])
+        write_record(tmp_path / "change", "game-swarm", seed, c, failed[1])
+    out = tmp_path / "BENCH_t.json"
+    bench_summary.main([
+        "--topic", "t", "--claim", "game-swarm", "--metric", metric,
+        "--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
+        "--out", str(out),
+    ])
+    return json.loads(out.read_text())
+
+
+PARENT = [metrics(100.0 + i) for i in range(10)]
+FASTER = [metrics(130.0 + i) for i in range(10)]
+
+
+def test_directions_come_from_the_benchmark_file():
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    want = {m["name"]: m["better"] == "higher" for m in spec["end_to_end"]}
+    assert bench_summary.HIGHER_IS_BETTER == want
+    assert want == {"best_solves_per_s": True, "setup_s": False, "peak_rss_mb": False}
+
+
+def test_directions_read_any_benchmark_file(tmp_path):
+    path = tmp_path / "BENCHMARK.json"
+    path.write_text(json.dumps({"end_to_end": [
+        {"name": "a", "better": "lower"}, {"name": "b", "better": "higher"},
+    ]}))
+    assert bench_summary.directions(path) == {"a": False, "b": True}
+    path.write_text(json.dumps({"end_to_end": [{"name": "a", "better": "faster"}]}))
+    with pytest.raises(ValueError, match="'better'"):
+        bench_summary.directions(path)
+
+
+def test_clear_gain_holds(tmp_path):
+    bench = summarise(tmp_path, PARENT, FASTER)
+    assert bench["claim"] == {"workload": "game-swarm", "metric": "best_solves_per_s",
+                              "holds": True}
+    e2e = bench["workloads"]["game-swarm"]["end_to_end"]["best_solves_per_s"]
+    assert (e2e["change_wins"], e2e["pairs"]) == (10, 10)
+    assert "--metric best_solves_per_s" in bench["regenerate"][-1]
+
+
+def test_gain_with_more_failed_solves_does_not_hold(tmp_path):
+    bench = summarise(tmp_path, PARENT, FASTER, parent_failed=1, change_failed=2)
+    assert bench["workloads"]["game-swarm"]["failed"] == {"parent": 1, "change": 2}
+    assert bench["claim"]["holds"] is False
+
+
+def test_gain_with_as_many_failed_solves_holds(tmp_path):
+    bench = summarise(tmp_path, PARENT, FASTER, parent_failed=2, change_failed=2)
+    assert bench["claim"]["holds"] is True
+
+
+def test_lower_is_better_metric(tmp_path):
+    smaller = [metrics(100.0 + i, rss=40.0 + 0.01 * i) for i in range(10)]
+    bench = summarise(tmp_path, PARENT, smaller, metric="peak_rss_mb")
+    assert bench["claim"]["holds"] is True
+    bench = summarise(tmp_path, smaller, PARENT, metric="peak_rss_mb")
+    assert bench["claim"]["holds"] is False
+
+
+def test_change_inside_parent_spread_does_not_hold(tmp_path):
+    noisy = [metrics(100.0 + 10 * i) for i in range(10)]
+    nudged = [metrics(101.0 + 10 * i) for i in range(10)]
+    bench = summarise(tmp_path, noisy, nudged)
+    e2e = bench["workloads"]["game-swarm"]["end_to_end"]["best_solves_per_s"]
+    assert e2e["change_wins"] == 10
+    assert bench["claim"]["holds"] is False
+
+
+@pytest.mark.parametrize("name", ["BENCH_game.json", "BENCH_memory.json"])
+def test_committed_regenerate_command_runs(tmp_path, name):
+    committed = json.loads((ROOT / name).read_text())
+    argv = shlex.split(committed["regenerate"][-1])
+    assert argv[:2] == ["python3", "tools/bench_summary.py"]
+    argv = [
+        a.replace("PARENT", str(tmp_path / "p")).replace("CHANGE", str(tmp_path / "c"))
+        for a in argv[2:]
+    ]
+    argv[argv.index("--out") + 1] = str(tmp_path / name)
+    workload = committed["claim"]["workload"]
+    for seed in range(3):
+        write_record(tmp_path / "p" / "perfbench" / "results", workload, seed, PARENT[seed])
+        write_record(tmp_path / "c" / "perfbench" / "results", workload, seed, FASTER[seed])
+    bench_summary.main(argv)
+    rebuilt = json.loads((tmp_path / name).read_text())
+    assert {k: rebuilt["claim"][k] for k in ("workload", "metric")} == {
+        k: committed["claim"][k] for k in ("workload", "metric")
+    }

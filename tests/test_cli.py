@@ -164,3 +164,23 @@ def test_solve_rejects_negative_lambda(tmp_path):
     meta = json.loads((fix / "meta.json").read_text())
     (fix / "meta.json").write_text(json.dumps({**meta, "lambda": -1}))
     assert _solve_exit_message(fix) == "solve: lam must be positive, got -1"
+
+
+@pytest.mark.parametrize(
+    "kind, method, name",
+    [
+        ("lasso", "nonlinear-pdhg", "A"),
+        ("lasso", "fista", "A"),
+        ("logreg", "nonlinear-pdhg", "B"),
+        ("logreg", "linear-pdhg", "B"),
+        ("logreg", "fb-splitting", "B"),
+    ],
+)
+def test_solve_rejects_all_zero_matrix(tmp_path, kind, method, name):
+    fix = tmp_path / "fix"
+    size = ["--d", "4"] if kind == "logreg" else ["--n", "4", "--sparsity", "2"]
+    main(["gen-data", "--kind", kind, "--m", "3", *size, "--out", str(fix)])
+    (fix / "matrix.csv").write_text("0,0,0,0\n" * 3)
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--problem", str(fix), "--method", method])
+    assert str(exc.value) == f"solve: {name} has operator norm 0 (all zeros): no step size exists"

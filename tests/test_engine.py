@@ -78,11 +78,11 @@ class TestStepAccelerated:
         np.testing.assert_allclose(st.y, ys, atol=1e-10)
 
     def test_acc_dual_zero_theta_first_step(self):
-        """theta0 = 0 means the first dual prox sees A x0 unextrapolated."""
+        """theta starts at 0, so the first dual prox sees A x0 unextrapolated."""
         prob = random_game(2)
         x0 = np.zeros(prob.operator.cols)
         y0 = np.zeros(prob.operator.rows)
-        sched = AccDualSchedule(prob.gamma_h_star, prob.op_norm, theta0=0.0)
+        sched = AccDualSchedule(prob.gamma_h_star, prob.op_norm)
         st = step(prob, IterateState.initial(x0, y0), sched)
         expect = prob.dual_prox(x0, y0, sched.sigma0)
         np.testing.assert_allclose(st.y, expect, rtol=1e-14)
@@ -194,7 +194,7 @@ class TestRun:
     def test_converges_on_one_d_game(self):
         prob = one_d_game()
         sched = ConstantSchedule(0.5, 0.5, prob.op_norm)
-        stop = StoppingRule(max_iters=20000, dual_rel_change=1e-4, ergodic_dual_rel_change=1e-4)
+        stop = StoppingRule(max_iters=20000, tol=1e-4)
         rep = run(prob, sched, np.array([1.0]), np.array([1.0]), stop)
         assert rep.converged
         assert abs(rep.x[0]) < 1e-2 and abs(rep.y[0]) < 1e-2
@@ -240,14 +240,65 @@ class TestRun:
             run(prob, sched, np.array([1.0, 1.0]), np.array([1.0]), StoppingRule(max_iters=2))
 
     def test_stop_on_rules(self):
-        rule = StoppingRule.from_stop_on("ergodic", 1e-3, 50)
-        assert (rule.max_iters, rule.dual_rel_change, rule.ergodic_dual_rel_change) == (
-            50, None, 1e-3,
+        rule = StoppingRule()
+        assert (rule.max_iters, rule.tol, rule.stop_on, rule.residual_fn) == (
+            10000, None, "both", None,
+        )
+        assert StoppingRule(50, 1e-3, "ergodic") == StoppingRule(
+            max_iters=50, tol=1e-3, stop_on="ergodic"
         )
         with pytest.raises(ValueError, match="stop_on"):
-            StoppingRule.from_stop_on("sometimes", 1e-3, 50)
-        with pytest.raises(ValueError, match="residual_tol"):
-            StoppingRule.from_stop_on("both", 1e-3, 50, residual_fn=lambda x, y: 0.0)
+            StoppingRule(50, 1e-3, "sometimes")
+
+    def test_unknown_stop_on_raises_with_a_residual_fn(self):
+        with pytest.raises(ValueError, match="stop_on"):
+            StoppingRule(50, 1e-3, "sometimes", residual_fn=lambda x, y: 0.0)
+        prob = L1LogRegProblem(gen_logreg_data(6, 4, 0)[0], 2.0)
+        with pytest.raises(ValueError, match="stop_on"):
+            solve_l1_logreg(prob, tol=1e-3, stop_on="sometimes", residual_fn=lambda x, y: 0.0)
+
+    def test_no_tol_never_converges_and_traces_the_dual_change(self):
+        prob = random_game(1)
+        x0, y0 = np.zeros(4), np.zeros(3)
+        t = 0.9 / prob.op_norm
+        K = 200
+        rep = run(prob, ConstantSchedule(t, t, prob.op_norm), x0, y0, StoppingRule(K))
+        assert rep.k == K and not rep.converged
+        sched = ConstantSchedule(t, t, prob.op_norm)
+        st = IterateState.initial(x0, y0)
+        want = []
+        for _ in range(K):
+            st = step(prob, st, sched)
+            want.append(np.linalg.norm(st.y - st.y_prev) / np.linalg.norm(st.y))
+        np.testing.assert_array_equal(rep.residual_trace[:, 0], np.arange(1, K + 1))
+        np.testing.assert_allclose(rep.residual_trace[:, 1], want, rtol=1e-12)
+        # The dual change fell far below 1e-8; the regular test at that tol
+        # stops the run.
+        assert min(want) < 1e-12
+        stop = StoppingRule(K, 1e-8, "regular")
+        stopped = run(prob, ConstantSchedule(t, t, prob.op_norm), x0, y0, stop)
+        assert stopped.converged and stopped.k < K
+
+    @pytest.mark.parametrize("stop_on", ["regular", "ergodic", "both"])
+    def test_residual_fn_stops_at_tol_and_traces_the_residual(self, stop_on):
+        prob = one_d_game()
+        seen = []
+
+        def residual(x, y):
+            seen.append(abs(x[0]) + abs(y[0]))
+            return seen[-1]
+
+        stop = StoppingRule(20000, 1e-6, stop_on, residual_fn=residual)
+        rep = run(prob, ConstantSchedule(0.5, 0.5, prob.op_norm), np.ones(1), np.ones(1), stop)
+        assert rep.converged and rep.k == len(seen)
+        np.testing.assert_array_equal(rep.residual_trace[:, 1], seen)
+        assert seen[-1] <= 1e-6 < min(seen[:-1])
+        # Without a tol the residual is traced but never stops the run.
+        seen.clear()
+        stop = StoppingRule(rep.k + 5, stop_on=stop_on, residual_fn=residual)
+        rep = run(prob, ConstantSchedule(0.5, 0.5, prob.op_norm), np.ones(1), np.ones(1), stop)
+        assert not rep.converged and rep.k == len(seen)
+        np.testing.assert_array_equal(rep.residual_trace[:, 1], seen)
 
     def test_regular_stop_waits_for_a_second_iterate(self):
         """From the barycentre, A x0 = 0 and the first acc-dual step leaves y
@@ -264,7 +315,7 @@ class TestRun:
     def test_max_iters_flagged_not_raised(self):
         prob = one_d_game()
         sched = ConstantSchedule(0.5, 0.5, prob.op_norm)
-        stop = StoppingRule(max_iters=3, dual_rel_change=1e-14)
+        stop = StoppingRule(max_iters=3, tol=1e-14, stop_on="regular")
         rep = run(prob, sched, np.array([1.0]), np.array([1.0]), stop)
         assert rep.k == 3 and not rep.converged
 

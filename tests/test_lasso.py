@@ -64,6 +64,10 @@ class TestSolve:
         with pytest.raises(ValueError, match="lam"):
             LassoProblem(np.eye(2), np.zeros(2), 0.0)
 
+    def test_all_zero_matrix_rejected(self):
+        with pytest.raises(ValueError, match="A has operator norm 0"):
+            LassoProblem(np.zeros((3, 4)), np.ones(3), 0.1)
+
     def test_small_instance_matches_fb_oracle(self):
         """5 x 8 random instance: terminal objective within 1e-6 of a
         forward-backward solve run to 1e-10."""
@@ -89,7 +93,7 @@ class TestSolve:
         lam = 0.3 * np.max(np.abs(A.T @ b)) / 20
         p = LassoProblem(A, b, lam)
         rep = solve_lasso(p, residual_fn=lambda x, y: lasso_optimality_residual(p, x, y),
-                          residual_tol=1e-7, max_iters=300000)
+                          tol=1e-7, max_iters=300000)
         aty = np.abs(p.operator.adjoint_apply(rep.y))
         surely_zero = aty < lam - 1e-3 * lam
         assert np.all(rep.x[surely_zero] == 0.0)

@@ -34,6 +34,11 @@ def small_problem(seed=0, m=6, d=5, lam=3.0):
     return L1LogRegProblem(B, lam)
 
 
+def test_all_zero_matrix_rejected():
+    with pytest.raises(ValueError, match="B has operator norm 0"):
+        L1LogRegProblem(np.zeros((3, 4)), 1.0)
+
+
 class TestStep:
     def test_zero_dual_gradient_keeps_x(self):
         """A^T y = 0 makes the multiplicative update a no-op."""

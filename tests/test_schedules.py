@@ -40,14 +40,6 @@ class TestAccPrimal:
         # ||A||^2 (sigma_1^2 - sigma_0^2)/(gamma sigma_0) = (0.75-0.25)/0.5.
         np.testing.assert_allclose((s.sigma**2 - 0.5**2) / (1.0 * 0.5), 1.0, rtol=1e-14)
 
-    def test_theta0_domain(self):
-        with pytest.raises(ValueError, match="theta0"):
-            AccPrimalSchedule(1.0, 1.0, theta0=1.5)
-        with pytest.raises(ValueError, match="theta0"):
-            AccPrimalSchedule(1.0, 1.0, theta0=-0.1)
-        AccPrimalSchedule(1.0, 1.0, theta0=0.0)
-        AccPrimalSchedule(1.0, 1.0, theta0=1.0)
-
     def test_gamma_required(self):
         with pytest.raises(ValueError, match="gamma_g"):
             AccPrimalSchedule(0.0, 1.0)

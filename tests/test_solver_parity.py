@@ -68,8 +68,8 @@ PROBE_ATOL = {"game": None, "lasso": None, "logreg": 1e-12}
 def game_fixture():
     p = MatrixGameProblem(gen_game_data(6, 5, 1), 0.3)
 
-    def solve(**kw):
-        return solve_matrix_game(p, tol=1e-8, max_iters=20000, seed=2, **kw)
+    def solve(tol=1e-8, **kw):
+        return solve_matrix_game(p, tol=tol, max_iters=20000, seed=2, **kw)
 
     return p, solve, lambda x, y: sum(game_optimality_residual(p, x, y)), 1e-8
 
@@ -78,8 +78,8 @@ def lasso_fixture():
     A, b, _ = gen_lasso_data(12, 20, 3, 0.1, 3)
     p = LassoProblem(A, b, 0.3 * np.max(np.abs(A.T @ b)) / 12)
 
-    def solve(**kw):
-        return solve_lasso(p, tol=1e-7, max_iters=20000, **kw)
+    def solve(tol=1e-7, **kw):
+        return solve_lasso(p, tol=tol, max_iters=20000, **kw)
 
     return p, solve, lambda x, y: lasso_optimality_residual(p, x, y), 1e-6
 
@@ -94,8 +94,8 @@ def logreg_fixture():
     x0 /= x0.sum()
     y0 = rng.uniform(0.2, 0.8, p.m) / p.m
 
-    def solve(**kw):
-        return solve_l1_logreg(p, x0=x0, y0=y0, tol=1e-6, max_iters=20000, **kw)
+    def solve(tol=1e-6, **kw):
+        return solve_l1_logreg(p, x0=x0, y0=y0, tol=tol, max_iters=20000, **kw)
 
     return p, solve, lambda x, y: l1logreg_dual_residual(p, x, y), 1e-7
 
@@ -107,7 +107,7 @@ FIXTURES = {"game": game_fixture, "lasso": lasso_fixture, "logreg": logreg_fixtu
 def test_trajectory_matches_pinned(kind, case):
     p, solve, residual, residual_tol = FIXTURES[kind]()
     if case == "residual":
-        rep = solve(residual_fn=residual, residual_tol=residual_tol)
+        rep = solve(residual_fn=residual, tol=residual_tol)
     else:
         rep = solve(stop_on=case)
     rng = np.random.default_rng(7)

@@ -11,8 +11,8 @@ For each workload, untraced pairs give each end-to-end metric's per-run
 values, the median and quartiles of each side, and how many pairs the change
 won; traced pairs give the per-layer metrics side by side. The claim is
 that ``--metric`` (an end-to-end metric, ``best_solves_per_s`` by default)
-improves on the ``--claim`` workload, in the direction ``HIGHER_IS_BETTER``
-gives it.
+improves on the ``--claim`` workload, in the direction ``BENCHMARK.json``'s
+``end_to_end[].better`` gives it, without more failed solves there.
 """
 
 from __future__ import annotations
@@ -22,8 +22,21 @@ import json
 import statistics
 from pathlib import Path
 
-# Whether a higher value of an end-to-end metric is better.
-HIGHER_IS_BETTER = {"best_solves_per_s": True, "setup_s": False, "peak_rss_mb": False}
+BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
+
+
+def directions(path=BENCHMARK):
+    """Whether a higher value is better, for each end-to-end metric of a
+    ``BENCHMARK.json``."""
+    out = {}
+    for metric in json.loads(Path(path).read_text())["end_to_end"]:
+        if metric["better"] not in ("higher", "lower"):
+            raise ValueError(f"{metric['name']}: 'better' must be 'higher' or 'lower'")
+        out[metric["name"]] = metric["better"] == "higher"
+    return out
+
+
+HIGHER_IS_BETTER = directions()
 
 
 def load(directory):
@@ -105,7 +118,8 @@ def main(argv=None):
             for side in ("parent", "change")
         }
 
-    claim = workloads[args.claim]["end_to_end"][args.metric]
+    claimed = workloads[args.claim]
+    claim = claimed["end_to_end"][args.metric]
     sign = 1.0 if HIGHER_IS_BETTER[args.metric] else -1.0
     bench = {
         "topic": args.topic,
@@ -123,7 +137,8 @@ def main(argv=None):
             "metric": args.metric,
             "holds": claim["change_wins"] >= 0.9 * claim["pairs"]
             and claim["medians_differ_by_more_than_parent_iqr"]
-            and sign * claim["median_change_rel"] > 0,
+            and sign * claim["median_change_rel"] > 0
+            and claimed["failed"]["change"] <= claimed["failed"]["parent"],
         },
         "workloads": workloads,
     }
