@@ -299,20 +299,27 @@ def fista_lasso(problem, tol=1e-8, max_iters=100000):
     )
 
 
-def prox_gradient_lasso(A, b, lam, tol=1e-10, max_iters=500000, x0=None):
-    """Plain forward-backward (ISTA) on the Lasso primal, run to a tight
-    iterate-change tolerance; serves as an independent oracle."""
+def prox_gradient_lasso(A, b, lam, tol=1e-10, max_iters=500000):
+    """Plain forward-backward (ISTA) on the Lasso primal from x = 0, run to
+    a tight iterate-change tolerance; serves as an independent oracle.
+    Raises RuntimeError if the change is still above ``tol`` after
+    ``max_iters`` iterations."""
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
     m = A.shape[0]
     tau = m / norm_2_2(DenseOperator(A)) ** 2
-    x = np.zeros(A.shape[1]) if x0 is None else np.asarray(x0, dtype=float).copy()
+    x = np.zeros(A.shape[1])
+    change = math.inf
     for _ in range(max_iters):
         x_new = shrink1(x - tau * (A.T @ (A @ x - b)) / m, lam * tau)
-        if np.linalg.norm(x_new - x) <= tol:
+        change = np.linalg.norm(x_new - x)
+        if change <= tol:
             return x_new
         x = x_new
-    return x
+    raise RuntimeError(
+        f"prox_gradient_lasso: iterate change {change:.3e} still above tol {tol:g} "
+        f"after {max_iters} iterations"
+    )
 
 
 def pu_learning_rate(problem):

@@ -15,9 +15,11 @@ largest-singular-value estimate inside the timed region.
 
 from __future__ import annotations
 
+import inspect
 import json
 import math
-from dataclasses import asdict, dataclass, field
+import typing
+from dataclasses import asdict, dataclass, field, fields
 
 from . import baselines
 from .data import gen_game_data, gen_lasso_data, gen_logreg_data
@@ -35,9 +37,10 @@ __all__ = [
     "CSV_HEADER",
     "SOLVERS",
     "get_solver",
+    "call_solver",
+    "gen_arrays",
+    "build_problem",
 ]
-
-CSV_HEADER = "solver,variant,m,n,lambda,seed,iters,wall_ms,residual,converged,error"
 
 
 @dataclass
@@ -84,35 +87,18 @@ class ResultRow:
     error: str = ""  # "ClassName: message" of a failed solve
 
 
-def _nonlinear_pdhg(p, tol, iters, seed, variant):
-    return solve(p, tol=tol, max_iters=iters, seed=seed, stop_on=variant)
-
-
-# Every solver of every problem kind, called as
-# solve(problem, tol, max_iters, seed, variant), where ``variant`` is a
-# stop_on value. Insertion order is each kind's default solver order.
+# Every solver of every problem kind, run by ``call_solver``. Insertion
+# order is each kind's default solver order.
 SOLVERS = {
-    ("logreg", "nonlinear-pdhg"): _nonlinear_pdhg,
-    ("logreg", "linear-pdhg"): lambda p, tol, iters, seed, variant: (
-        baselines.solve_linear_pdhg_logreg(p, tol=tol, max_iters=iters, stop_on=variant)
-    ),
-    ("logreg", "fb-splitting"): lambda p, tol, iters, seed, variant: (
-        baselines.solve_fb_logreg(p, tol=tol, max_iters=iters)
-    ),
-    ("game", "nonlinear-pdhg"): _nonlinear_pdhg,
-    ("game", "linear-pdhg"): lambda p, tol, iters, seed, variant: (
-        baselines.solve_linear_pdhg_game(p, tol=tol, max_iters=iters, seed=seed, stop_on=variant)
-    ),
-    ("game", "pu"): lambda p, tol, iters, seed, variant: (
-        baselines.solve_game_pu(p, tol=tol, max_iters=iters, seed=seed)
-    ),
-    ("game", "omwu"): lambda p, tol, iters, seed, variant: (
-        baselines.solve_game_omwu(p, tol=tol, max_iters=iters, seed=seed)
-    ),
-    ("lasso", "nonlinear-pdhg"): _nonlinear_pdhg,
-    ("lasso", "fista"): lambda p, tol, iters, seed, variant: (
-        baselines.fista_lasso(p, tol=tol, max_iters=iters)
-    ),
+    ("logreg", "nonlinear-pdhg"): solve,
+    ("logreg", "linear-pdhg"): baselines.solve_linear_pdhg_logreg,
+    ("logreg", "fb-splitting"): baselines.solve_fb_logreg,
+    ("game", "nonlinear-pdhg"): solve,
+    ("game", "linear-pdhg"): baselines.solve_linear_pdhg_game,
+    ("game", "pu"): baselines.solve_game_pu,
+    ("game", "omwu"): baselines.solve_game_omwu,
+    ("lasso", "nonlinear-pdhg"): solve,
+    ("lasso", "fista"): baselines.fista_lasso,
 }
 
 DEFAULT_SOLVERS = {kind: tuple(n for k, n in SOLVERS if k == kind) for kind, _ in SOLVERS}
@@ -126,6 +112,17 @@ def get_solver(kind, name):
         raise ValueError(f"solver {name!r} is not available for kind {kind!r}") from None
 
 
+def _takes(fn, name):
+    return name in inspect.signature(fn).parameters
+
+
+def call_solver(fn, problem, tol, max_iters, seed, stop_on):
+    """Run the solver function ``fn`` on ``problem``: ``seed`` and
+    ``stop_on`` go only to a solver whose signature has them."""
+    extra = {k: v for k, v in (("seed", seed), ("stop_on", stop_on)) if _takes(fn, k)}
+    return fn(problem, tol=tol, max_iters=max_iters, **extra)
+
+
 def desk_scale_specs(seed=0, reps=1):
     """The default desk-scale experiment sizes: large enough that the cost
     gap between the cheap norms and the largest-singular-value estimate is
@@ -136,18 +133,30 @@ def desk_scale_specs(seed=0, reps=1):
         ExperimentSpec(kind="lasso", m=200, n=1000, lam=0.5, seed=seed, reps=reps),
     ]
 
-# Solvers that define an ergodic sequence get a second timed variant.
-ERGODIC_SOLVERS = {"nonlinear-pdhg", "linear-pdhg"}
+
+def gen_arrays(kind, m, n, seed, sparsity, noise):
+    """The seeded data of one instance, keyed by fixture file stem and by
+    ``build_problem`` parameter: ``matrix``, and ``b`` for the Lasso."""
+    if kind == "logreg":
+        return {"matrix": gen_logreg_data(m, n, seed)[0]}
+    if kind == "game":
+        return {"matrix": gen_game_data(m, n, seed)}
+    A, b, _ = gen_lasso_data(m, n, sparsity, noise, seed)
+    return {"matrix": A, "b": b}
+
+
+def build_problem(kind, lam, matrix, b=None):
+    """The problem of ``kind`` on the given data; ``b`` is the Lasso's."""
+    if kind == "logreg":
+        return L1LogRegProblem(matrix, lam)
+    if kind == "game":
+        return MatrixGameProblem(matrix, lam)
+    return LassoProblem(matrix, b, lam)
 
 
 def _build_problem(spec, seed):
-    if spec.kind == "logreg":
-        B, _, _ = gen_logreg_data(spec.m, spec.n, seed)
-        return L1LogRegProblem(B, spec.lam)
-    if spec.kind == "game":
-        return MatrixGameProblem(gen_game_data(spec.m, spec.n, seed), spec.lam)
-    A, b, _ = gen_lasso_data(spec.m, spec.n, spec.sparsity, spec.noise, seed)
-    return LassoProblem(A, b, spec.lam)
+    arrays = gen_arrays(spec.kind, spec.m, spec.n, seed, spec.sparsity, spec.noise)
+    return build_problem(spec.kind, spec.lam, **arrays)
 
 
 def _error_text(exc):
@@ -160,8 +169,8 @@ def _error_text(exc):
 def _run_one(spec, solver, variant, seed):
     row = dict(solver=solver, variant=variant, m=spec.m, n=spec.n, lam=spec.lam, seed=seed)
     try:
-        solve = get_solver(spec.kind, solver)
-        report = solve(_build_problem(spec, seed), spec.tol, spec.max_iters, seed, variant)
+        fn = get_solver(spec.kind, solver)
+        report = call_solver(fn, _build_problem(spec, seed), spec.tol, spec.max_iters, seed, variant)
     except Exception as exc:  # noqa: BLE001 -- per-solver failures stay in the row
         return ResultRow(
             **row, iters=0, wall_ms=0.0, residual=math.nan, converged=False, error=_error_text(exc)
@@ -177,43 +186,39 @@ def _run_one(spec, solver, variant, seed):
 
 
 def run_experiment(spec):
-    """Run every (solver, variant, repetition) cell and return sorted rows."""
+    """Run every (solver, variant, repetition) cell and return sorted rows.
+    A solver that takes ``stop_on`` also runs its "ergodic" variant."""
     tasks = []
     for rep in range(spec.reps):
         seed = spec.seed + rep
         for solver in spec.solvers:
-            variants = ("regular", "ergodic") if solver in ERGODIC_SOLVERS else ("regular",)
-            for variant in variants:
+            fn = SOLVERS.get((spec.kind, solver))
+            ergodic = fn is not None and _takes(fn, "stop_on")
+            for variant in ("regular", "ergodic") if ergodic else ("regular",):
                 tasks.append((solver, variant, seed))
     rows = [_run_one(spec, *t) for t in tasks]
     rows.sort(key=lambda r: (r.solver, r.variant, r.seed))
     return rows
 
 
-def _fmt_float(v):
-    return repr(float(v))
+# How a CSV field is written and read, by its ResultRow field type.
+_FORMAT = {
+    str: str,
+    int: lambda v: str(int(v)),
+    float: lambda v: repr(float(v)),
+    bool: lambda v: "true" if v else "false",
+}
+_PARSE = {str: str, int: int, float: float, bool: {"true": True, "false": False}.__getitem__}
+_TYPES = typing.get_type_hints(ResultRow)
+_COLUMNS = tuple((f.name, _TYPES[f.name]) for f in fields(ResultRow))
+
+CSV_HEADER = ",".join("lambda" if name == "lam" else name for name, _ in _COLUMNS)
 
 
 def rows_to_csv(rows):
     lines = [CSV_HEADER]
     for r in rows:
-        lines.append(
-            ",".join(
-                [
-                    r.solver,
-                    r.variant,
-                    str(int(r.m)),
-                    str(int(r.n)),
-                    _fmt_float(r.lam),
-                    str(int(r.seed)),
-                    str(int(r.iters)),
-                    _fmt_float(r.wall_ms),
-                    _fmt_float(r.residual),
-                    "true" if r.converged else "false",
-                    r.error,
-                ]
-            )
-        )
+        lines.append(",".join(_FORMAT[tp](getattr(r, name)) for name, tp in _COLUMNS))
     return "\n".join(lines) + "\n"
 
 
@@ -224,21 +229,7 @@ def rows_from_csv(text):
     rows = []
     for ln in lines[1:]:
         f = ln.split(",")
-        if len(f) != 11:
+        if len(f) != len(_COLUMNS):
             raise ValueError(f"malformed CSV row: {ln!r}")
-        rows.append(
-            ResultRow(
-                solver=f[0],
-                variant=f[1],
-                m=int(f[2]),
-                n=int(f[3]),
-                lam=float(f[4]),
-                seed=int(f[5]),
-                iters=int(f[6]),
-                wall_ms=float(f[7]),
-                residual=float(f[8]),
-                converged={"true": True, "false": False}[f[9]],
-                error=f[10],
-            )
-        )
+        rows.append(ResultRow(*(_PARSE[tp](v) for (_, tp), v in zip(_COLUMNS, f))))
     return rows

@@ -17,45 +17,41 @@ from pathlib import Path
 
 import numpy as np
 
-from .bench import DEFAULT_SOLVERS, SOLVERS, ExperimentSpec, get_solver, rows_to_csv, run_experiment
-from .data import gen_game_data, gen_lasso_data, gen_logreg_data
+from .bench import (
+    DEFAULT_SOLVERS,
+    SOLVERS,
+    ExperimentSpec,
+    _error_text,
+    build_problem,
+    call_solver,
+    gen_arrays,
+    get_solver,
+    rows_to_csv,
+    run_experiment,
+)
 from .operators import load_matrix_csv, save_matrix_csv
-from .problems.games import MatrixGameProblem
-from .problems.lasso import LassoProblem
-from .problems.logreg import L1LogRegProblem
 
 _DEFAULT_LAM = {"logreg": 100.0, "game": 0.1, "lasso": None}
 
 
-def _generate(args):
-    """The fixture's matrices by file name, and its lambda."""
-    lam = args.lam if args.lam is not None else _DEFAULT_LAM[args.kind]
-    if args.kind == "logreg":
-        if args.d is None:
-            raise SystemExit("gen-data --kind logreg requires --d")
-        B, _, _ = gen_logreg_data(args.m, args.d, args.seed)
-        return {"matrix.csv": B}, lam
-    if args.n is None:
-        raise SystemExit(f"gen-data --kind {args.kind} requires --n")
-    if args.kind == "game":
-        return {"matrix.csv": gen_game_data(args.m, args.n, args.seed)}, lam
-    A, b, _ = gen_lasso_data(args.m, args.n, args.sparsity, args.noise, args.seed)
-    if lam is None:
-        lam = 0.3 * float(np.max(np.abs(A.T @ b))) / args.m
-    return {"matrix.csv": A, "b.csv": b.reshape(1, -1)}, lam
-
-
 def _cmd_gen_data(args):
+    flag = "d" if args.kind == "logreg" else "n"
+    size = getattr(args, flag)
+    if size is None:
+        raise SystemExit(f"gen-data --kind {args.kind} requires --{flag}")
     try:
-        files, lam = _generate(args)
+        arrays = gen_arrays(args.kind, args.m, size, args.seed, args.sparsity, args.noise)
     except ValueError as exc:
         raise SystemExit(f"gen-data: {exc}") from None
+    lam = args.lam if args.lam is not None else _DEFAULT_LAM[args.kind]
+    if lam is None:
+        A, b = arrays["matrix"], arrays["b"]
+        lam = 0.3 * float(np.max(np.abs(A.T @ b))) / args.m
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    for name, matrix in files.items():
-        save_matrix_csv(out / name, matrix)
-    size = {"d": args.d} if args.kind == "logreg" else {"n": args.n}
-    meta = {"kind": args.kind, "m": args.m, "seed": args.seed, **size, "lambda": lam}
+    for stem, array in arrays.items():
+        save_matrix_csv(out / f"{stem}.csv", array)
+    meta = {"kind": args.kind, "m": args.m, "seed": args.seed, flag: size, "lambda": lam}
     (out / "meta.json").write_text(json.dumps(meta, indent=2) + "\n")
     print(f"wrote fixture to {out}")
 
@@ -72,13 +68,8 @@ def _load_fixture(path):
         if kind not in DEFAULT_SOLVERS:
             raise SystemExit(f"solve: unknown problem kind {kind!r} in {p}")
         matrix = load_matrix_csv(p.parent / "matrix.csv")
-        if kind == "lasso":
-            b = load_matrix_csv(p.parent / "b.csv").ravel()
-        if kind == "logreg":
-            return kind, L1LogRegProblem(matrix, lam)
-        if kind == "game":
-            return kind, MatrixGameProblem(matrix, lam)
-        return kind, LassoProblem(matrix, b, lam)
+        b = load_matrix_csv(p.parent / "b.csv").ravel() if kind == "lasso" else None
+        return kind, build_problem(kind, lam, matrix, b)
     except FileNotFoundError as exc:
         raise SystemExit(f"solve: fixture file not found: {exc.filename}") from None
     except KeyError as exc:
@@ -90,10 +81,13 @@ def _load_fixture(path):
 def _cmd_solve(args):
     kind, problem = _load_fixture(args.problem)
     try:
-        solve = get_solver(kind, args.method)
+        fn = get_solver(kind, args.method)
     except ValueError as exc:
         raise SystemExit(str(exc)) from None
-    report = solve(problem, args.tol, args.max_iters, seed=0, variant="both")
+    try:
+        report = call_solver(fn, problem, args.tol, args.max_iters, seed=0, stop_on="both")
+    except Exception as exc:  # noqa: BLE001 -- a failed solve is one exit line
+        raise SystemExit(f"solve: {_error_text(exc)}") from None
     text = report.to_json()
     if args.report:
         Path(args.report).write_text(text + "\n")

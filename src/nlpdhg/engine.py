@@ -193,10 +193,9 @@ class SolveReport:
     ``residual_trace`` holds row (k, monitored value) for each iteration k
     as a (K, 2) float64 array, 16 bytes per iteration. Pass it as any
     sequence of pairs; a flat ``array('d')`` of k, value, k, value, ... is
-    viewed in place, not copied. It was a list of ``(int, float)`` tuples;
-    callers written for that list must test ``len(trace)`` rather than its
-    truth value (ambiguous for two or more rows) and cast k with ``int`` to
-    use it as an index, since the k column is float64.
+    viewed in place, not copied. Test ``len(trace)``, not its truth value
+    (ambiguous for two or more rows), and cast k with ``int`` to use it as
+    an index, since the k column is float64.
     """
 
     problem_id: str

@@ -95,12 +95,12 @@ class LassoProblem(SaddleProblem):
         return AccDualSchedule(self.gamma_h_star, self.op_norm, tau0=tau0)
 
 
-def lasso_optimality_residual(problem, x, y, tol=0.0):
+def lasso_optimality_residual(problem, x, y):
     """Distance from the pair of optimality conditions.
 
     Returns ||m y - (A x - b)||_2 plus the worst subgradient violation:
     |[A^T y]_j + lam sign(x_j)| on the support and max(|[A^T y]_j| - lam, 0)
-    off it, each reduced by ``tol`` before counting.
+    off it.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -109,7 +109,7 @@ def lasso_optimality_residual(problem, x, y, tol=0.0):
     on = x != 0.0
     viol = np.maximum(np.abs(aty) - problem.lam, 0.0)
     viol[on] = np.abs(aty[on] + problem.lam * np.sign(x[on]))
-    r_sub = float(np.max(np.maximum(viol - tol, 0.0))) if viol.size else 0.0
+    r_sub = float(np.max(viol)) if viol.size else 0.0
     return r_fit + r_sub
 
 

@@ -101,6 +101,13 @@ class TestFista:
         x_fb = prox_gradient_lasso(A, b, lam, tol=1e-12)
         assert abs(p.objective(rep.x) - p.objective(x_fb)) < 1e-9
 
+    def test_ista_oracle_raises_when_not_converged(self):
+        """The oracle never hands back an unconverged iterate."""
+        A, b, _ = gen_lasso_data(12, 20, 3, 0.05, seed=8)
+        lam = 0.4 * np.max(np.abs(A.T @ b)) / 12
+        with pytest.raises(RuntimeError, match="iterate change .* still above tol 1e-12 after 1 "):
+            prox_gradient_lasso(A, b, lam, tol=1e-12, max_iters=1)
+
 
 class TestGameBaselines:
     def test_learning_rate_formulas(self):

@@ -1,15 +1,20 @@
 """Harness: spec parsing, row generation, CSV round-trips, determinism."""
 
+import hashlib
+import inspect
 import json
 
 import numpy as np
 import pytest
 
+from nlpdhg import baselines
 from nlpdhg.bench import (
     CSV_HEADER,
+    SOLVERS,
     ExperimentSpec,
     ResultRow,
     _error_text,
+    call_solver,
     rows_from_csv,
     rows_to_csv,
     run_experiment,
@@ -69,6 +74,14 @@ class TestRows:
         assert CSV_HEADER == (
             "solver,variant,m,n,lambda,seed,iters,wall_ms,residual,converged,error"
         )
+
+    def test_columns_follow_declared_types(self):
+        """A column is written by its ResultRow field type, not the value's:
+        an integer lambda or wall time still comes out as a float."""
+        row = ResultRow("pu", "regular", 10, 20, 1, 3, 7, 0, 2, True)
+        assert rows_to_csv([row]).splitlines()[1] == "pu,regular,10,20,1.0,3,7,0.0,2.0,true,"
+        again = rows_from_csv(rows_to_csv([row]))[0]
+        assert type(again.lam) is float and again == row
 
 
 class TestRunExperiment:
@@ -134,3 +147,67 @@ class TestRunExperiment:
         assert rows and all(not r.converged for r in rows)
         want = "ValueError: A has operator norm 0 (all zeros): no step size exists"
         assert {r.error for r in rows} == {want}
+
+
+class TestRegistry:
+    def test_entries_are_the_solver_functions(self):
+        assert SOLVERS["game", "pu"] is baselines.solve_game_pu
+        for fn in SOLVERS.values():
+            assert inspect.isfunction(fn) and fn.__name__ != "<lambda>"
+
+    def test_ergodic_variant_for_solvers_taking_stop_on(self):
+        spec = ExperimentSpec(
+            kind="game", m=5, n=4, lam=0.3, seed=2, tol=1e-4, max_iters=5000,
+            record_timing=False,
+        )
+        rows = run_experiment(spec)
+        counts = {s: sum(r.solver == s for r in rows) for s in spec.solvers}
+        assert counts == {"nonlinear-pdhg": 2, "linear-pdhg": 2, "pu": 1, "omwu": 1}
+
+    def test_solver_of_another_kind_gets_one_row(self):
+        """linear-pdhg takes stop_on for games but has no Lasso entry."""
+        rows = run_experiment(small_spec(solvers=["linear-pdhg"], reps=1))
+        assert [(r.variant, r.error) for r in rows] == [
+            ("regular", "ValueError: solver 'linear-pdhg' is not available for kind 'lasso'")
+        ]
+
+    def test_call_solver_forwards_seed(self):
+        from nlpdhg.problems.games import MatrixGameProblem
+        from nlpdhg.data import gen_game_data
+
+        p = MatrixGameProblem(gen_game_data(6, 5, 0), 0.2)
+        fn = SOLVERS["game", "pu"]
+
+        def run(seed):
+            return call_solver(fn, p, 1e-6, 5000, seed=seed, stop_on="regular")
+
+        direct = baselines.solve_game_pu(p, tol=1e-6, max_iters=5000, seed=1)
+        np.testing.assert_array_equal(run(1).x, direct.x)
+        assert run(1).k == direct.k
+        assert not np.array_equal(run(0).x, direct.x)
+
+
+# SHA-256 of rows_to_csv(run_experiment(spec)) with record_timing off, for
+# every solver of the kind: seeded bench CSVs are part of the interface, so
+# a change to the harness must leave these bytes as they are.
+GOLDEN_SPECS = [
+    (
+        dict(kind="game", m=8, n=6, lam=0.2, seed=4, tol=1e-6, max_iters=5000, reps=2),
+        "61c33eb8d073ac67490306af0c3fa3f2a7f8110fd53f080eb57133f74141996e",
+    ),
+    (
+        dict(kind="lasso", m=12, n=20, lam=0.15, seed=2, tol=1e-6, max_iters=5000, reps=2,
+             sparsity=3),
+        "e33d7f1cb5051568a78e2eee098ada322e16adc61e56f5fbcce5575699d42495",
+    ),
+    (  # an integer lambda is written as 1.0
+        dict(kind="logreg", m=10, n=16, lam=1, seed=0, tol=1e-5, max_iters=5000),
+        "8558b1beda383fd08aa605b96e4d7109fb19d51b5a33b13710c6f77460ba7c09",
+    ),
+]
+
+
+@pytest.mark.parametrize("spec, digest", GOLDEN_SPECS, ids=["game", "lasso", "integer-lambda"])
+def test_golden_csv(spec, digest):
+    text = rows_to_csv(run_experiment(ExperimentSpec(**spec, record_timing=False)))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest

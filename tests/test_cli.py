@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from nlpdhg.bench import SOLVERS, build_problem, call_solver, gen_arrays
 from nlpdhg.cli import main
 from nlpdhg.operators import load_matrix_csv
 
@@ -184,3 +185,34 @@ def test_solve_rejects_all_zero_matrix(tmp_path, kind, method, name):
     with pytest.raises(SystemExit) as exc:
         main(["solve", "--problem", str(fix), "--method", method])
     assert str(exc.value) == f"solve: {name} has operator norm 0 (all zeros): no step size exists"
+
+
+def test_solve_failure_is_one_line(tmp_path):
+    """A solver that raises ends in the error text its bench row records."""
+    fix = tmp_path / "fix"
+    main(["gen-data", "--kind", "game", "--m", "5", "--n", "5", "--lam", "1e-7",
+          "--out", str(fix)])
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--problem", str(fix), "--method", "linear-pdhg", "--max-iters", "50"])
+    assert str(exc.value) == (
+        "solve: InnerSolveError: inner forward-backward iteration stalled above tolerance 1e-10"
+    )
+
+
+@pytest.mark.parametrize("method", ["nonlinear-pdhg", "fista"])
+def test_lasso_fixture_solves_like_bench(tmp_path, method):
+    """gen-data and solve build the same Lasso instance as a bench spec."""
+    fix = tmp_path / "fix"
+    main(["gen-data", "--kind", "lasso", "--m", "10", "--n", "16", "--seed", "3",
+          "--sparsity", "3", "--lam", "0.2", "--out", str(fix)])
+    assert load_matrix_csv(fix / "b.csv").shape == (1, 10)
+    out = tmp_path / "rep.json"
+    main(["solve", "--problem", str(fix), "--method", method, "--tol", "1e-6",
+          "--report", str(out)])
+    report = json.loads(out.read_text())
+    assert report["converged"] is True and report["problem_id"] == "lasso"
+
+    problem = build_problem("lasso", 0.2, **gen_arrays("lasso", 10, 16, 3, 3, 0.1))
+    direct = call_solver(SOLVERS["lasso", method], problem, 1e-6, 50000, 0, "both")
+    assert report["k"] == direct.k
+    assert report["residual_trace"][-1][1] == direct.residual_trace[-1][1]
