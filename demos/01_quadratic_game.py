@@ -10,10 +10,13 @@ import numpy as np
 from nlpdhg import (
     AccPrimalSchedule,
     ConstantSchedule,
+    IterateState,
     LinearRateSchedule,
     StoppingRule,
+    delta_diag,
     linear_rate_params,
     run,
+    step,
 )
 from nlpdhg.problems import QuadraticSaddleProblem
 
@@ -54,19 +57,17 @@ print(f"accel primal   : {rep.k:6d} iterations, "
       f"|x - x*| = {np.linalg.norm(rep.x - x_star):.2e}")
 
 # 3. Linear rate (uses both gammas): geometric contraction with a known
-#    factor theta, visible in the Lyapunov diagnostic.
+#    factor theta, visible in the Lyapunov diagnostic. Evaluating it needs
+#    the saddle point, so this loop calls step and delta_diag itself.
 theta, tau, sigma = linear_rate_params(prob.gamma_g, prob.gamma_h_star, prob.op_norm)
 print(f"\nlinear-rate parameters: theta = {theta:.4f}, tau = {tau:.4f}, sigma = {sigma:.4f}")
-rep = run(
-    prob,
-    LinearRateSchedule(theta, tau, sigma, order="x-first"),
-    x0,
-    y0,
-    StoppingRule(max_iters=200),
-    delta_ref=(x_star, y_star),
-)
+sched = LinearRateSchedule(theta, tau, sigma, order="x-first")
+state = IterateState.initial(x0, y0)
+deltas = []
+for _ in range(200):
+    state = step(prob, state, sched)
+    deltas.append(delta_diag(prob, state, sched, x_star, y_star))
 print("Delta_k / Delta_{k-1} along the run (should hug theta):")
-deltas = [v for _, v in rep.deltas]
 ratios = [deltas[k] / deltas[k - 1] for k in (5, 20, 50, 100)]
 print("  at k = 5, 20, 50, 100:", " ".join(f"{r:.4f}" for r in ratios))
-print(f"terminal |x - x*| after 200 steps: {np.linalg.norm(rep.x - x_star):.2e}")
+print(f"terminal |x - x*| after 200 steps: {np.linalg.norm(state.x - x_star):.2e}")

@@ -20,7 +20,7 @@ from array import array
 import numpy as np
 
 from .bregman import Quadratic, sigmoid, softmax
-from .engine import SaddleProblem, SolveReport, StoppingRule, _norm, _rel_change, run, start_point
+from .engine import SaddleProblem, SolveReport, StoppingRule, _norm, _rel_change, run
 from .operators import DenseOperator, norm_1_inf, norm_2_2
 from .problems.lasso import shrink1
 from .schedules import AccDualSchedule, LinearRateSchedule, linear_rate_params
@@ -165,7 +165,7 @@ def solve_linear_pdhg_logreg(problem, tol=1e-4, max_iters=50000, stop_on="both")
     m, d = B.shape
     stop = StoppingRule(max_iters, tol, stop_on)
     nrm = norm_2_2(DenseOperator(B))
-    schedule = AccDualSchedule(4.0 * m, nrm, tau0=2.0 * m / nrm**2)
+    schedule = AccDualSchedule(4.0 * m, nrm)
 
     def dual_map(z, sigma, u_warm):
         u = _logistic_conjugate_prox(z, sigma, m, u_warm, _INNER_TOL, _INNER_MAX_ITERS)
@@ -261,7 +261,8 @@ def solve_linear_pdhg_game(problem, tol=1e-4, max_iters=50000, stop_on="both", s
     A = problem.payoff
     lam = problem.lam
     stop = StoppingRule(max_iters, tol, stop_on)
-    params = linear_rate_params(lam, lam, norm_2_2(DenseOperator(A)))
+    # No step size exists for a zero payoff's norm 0; any positive one serves.
+    params = linear_rate_params(lam, lam, norm_2_2(problem.operator) or 1.0)
     schedule = LinearRateSchedule(*params, order="y-first")
 
     def entropy_map(z, step, u_warm):
@@ -338,7 +339,7 @@ def _normalize_log(l):
     return l - np.log(np.exp(l).sum())
 
 
-def _mwu(problem, regime, eta, gradients, x0, y0, seed, tol, max_iters, t0):
+def _mwu(problem, regime, eta, gradients, seed, tol, max_iters, t0):
     """Damped multiplicative-weights loop in normalized log space.
 
     Each iteration takes the step log x <- damp log x - eta g_x,
@@ -352,35 +353,33 @@ def _mwu(problem, regime, eta, gradients, x0, y0, seed, tol, max_iters, t0):
     def step(lx, ly, g_x, g_y):
         return _normalize_log(damp * lx - eta * g_x), _normalize_log(damp * ly + eta * g_y)
 
-    x0, y0 = start_point(problem, x0, y0, problem.default_init(seed=seed))
-    lx = np.log(x0)
-    ly = np.log(y0)
+    lx, ly = map(np.log, problem.default_init(seed=seed))
+    # exp(log x0), not x0: every iterate is the exp of its log.
+    x, y = np.exp(lx), np.exp(ly)
     trace = array("d")
     converged = False
     k = 0
     for k in range(1, max_iters + 1):
-        x = np.exp(lx)
-        y = np.exp(ly)
-        lx_new, ly_new = step(lx, ly, *gradients(step, lx, ly, x, y))
-        monitored = max(_rel_change(np.exp(lx_new), x), _rel_change(np.exp(ly_new), y))
+        lx, ly = step(lx, ly, *gradients(step, lx, ly, x, y))
+        x_new, y_new = np.exp(lx), np.exp(ly)
+        monitored = max(_rel_change(x_new, x), _rel_change(y_new, y))
         trace.append(k)
         trace.append(monitored)
-        lx, ly = lx_new, ly_new
+        x, y = x_new, y_new
         if monitored <= tol:
             converged = True
             break
     wall_ms = 1000.0 * (time.perf_counter() - t0)
-    return SolveReport(
-        problem.problem_id, regime, k, converged, wall_ms, trace, np.exp(lx), np.exp(ly)
-    )
+    return SolveReport(problem.problem_id, regime, k, converged, wall_ms, trace, x, y)
 
 
-def solve_game_pu(problem, tol=1e-8, max_iters=100000, seed=0, x0=None, y0=None):
+def solve_game_pu(problem, tol=1e-8, max_iters=100000, seed=0):
     """Predictive (extragradient-style) multiplicative-weights update.
 
-    Both players take a damped MWU half-step to predict the opponent, then
-    the full step against the predicted strategies. Everything is carried in
-    normalized log space. The fixed point is the regularized equilibrium
+    From ``problem.default_init(seed)``, both players take a damped MWU
+    half-step to predict the opponent, then the full step against the
+    predicted strategies. Everything is carried in normalized log space.
+    The fixed point is the regularized equilibrium
     y = softmax(A x / lam), x = softmax(-A^T y / lam).
     """
     t0 = time.perf_counter()
@@ -391,12 +390,13 @@ def solve_game_pu(problem, tol=1e-8, max_iters=100000, seed=0, x0=None, y0=None)
         return A.T @ np.exp(ly_bar), A @ np.exp(lx_bar)
 
     eta = pu_learning_rate(problem)
-    return _mwu(problem, "pu", eta, predicted, x0, y0, seed, tol, max_iters, t0)
+    return _mwu(problem, "pu", eta, predicted, seed, tol, max_iters, t0)
 
 
-def solve_game_omwu(problem, tol=1e-8, max_iters=100000, seed=0, x0=None, y0=None):
-    """Optimistic multiplicative-weights update: a single damped MWU step
-    against the extrapolated gradient 2 g_k - g_{k-1}."""
+def solve_game_omwu(problem, tol=1e-8, max_iters=100000, seed=0):
+    """Optimistic multiplicative-weights update from
+    ``problem.default_init(seed)``: a single damped MWU step against the
+    extrapolated gradient 2 g_k - g_{k-1}."""
     t0 = time.perf_counter()
     A = problem.payoff
     g_prev = None
@@ -410,4 +410,4 @@ def solve_game_omwu(problem, tol=1e-8, max_iters=100000, seed=0, x0=None, y0=Non
         return 2.0 * g[0] - prev[0], 2.0 * g[1] - prev[1]
 
     eta = omwu_learning_rate(problem)
-    return _mwu(problem, "omwu", eta, optimistic, x0, y0, seed, tol, max_iters, t0)
+    return _mwu(problem, "omwu", eta, optimistic, seed, tol, max_iters, t0)

@@ -61,6 +61,9 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.kind not in DEFAULT_SOLVERS:
             raise ValueError(f"unknown problem kind {self.kind!r}")
+        # A bare string would be iterated as one solver name per character.
+        if not isinstance(self.solvers, list) or not all(isinstance(s, str) for s in self.solvers):
+            raise ValueError(f"solvers must be a list of solver names, got {self.solvers!r}")
         if not self.solvers:
             self.solvers = list(DEFAULT_SOLVERS[self.kind])
 

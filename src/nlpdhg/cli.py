@@ -34,7 +34,17 @@ from .operators import load_matrix_csv, save_matrix_csv
 _DEFAULT_LAM = {"logreg": 100.0, "game": 0.1, "lasso": None}
 
 
+def _check_output_file(command, path):
+    """Before any work, exit with one line if the directory of ``path`` is missing."""
+    parent = Path(path).parent
+    if not parent.is_dir():
+        raise SystemExit(f"{command}: output directory not found: {parent}")
+
+
 def _cmd_gen_data(args):
+    out = Path(args.out)
+    if out.exists() and not out.is_dir():
+        raise SystemExit(f"gen-data: output path is not a directory: {out}")
     flag = "d" if args.kind == "logreg" else "n"
     size = getattr(args, flag)
     if size is None:
@@ -47,7 +57,6 @@ def _cmd_gen_data(args):
     if lam is None:
         A, b = arrays["matrix"], arrays["b"]
         lam = 0.3 * float(np.max(np.abs(A.T @ b))) / args.m
-    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for stem, array in arrays.items():
         save_matrix_csv(out / f"{stem}.csv", array)
@@ -79,6 +88,8 @@ def _load_fixture(path):
 
 
 def _cmd_solve(args):
+    if args.report:
+        _check_output_file("solve", args.report)
     kind, problem = _load_fixture(args.problem)
     try:
         fn = get_solver(kind, args.method)
@@ -97,8 +108,11 @@ def _cmd_solve(args):
 
 
 def _cmd_bench(args):
+    _check_output_file("bench", args.out)
     try:
         spec = ExperimentSpec.from_json(Path(args.spec).read_text())
+    except FileNotFoundError as exc:
+        raise SystemExit(f"bench: spec file not found: {exc.filename}") from None
     except (TypeError, ValueError) as exc:
         raise SystemExit(f"bench: {exc}") from None
     rows = run_experiment(spec)

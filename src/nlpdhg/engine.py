@@ -4,8 +4,8 @@ A problem supplies two Bregman proximal maps and a linear operator; a
 schedule supplies the step sizes and names its update order (overrelaxed,
 x-first or y-first). ``step`` carries out one iteration in that order;
 ``run`` repeats it until a ``StoppingRule`` fires (one ``tol``; ``stop_on``
-or a ``residual_fn`` says what it bounds) and tracks ergodic averages, a
-residual trace, and an optional Lyapunov diagnostic (``delta_diag``).
+or a ``residual_fn`` says what it bounds) and tracks ergodic averages and
+a residual trace; the Lyapunov diagnostic ``delta_diag`` runs over ``step``.
 Besides the problem's data, a run holds O(m + n) state and a trace of 16
 bytes per iteration: the (k, value) pairs go into one flat ``array('d')``
 that the report views as a (K, 2) float64 array without copying.
@@ -25,7 +25,7 @@ import json
 import math
 import time
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,7 +37,6 @@ __all__ = [
     "SolveReport",
     "step",
     "delta_diag",
-    "start_point",
     "run",
     "solve",
 ]
@@ -175,20 +174,11 @@ def _rel_change(new, old, new_norm=None):
     return change if denom == 0.0 else change / denom
 
 
-def start_point(problem, x0, y0, default):
-    """Fill a missing x0 or y0 from the pair ``default`` and check that both
-    lie in the interior of the problem's geometries."""
-    x0 = np.asarray(default[0] if x0 is None else x0, dtype=float)
-    y0 = np.asarray(default[1] if y0 is None else y0, dtype=float)
-    problem.geom_x.validate_point(x0, interior=True)
-    problem.geom_y.validate_point(y0, interior=True)
-    return x0, y0
-
-
 @dataclass
 class SolveReport:
-    """Outcome of one solve. A solver that keeps no ergodic average leaves
-    ``x_ergodic``/``y_ergodic`` out; they then hold copies of x and y.
+    """Outcome of one solve: only what the solve produced. A solver that
+    keeps no ergodic average leaves ``x_ergodic``/``y_ergodic`` out; they
+    then hold copies of x and y. ``to_json`` adds the norms of x and y.
 
     ``residual_trace`` holds row (k, monitored value) for each iteration k
     as a (K, 2) float64 array, 16 bytes per iteration. Pass it as any
@@ -208,14 +198,9 @@ class SolveReport:
     y: np.ndarray
     x_ergodic: np.ndarray | None = None
     y_ergodic: np.ndarray | None = None
-    deltas: list | None = None
-    terminal_primal_norm: float = field(init=False)
-    terminal_dual_norm: float = field(init=False)
 
     def __post_init__(self):
         self.residual_trace = np.asarray(self.residual_trace, dtype=float).reshape(-1, 2)
-        self.terminal_primal_norm = float(np.linalg.norm(self.x))
-        self.terminal_dual_norm = float(np.linalg.norm(self.y))
         if self.x_ergodic is None:
             self.x_ergodic = self.x.copy()
         if self.y_ergodic is None:
@@ -230,8 +215,8 @@ class SolveReport:
                 "converged": self.converged,
                 "wall_ms": self.wall_ms,
                 "residual_trace": [[int(k), v] for k, v in self.residual_trace.tolist()],
-                "terminal_primal_norm": self.terminal_primal_norm,
-                "terminal_dual_norm": self.terminal_dual_norm,
+                "terminal_primal_norm": float(np.linalg.norm(self.x)),
+                "terminal_dual_norm": float(np.linalg.norm(self.y)),
             }
         )
 
@@ -298,23 +283,21 @@ def delta_diag(problem, state, schedule, x_ref, y_ref):
     return d_x + d_y + hist + cross
 
 
-def run(problem, schedule, x0, y0, stop=None, delta_ref=None):
+def run(problem, schedule, x0, y0, stop=None):
     """Iterate until the stopping rule ``stop`` fires or its max_iters is
     exhausted; the default ``StoppingRule()`` only caps the iterations.
 
     The trace records the rule's residual when it has a ``residual_fn`` and
-    the relative dual change otherwise. ``delta_ref``, when given as a pair
-    (x_ref, y_ref), records ``delta_diag`` at every iterate (this costs
-    extra divergence evaluations per step, so it is opt-in). Exhausting
-    max_iters flags the report as non-converged; a non-finite iterate
-    raises. The regular dual-change test waits for k = 2: a first step that
-    leaves y at its start point says nothing about convergence.
+    the relative dual change otherwise. Exhausting max_iters flags the
+    report as non-converged; a non-finite iterate raises. The regular
+    dual-change test waits for k = 2: a first step that leaves y at its
+    start point says nothing about convergence. For ``delta_diag`` along a
+    trajectory, drive ``step`` in a loop instead.
     """
     if stop is None:
         stop = StoppingRule()
     state = IterateState.initial(x0, y0)
     acc = ErgodicAccumulator(state.x.shape[0], state.y.shape[0])
-    deltas = [] if delta_ref is not None else None
     trace = array("d")
     tol, residual_fn = stop.tol, stop.residual_fn
     dual_tests = tol is not None and residual_fn is None
@@ -343,8 +326,6 @@ def run(problem, schedule, x0, y0, stop=None, delta_ref=None):
             monitored = _rel_change(y, state.y_prev, y_norm)
         trace.append(state.k)
         trace.append(monitored)
-        if deltas is not None:
-            deltas.append((state.k, delta_diag(problem, state, schedule, *delta_ref)))
 
         # Averages are fresh arrays, so the previous one needs no copy.
         y_avg = acc.y_avg if ergodic else None
@@ -370,7 +351,6 @@ def run(problem, schedule, x0, y0, stop=None, delta_ref=None):
         y=state.y,
         x_ergodic=acc.x_avg if has_avg else None,
         y_ergodic=acc.y_avg if has_avg else None,
-        deltas=deltas,
     )
 
 
@@ -386,11 +366,16 @@ def solve(
 ):
     """Run a worked problem on its own ``schedule()``.
 
-    A missing x0 or y0 comes from ``problem.default_init(seed)``. Stops per
+    A missing x0 or y0 comes from ``problem.default_init(seed)``; both must
+    lie in the interior of the problem's geometries. Stops per
     ``StoppingRule(max_iters, tol, stop_on, residual_fn)``: by default once
     the relative dual change and its ergodic counterpart are both at most
     ``tol``, or, given a ``residual_fn``, once the residual is.
     """
-    x0, y0 = start_point(problem, x0, y0, problem.default_init(seed))
+    default = problem.default_init(seed)
+    x0 = np.asarray(default[0] if x0 is None else x0, dtype=float)
+    y0 = np.asarray(default[1] if y0 is None else y0, dtype=float)
+    problem.geom_x.validate_point(x0, interior=True)
+    problem.geom_y.validate_point(y0, interior=True)
     stop = StoppingRule(max_iters, tol, stop_on, residual_fn)
     return run(problem, problem.schedule(), x0, y0, stop)

@@ -90,9 +90,8 @@ class LassoProblem(SaddleProblem):
         return np.zeros(self.n), self.b.copy()
 
     def schedule(self):
-        """Accelerated dual schedule with tau0 = 1/(2 ||A||^2), so sigma0 = 2."""
-        tau0 = 1.0 / (2.0 * self.op_norm**2)
-        return AccDualSchedule(self.gamma_h_star, self.op_norm, tau0=tau0)
+        """Accelerated dual schedule at its default tau0 = 1/(2 ||A||^2), so sigma0 = 2."""
+        return AccDualSchedule(self.gamma_h_star, self.op_norm)
 
 
 def lasso_optimality_residual(problem, x, y):

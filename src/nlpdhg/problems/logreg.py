@@ -96,10 +96,9 @@ class L1LogRegProblem(SaddleProblem):
         return x0, y0
 
     def schedule(self):
-        """Accelerated dual schedule with tau0 = 2m / ||A||_{1,2}^2, which
-        pairs with sigma0 = 1/(2m)."""
-        tau0 = 2.0 * self.m / self.op_norm**2
-        return AccDualSchedule(self.gamma_h_star, self.op_norm, tau0=tau0)
+        """Accelerated dual schedule at its default tau0 = 2m / ||A||_{1,2}^2,
+        which pairs with sigma0 = 1/(2m)."""
+        return AccDualSchedule(self.gamma_h_star, self.op_norm)
 
 
 def recover_v(x, lam):

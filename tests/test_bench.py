@@ -50,6 +50,11 @@ class TestSpec:
         with pytest.raises(ValueError, match="kind"):
             ExperimentSpec(kind="svm", m=2, n=2, lam=1.0, seed=0)
 
+    @pytest.mark.parametrize("solvers", ["pu", ["pu", 3], {"pu": 1}])
+    def test_solvers_must_be_a_list_of_names(self, solvers):
+        with pytest.raises(ValueError, match="solvers must be a list of solver names"):
+            small_spec(solvers=solvers)
+
     def test_default_solver_list(self):
         spec = ExperimentSpec(kind="game", m=4, n=4, lam=0.5, seed=0)
         assert "nonlinear-pdhg" in spec.solvers and "pu" in spec.solvers

@@ -216,3 +216,50 @@ def test_lasso_fixture_solves_like_bench(tmp_path, method):
     direct = call_solver(SOLVERS["lasso", method], problem, 1e-6, 50000, 0, "both")
     assert report["k"] == direct.k
     assert report["residual_trace"][-1][1] == direct.residual_trace[-1][1]
+
+
+def _spec_file(tmp_path, **overrides):
+    spec = {"kind": "game", "m": 3, "n": 3, "lam": 0.5, "seed": 0, "solvers": ["pu"]}
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({**spec, **overrides}))
+    return path
+
+
+def test_bench_rejects_missing_spec(tmp_path):
+    missing = tmp_path / "missing.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--spec", str(missing), "--out", str(tmp_path / "o.csv")])
+    assert str(exc.value) == f"bench: spec file not found: {missing}"
+
+
+def test_bench_rejects_string_solvers(tmp_path):
+    """A bare solver name is not split into one solver per character."""
+    out = tmp_path / "o.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--spec", str(_spec_file(tmp_path, solvers="pu")), "--out", str(out)])
+    assert str(exc.value) == "bench: solvers must be a list of solver names, got 'pu'"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["bench", "solve"])
+def test_output_path_checked_before_work(tmp_path, monkeypatch, command):
+    """A missing output directory ends in one line before any solve runs."""
+    monkeypatch.setattr("nlpdhg.cli.run_experiment", lambda spec: pytest.fail("bench ran"))
+    monkeypatch.setattr("nlpdhg.cli.call_solver", lambda *a, **kw: pytest.fail("solve ran"))
+    if command == "bench":
+        argv = ["bench", "--spec", str(_spec_file(tmp_path)), "--out"]
+    else:
+        argv = ["solve", "--problem", str(_game_fixture(tmp_path)), "--method", "pu", "--report"]
+    missing = tmp_path / "nodir" / "out"
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, str(missing)])
+    assert str(exc.value) == f"{command}: output directory not found: {missing.parent}"
+
+
+def test_gen_data_rejects_existing_file_as_output(tmp_path):
+    target = tmp_path / "taken"
+    target.write_text("keep me\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["gen-data", "--kind", "game", "--m", "3", "--n", "3", "--out", str(target)])
+    assert str(exc.value) == f"gen-data: output path is not a directory: {target}"
+    assert target.read_text() == "keep me\n"

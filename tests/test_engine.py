@@ -14,8 +14,15 @@ from nlpdhg.engine import (
     run,
     step,
 )
-from nlpdhg.data import gen_logreg_data
-from nlpdhg.problems import L1LogRegProblem, solve_l1_logreg, solve_lasso, solve_matrix_game
+from nlpdhg.baselines import solve_game_pu
+from nlpdhg.data import gen_game_data, gen_logreg_data
+from nlpdhg.problems import (
+    L1LogRegProblem,
+    MatrixGameProblem,
+    solve_l1_logreg,
+    solve_lasso,
+    solve_matrix_game,
+)
 from nlpdhg.problems.quadratic import QuadraticSaddleProblem
 from nlpdhg.schedules import (
     AccDualSchedule,
@@ -339,21 +346,30 @@ class TestRun:
         assert [k for k, _ in payload["residual_trace"]] == [1, 2, 3, 4, 5]
         assert all(type(k) is int and type(v) is float for k, v in payload["residual_trace"])
 
+    def test_report_json_terminal_norms(self):
+        """``to_json`` reports ||x|| and ||y|| of the terminal iterates, for
+        an engine run and for a baseline's report alike."""
+        prob = random_game(3)
+        sched = ConstantSchedule(0.5 / prob.op_norm, 0.5 / prob.op_norm, prob.op_norm)
+        game = MatrixGameProblem(gen_game_data(4, 3, 0), 0.5)
+        for rep in (
+            run(prob, sched, np.ones(4), -np.ones(3), StoppingRule(max_iters=5)),
+            solve_game_pu(game, max_iters=5),
+        ):
+            payload = json.loads(rep.to_json())
+            assert payload["terminal_primal_norm"] == np.linalg.norm(rep.x)
+            assert payload["terminal_dual_norm"] == np.linalg.norm(rep.y)
+
     def test_delta_recording(self):
         prob = random_game(9)
         xs, ys = prob.saddle_point()
         theta, tau, sigma = linear_rate_params(prob.gamma_g, prob.gamma_h_star, prob.op_norm)
         sched = LinearRateSchedule(theta, tau, sigma, order="x-first")
-        rep = run(
-            prob,
-            sched,
-            np.zeros_like(xs),
-            np.zeros_like(ys),
-            StoppingRule(max_iters=50),
-            delta_ref=(xs, ys),
-        )
-        assert len(rep.deltas) == 50
-        values = [v for _, v in rep.deltas]
+        st = IterateState.initial(np.zeros_like(xs), np.zeros_like(ys))
+        values = []
+        for _ in range(50):
+            st = step(prob, st, sched)
+            values.append(delta_diag(prob, st, sched, xs, ys))
         assert all(v >= -1e-12 for v in values)
         assert values[-1] <= values[0]
 
@@ -461,3 +477,21 @@ class TestAccPrimalGlobalBound:
 def test_worked_solvers_are_engine_solve():
     """The worked problems' solver names all bind the one ``engine.solve``."""
     assert solve_l1_logreg is solve_matrix_game is solve_lasso is engine.solve is nlpdhg.solve
+
+
+class TestSolveStartPoint:
+    """``solve`` checks a given start point against the interior of the
+    problem's geometries before it iterates."""
+
+    def test_game_x0_off_simplex_rejected(self):
+        p = MatrixGameProblem(gen_game_data(3, 4, 0), 0.2)
+        with pytest.raises(ValueError, match="simplex"):
+            solve_matrix_game(p, x0=[0.5, 0.6, -0.2, 0.1], max_iters=10)
+
+    def test_logreg_y0_on_box_boundary_rejected(self):
+        B, _, _ = gen_logreg_data(6, 4, 0)
+        p = L1LogRegProblem(B, 2.0)
+        y0 = np.full(p.m, 0.5 / p.m)
+        y0[0] = 1.0 / p.m
+        with pytest.raises(ValueError, match="boundary of the box"):
+            solve_l1_logreg(p, y0=y0, max_iters=10)

@@ -32,7 +32,7 @@ from nlpdhg.baselines import (
     solve_linear_pdhg_logreg,
 )
 from nlpdhg.data import gen_game_data, gen_lasso_data, gen_logreg_data
-from nlpdhg.engine import StoppingRule, run
+from nlpdhg.engine import IterateState, StoppingRule, delta_diag, run, step
 from nlpdhg.problems.games import MatrixGameProblem, game_optimality_residual, solve_matrix_game
 from nlpdhg.problems.lasso import LassoProblem, lasso_optimality_residual, solve_lasso
 from nlpdhg.problems.logreg import L1LogRegProblem, l1logreg_dual_residual, solve_l1_logreg
@@ -264,18 +264,23 @@ def _probes(rep):
 
 @pytest.mark.parametrize("name", list(ENGINE_PINNED))
 def test_engine_schedule_matches_pinned(name):
+    """``run`` gives the probes and the residual trace; the (k, Delta_k)
+    pairs come from ``delta_diag`` after each ``step`` of the same
+    trajectory, with the schedule already advanced."""
     p = _quadratic_game()
     n, m = p.operator.cols, p.operator.rows
-    rep = run(
-        p,
-        _engine_schedule(name, p),
-        np.ones(n),
-        -np.ones(m),
-        StoppingRule(max_iters=300),
-        delta_ref=p.saddle_point(),
-    )
+    rep = run(p, _engine_schedule(name, p), np.ones(n), -np.ones(m), StoppingRule(max_iters=300))
+    sched = _engine_schedule(name, p)
+    state = IterateState.initial(np.ones(n), -np.ones(m))
+    ref = p.saddle_point()
+    deltas = []
+    for _ in range(300):
+        state = step(p, state, sched)
+        deltas.append((state.k, delta_diag(p, state, sched, *ref)))
     assert rep.k == 300
-    assert (_probes(rep), _digest(rep.residual_trace), _digest(rep.deltas)) == ENGINE_PINNED[name]
+    np.testing.assert_array_equal(state.x, rep.x)
+    np.testing.assert_array_equal(state.y, rep.y)
+    assert (_probes(rep), _digest(rep.residual_trace), _digest(deltas)) == ENGINE_PINNED[name]
 
 
 # PU and OMWU on the game fixture, pinned bitwise: k, converged, probes of
