@@ -21,9 +21,9 @@ import numpy as np
 
 from .bregman import Quadratic, sigmoid, softmax
 from .engine import SaddleProblem, SolveReport, StoppingRule, _norm, _rel_change, run
-from .operators import DenseOperator, norm_1_inf, norm_2_2
+from .operators import DenseOperator, norm_2_2
 from .problems.lasso import shrink1
-from .schedules import AccDualSchedule, LinearRateSchedule, linear_rate_params
+from .schedules import schedule_for
 
 __all__ = [
     "project_l1_ball",
@@ -164,8 +164,7 @@ def solve_linear_pdhg_logreg(problem, tol=1e-4, max_iters=50000, stop_on="both")
     B = problem.B
     m, d = B.shape
     stop = StoppingRule(max_iters, tol, stop_on)
-    nrm = norm_2_2(DenseOperator(B))
-    schedule = AccDualSchedule(4.0 * m, nrm)
+    schedule = schedule_for(problem.gamma_g, problem.gamma_h_star, norm_2_2(DenseOperator(B)))
 
     def dual_map(z, sigma, u_warm):
         u = _logistic_conjugate_prox(z, sigma, m, u_warm, _INNER_TOL, _INNER_MAX_ITERS)
@@ -261,9 +260,7 @@ def solve_linear_pdhg_game(problem, tol=1e-4, max_iters=50000, stop_on="both", s
     A = problem.payoff
     lam = problem.lam
     stop = StoppingRule(max_iters, tol, stop_on)
-    # No step size exists for a zero payoff's norm 0; any positive one serves.
-    params = linear_rate_params(lam, lam, norm_2_2(problem.operator) or 1.0)
-    schedule = LinearRateSchedule(*params, order="y-first")
+    schedule = schedule_for(problem.gamma_g, problem.gamma_h_star, norm_2_2(problem.operator))
 
     def entropy_map(z, step, u_warm):
         u = _entropy_conjugate_prox(z, lam * step, u_warm, _INNER_TOL, _INNER_MAX_ITERS)
@@ -324,11 +321,11 @@ def prox_gradient_lasso(A, b, lam, tol=1e-10, max_iters=500000):
 
 
 def pu_learning_rate(problem):
-    return 1.0 / (2.0 + norm_1_inf(problem.operator))
+    return 1.0 / (2.0 + problem.op_norm)
 
 
 def omwu_learning_rate(problem):
-    nrm = norm_1_inf(problem.operator)
+    nrm = problem.op_norm
     if nrm == 0.0:
         return 0.5
     return min(1.0 / (2.0 + 2.0 * nrm), 1.0 / (4.0 * nrm))

@@ -35,16 +35,21 @@ _DEFAULT_LAM = {"logreg": 100.0, "game": 0.1, "lasso": None}
 
 
 def _check_output_file(command, path):
-    """Before any work, exit with one line if the directory of ``path`` is missing."""
-    parent = Path(path).parent
-    if not parent.is_dir():
-        raise SystemExit(f"{command}: output directory not found: {parent}")
+    """Before any work, exit with one line if ``path`` is a directory or its
+    directory is missing."""
+    path = Path(path)
+    if path.is_dir():
+        raise SystemExit(f"{command}: output path is a directory: {path}")
+    if not path.parent.is_dir():
+        raise SystemExit(f"{command}: output directory not found: {path.parent}")
 
 
 def _cmd_gen_data(args):
     out = Path(args.out)
-    if out.exists() and not out.is_dir():
-        raise SystemExit(f"gen-data: output path is not a directory: {out}")
+    # The nearest existing ancestor must be a directory for mkdir to succeed.
+    existing = next(p for p in (out, *out.parents) if p.exists())
+    if not existing.is_dir():
+        raise SystemExit(f"gen-data: output path is not a directory: {existing}")
     flag = "d" if args.kind == "logreg" else "n"
     size = getattr(args, flag)
     if size is None:

@@ -15,15 +15,16 @@ import numpy as np
 __all__ = ["gen_logreg_data", "gen_game_data", "gen_lasso_data"]
 
 
-def gen_logreg_data(m, d, seed, noise=1.0):
+def gen_logreg_data(m, d, seed):
     """Classification data with a sparse planted coefficient vector.
 
     Streams (in spawn order): features, support, label noise. Features are
     iid standard Gaussian; the planted vector has ceil(0.01 d) coefficients
     equal to 10 on a random support and zeros elsewhere; labels are the sign
-    of the noisy margin (sign(0) counts as +1). Returns (B, v_true, labels)
-    where row i of B is -labels_i * features_i. B is the features buffer
-    itself, negated by label in place, so generation holds one m x d matrix.
+    of the margin plus standard normal noise (sign(0) counts as +1). Returns
+    (B, v_true, labels) where row i of B is -labels_i * features_i. B is the
+    features buffer itself, negated by label in place, so generation holds
+    one m x d matrix.
     """
     if m < 1 or d < 1:
         raise ValueError(f"m and d must be >= 1, got {m}, {d}")
@@ -33,7 +34,7 @@ def gen_logreg_data(m, d, seed, noise=1.0):
     support = np.random.default_rng(s_supp).choice(d, size=k, replace=False)
     v_true = np.zeros(d)
     v_true[support] = 10.0
-    xi = noise * np.random.default_rng(s_noise).standard_normal(m)
+    xi = np.random.default_rng(s_noise).standard_normal(m)
     labels = np.where(u @ v_true + xi >= 0.0, 1.0, -1.0)
     u *= -labels[:, None]
     return u, v_true, labels

@@ -11,8 +11,10 @@ bytes per iteration: the (k, value) pairs go into one flat ``array('d')``
 that the report views as a (K, 2) float64 array without copying.
 ``run`` is the one iteration loop of every PDHG solver. ``solve`` runs it on
 a worked problem, which names its own start point (``default_init``) and
-schedule (``schedule()``); the Euclidean (linear) PDHG baselines build
-theirs and their ``StoppingRule`` and call ``run`` directly.
+declares its norm and strong-convexity constants; ``SaddleProblem.schedule()``
+turns those into a schedule through ``schedules.schedule_for``. The
+Euclidean (linear) PDHG baselines pick theirs with the same function from
+||A||_2, build their ``StoppingRule`` and call ``run`` directly.
 
 A solve run is single-threaded and deterministic; problems, schedules and
 reports can move freely between threads, and independent solves may run
@@ -28,6 +30,8 @@ from array import array
 from dataclasses import dataclass
 
 import numpy as np
+
+from .schedules import schedule_for
 
 __all__ = [
     "SaddleProblem",
@@ -63,7 +67,8 @@ class SaddleProblem:
     may share.
 
     For ``solve``, a problem also provides ``default_init(seed)``, its start
-    pair (x0, y0), and ``schedule()``, a fresh schedule from its constants.
+    pair (x0, y0). It need not provide ``schedule()``: the inherited one
+    picks a fresh schedule from ``op_norm`` and the two constants.
     """
 
     problem_id = "saddle"
@@ -75,6 +80,10 @@ class SaddleProblem:
 
     def dual_prox(self, x_tilde, y_bar, sigma):
         raise NotImplementedError
+
+    def schedule(self):
+        """A fresh schedule from the problem's constants."""
+        return schedule_for(self.gamma_g, self.gamma_h_star, self.op_norm)
 
 
 @dataclass
@@ -307,7 +316,9 @@ def run(problem, schedule, x0, y0, stop=None):
     converged = False
     y_erg_prev = None
     for _ in range(stop.max_iters):
-        growth = schedule.ergodic_growth()
+        # Consecutive ergodic weights grow by 1/theta after the schedule's
+        # first step; the accumulator rescales to keep them in range.
+        growth = 1.0 if schedule.k == 0 else 1.0 / schedule.theta
         state = step(problem, state, schedule)
         x, y = state.x, state.y
         y_norm = _norm(y)

@@ -23,7 +23,6 @@ import numpy as np
 from ..bregman import NegativeEntropy, softmax
 from ..engine import SaddleProblem, solve
 from ..operators import DenseOperator, norm_1_inf
-from ..schedules import LinearRateSchedule, linear_rate_params
 
 __all__ = [
     "MatrixGameProblem",
@@ -43,10 +42,6 @@ class MatrixGameProblem(SaddleProblem):
         self.m, self.n = self.payoff.shape
         self.lam = float(lam)
         self.op_norm = norm_1_inf(self.operator)
-        if self.op_norm == 0.0:
-            # Zero payoff: any positive value keeps the schedule well-defined;
-            # the updates then contract straight to the uniform equilibrium.
-            self.op_norm = 1.0
         self.geom_x = NegativeEntropy(self.n)
         self.geom_y = NegativeEntropy(self.m)
         self.gamma_g = self.lam
@@ -67,13 +62,6 @@ class MatrixGameProblem(SaddleProblem):
         t += sigma * self.operator.apply(x_tilde)
         t /= 1.0 + self.lam * sigma
         return softmax(t)
-
-    def schedule(self):
-        """Linear-rate schedule from gamma_g = gamma_h_star = lam, y-first:
-        the dual update at the primal extrapolation x_k + theta (x_k -
-        x_{k-1}) is the form the linear-rate guarantee is proved for."""
-        params = linear_rate_params(self.lam, self.lam, self.op_norm)
-        return LinearRateSchedule(*params, order="y-first")
 
     def default_init(self, seed=0):
         """A random interior point of each simplex, drawn from ``seed``."""

@@ -22,7 +22,6 @@ import numpy as np
 from ..bregman import Quadratic
 from ..engine import SaddleProblem, solve
 from ..operators import DenseOperator
-from ..schedules import AccDualSchedule
 
 __all__ = [
     "shrink1",
@@ -88,10 +87,6 @@ class LassoProblem(SaddleProblem):
     def default_init(self, seed=0):
         """x0 = 0 and y0 = b; ``seed`` is unused."""
         return np.zeros(self.n), self.b.copy()
-
-    def schedule(self):
-        """Accelerated dual schedule at its default tau0 = 1/(2 ||A||^2), so sigma0 = 2."""
-        return AccDualSchedule(self.gamma_h_star, self.op_norm)
 
 
 def lasso_optimality_residual(problem, x, y):

@@ -11,7 +11,9 @@ box (0, 1/m)^m carrying the averaged-binary-entropy geometry, so both proxes
 have closed forms: a multiplicative-weights step in x and a logit-shift step
 in y. The dual part is strongly convex with gamma_h_star = 4m, which enables
 the accelerated dual schedule; operator norm is the max column l2 norm.
-``schedule()`` builds that schedule; ``solve_l1_logreg`` (``engine.solve``) runs it.
+The inherited ``schedule()`` picks that schedule from the two (tau0 =
+2m/||A||_{1,2}^2, so sigma0 = 1/(2m)); ``solve_l1_logreg`` (``engine.solve``)
+runs it.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ import numpy as np
 from ..bregman import BinaryEntropyAverage, NegativeEntropy, logit, sigmoid, softmax
 from ..engine import SaddleProblem, solve
 from ..operators import ScaledConcat, norm_1_2
-from ..schedules import AccDualSchedule
 
 __all__ = [
     "L1LogRegProblem",
@@ -94,11 +95,6 @@ class L1LogRegProblem(SaddleProblem):
         x0 = np.full(self.n, 1.0 / self.n)
         y0 = np.full(self.m, 1.0 / (2.0 * self.m))
         return x0, y0
-
-    def schedule(self):
-        """Accelerated dual schedule at its default tau0 = 2m / ||A||_{1,2}^2,
-        which pairs with sigma0 = 1/(2m)."""
-        return AccDualSchedule(self.gamma_h_star, self.op_norm)
 
 
 def recover_v(x, lam):

@@ -3,7 +3,7 @@
 Four regimes, each naming the update ``order`` that ``engine.step`` runs:
 
 * ``ConstantSchedule`` -- fixed (tau, sigma) with tau*sigma*||A||^2 < 1;
-  overrelaxed.
+  overrelaxed, with theta = 1.
 * ``AccPrimalSchedule`` -- for a strongly convex primal part (gamma_g > 0);
   theta_{k+1} = 1/sqrt(1 + gamma_g tau_k), tau shrinks, sigma grows; x-first.
 * ``AccDualSchedule`` -- mirror regime for a strongly convex dual part
@@ -14,6 +14,11 @@ Four regimes, each naming the update ``order`` that ``engine.step`` runs:
 The accelerated schedules keep tau_k * sigma_k * ||A||^2 = 1 for every k; the
 linear-rate parameters satisfy tau * sigma * theta * ||A||^2 = 1.
 ``history_weight`` weighs the history term of ``engine.delta_diag``.
+``engine.run`` grows the ergodic weights by 1/theta after the first step.
+
+``schedule_for(gamma_g, gamma_h_star, op_norm)`` picks the regime from a
+problem's constants: linear rate (y-first) when both are positive, the
+accelerated dual schedule when only gamma_h_star is.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ __all__ = [
     "AccDualSchedule",
     "LinearRateSchedule",
     "linear_rate_params",
+    "schedule_for",
 ]
 
 
@@ -53,8 +59,8 @@ def linear_rate_params(gamma_g, gamma_h_star, op_norm):
 
 
 class ConstantSchedule:
-    """Fixed step sizes for the basic method; theta is unused (the
-    overrelaxed iteration hard-codes 2x_{k+1} - x_k)."""
+    """Fixed step sizes for the basic method; theta = 1 is the
+    overrelaxation weight of 2x_{k+1} - x_k, which ``engine.step`` applies."""
 
     regime = "constant"
     order = "overrelaxed"
@@ -68,14 +74,11 @@ class ConstantSchedule:
             )
         self.tau = float(tau)
         self.sigma = float(sigma)
-        self.theta = 0.0
+        self.theta = 1.0
         self.k = 0
 
     def advance(self):
         self.k += 1
-
-    def ergodic_growth(self):
-        return 1.0
 
 
 class AccPrimalSchedule:
@@ -112,11 +115,6 @@ class AccPrimalSchedule:
         self.tau = self.theta * self.tau
         self.sigma = self.sigma / self.theta
         self.k += 1
-
-    def ergodic_growth(self):
-        # Weight of iterate k is sigma_{k-1}/sigma0, so consecutive weights
-        # grow by 1/theta_k.
-        return 1.0 if self.k == 0 else 1.0 / self.theta
 
 
 class AccDualSchedule:
@@ -156,9 +154,6 @@ class AccDualSchedule:
         self.tau = self.tau / self.theta
         self.k += 1
 
-    def ergodic_growth(self):
-        return 1.0 if self.k == 0 else 1.0 / self.theta
-
 
 class LinearRateSchedule:
     """Fixed (theta, tau, sigma) for the linear-rate regimes."""
@@ -187,7 +182,22 @@ class LinearRateSchedule:
     def advance(self):
         self.k += 1
 
-    def ergodic_growth(self):
-        # Ergodic weights theta^{-(k-1)} grow geometrically; the accumulator
-        # rescales to keep them in range.
-        return 1.0 if self.k == 0 else 1.0 / self.theta
+
+def schedule_for(gamma_g, gamma_h_star, op_norm):
+    """A fresh schedule for a problem with these constants.
+
+    Both strong-convexity constants positive: the linear-rate parameters,
+    y-first, since the dual update at the primal extrapolation x_k + theta
+    (x_k - x_{k-1}) is the form the linear-rate guarantee is proved for.
+    Only gamma_h_star positive: the accelerated dual schedule at its default
+    tau0. A zero norm becomes 1.0, since any step serves a zero operator.
+    """
+    norm = 1.0 if op_norm == 0.0 else op_norm
+    if gamma_g > 0 and gamma_h_star > 0:
+        return LinearRateSchedule(*linear_rate_params(gamma_g, gamma_h_star, norm), order="y-first")
+    if gamma_h_star > 0:
+        return AccDualSchedule(gamma_h_star, norm)
+    raise ValueError(
+        f"no schedule for gamma_g={gamma_g}, gamma_h_star={gamma_h_star}: "
+        "gamma_h_star must be positive"
+    )

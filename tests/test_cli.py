@@ -263,3 +263,34 @@ def test_gen_data_rejects_existing_file_as_output(tmp_path):
         main(["gen-data", "--kind", "game", "--m", "3", "--n", "3", "--out", str(target)])
     assert str(exc.value) == f"gen-data: output path is not a directory: {target}"
     assert target.read_text() == "keep me\n"
+
+
+@pytest.mark.parametrize("command", ["bench", "solve"])
+def test_output_path_that_is_a_directory_rejected_before_work(tmp_path, monkeypatch, command):
+    """An existing directory as the output file ends in one line before any
+    solve runs, not in IsADirectoryError after it."""
+    monkeypatch.setattr("nlpdhg.cli.run_experiment", lambda spec: pytest.fail("bench ran"))
+    monkeypatch.setattr("nlpdhg.cli.call_solver", lambda *a, **kw: pytest.fail("solve ran"))
+    if command == "bench":
+        argv = ["bench", "--spec", str(_spec_file(tmp_path)), "--out"]
+    else:
+        argv = ["solve", "--problem", str(_game_fixture(tmp_path)), "--method", "pu", "--report"]
+    taken = tmp_path / "taken"
+    taken.mkdir()
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, str(taken)])
+    assert str(exc.value) == f"{command}: output path is a directory: {taken}"
+    assert list(taken.iterdir()) == []
+
+
+def test_gen_data_rejects_file_ancestor_before_generating(tmp_path, monkeypatch):
+    """A file among the output path's ancestors ends in one line naming it,
+    before any data is generated or any directory created."""
+    monkeypatch.setattr("nlpdhg.cli.gen_arrays", lambda *a: pytest.fail("data generated"))
+    target = tmp_path / "s.json"
+    target.write_text("keep me\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["gen-data", "--kind", "game", "--m", "3", "--n", "3", "--out", str(target / "a")])
+    assert str(exc.value) == f"gen-data: output path is not a directory: {target}"
+    assert target.read_text() == "keep me\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["s.json"]

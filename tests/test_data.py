@@ -18,12 +18,14 @@ class TestLogRegData:
         _, v, _ = gen_logreg_data(20, 250, 0)
         assert np.count_nonzero(v) == 3  # ceil(2.5)
 
-    def test_noise_off_hook(self):
-        """Without label noise the labels equal the sign of the planted
-        margin exactly."""
-        B, v, labels = gen_logreg_data(200, 50, 1, noise=0.0)
+    def test_labels_are_signs_of_the_noisy_margin(self):
+        """The labels equal the sign of the planted margin plus the third
+        spawned stream's standard normal draws, exactly."""
+        B, v, labels = gen_logreg_data(200, 50, 1)
         u = -labels[:, None] * B
-        assert np.array_equal(labels, np.where(u @ v >= 0, 1.0, -1.0))
+        s_noise = np.random.SeedSequence(1).spawn(3)[2]
+        xi = np.random.default_rng(s_noise).standard_normal(200)
+        assert np.array_equal(labels, np.where(u @ v + xi >= 0, 1.0, -1.0))
 
     @pytest.mark.parametrize(
         "m, d, seed, digest",

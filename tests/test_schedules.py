@@ -4,13 +4,19 @@ import numpy as np
 import pytest
 
 from nlpdhg.data import gen_game_data, gen_lasso_data, gen_logreg_data
-from nlpdhg.problems import L1LogRegProblem, LassoProblem, MatrixGameProblem
+from nlpdhg.problems import (
+    L1LogRegProblem,
+    LassoProblem,
+    MatrixGameProblem,
+    QuadraticSaddleProblem,
+)
 from nlpdhg.schedules import (
     AccDualSchedule,
     AccPrimalSchedule,
     ConstantSchedule,
     LinearRateSchedule,
     linear_rate_params,
+    schedule_for,
 )
 
 
@@ -25,6 +31,11 @@ class TestConstant:
         for _ in range(5):
             s.advance()
         assert (s.tau, s.sigma) == (0.4, 0.3)
+
+    def test_theta_is_the_overrelaxation_weight(self):
+        """theta = 1 is the weight of 2x_{k+1} - x_k, so the ergodic weights
+        grow by 1/theta = 1: a plain average."""
+        assert ConstantSchedule(0.4, 0.3, 1.0).theta == 1.0
 
 
 class TestAccPrimal:
@@ -149,6 +160,42 @@ class TestLinearRate:
     def test_order_validation(self):
         with pytest.raises(ValueError, match="order"):
             LinearRateSchedule(0.5, 1.0, 1.0, order="sideways")
+
+
+class TestScheduleFor:
+    def _params(self, s):
+        return s.theta, s.tau, s.sigma
+
+    def test_both_constants_give_linear_rate_y_first(self):
+        s = schedule_for(0.7, 1.3, 2.1)
+        assert s.regime == "linear-rate-y-first" and s.k == 0
+        assert self._params(s) == linear_rate_params(0.7, 1.3, 2.1)
+
+    def test_dual_constant_alone_gives_acc_dual(self):
+        gamma, L = 3.0, 1.7
+        s = schedule_for(0.0, gamma, L)
+        assert s.regime == "acc-dual"
+        assert s.tau0 == gamma / (2.0 * L**2)
+        assert self._params(s) == self._params(AccDualSchedule(gamma, L))
+
+    @pytest.mark.parametrize("gamma_g, gamma_h_star", [(0.5, 0.5), (0.0, 2.0)])
+    def test_zero_norm_is_unit_norm(self, gamma_g, gamma_h_star):
+        zero = schedule_for(gamma_g, gamma_h_star, 0.0)
+        unit = schedule_for(gamma_g, gamma_h_star, 1.0)
+        assert zero.regime == unit.regime
+        assert self._params(zero) == self._params(unit)
+
+    @pytest.mark.parametrize("gamma_g", [0.0, 1.0])
+    def test_no_dual_constant_rejected(self, gamma_g):
+        with pytest.raises(ValueError, match=r"gamma_g=.*gamma_h_star=0\.0"):
+            schedule_for(gamma_g, 0.0, 1.0)
+
+    def test_problem_declaring_constants_inherits_schedule(self):
+        A = np.array([[1.0, 2.0], [0.5, -1.0], [0.0, 3.0]])
+        p = QuadraticSaddleProblem(A, 0.5, 0.3)
+        s = p.schedule()
+        assert s.regime == "linear-rate-y-first"
+        assert self._params(s) == linear_rate_params(0.5, 0.3, p.op_norm)
 
 
 WORKED_PROBLEMS = {
