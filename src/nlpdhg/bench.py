@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass, field, fields
 
 from . import baselines
 from .data import gen_game_data, gen_lasso_data, gen_logreg_data
-from .engine import solve
+from .engine import check_count, check_tol, solve
 from .problems.games import MatrixGameProblem
 from .problems.lasso import LassoProblem
 from .problems.logreg import L1LogRegProblem
@@ -66,6 +66,9 @@ class ExperimentSpec:
             raise ValueError(f"solvers must be a list of solver names, got {self.solvers!r}")
         if not self.solvers:
             self.solvers = list(DEFAULT_SOLVERS[self.kind])
+        check_tol(self.tol)
+        check_count("max_iters", self.max_iters, 1)
+        check_count("reps", self.reps, 1)
 
     @classmethod
     def from_json(cls, text):

@@ -63,11 +63,18 @@ def _xlogratio(a, b):
 def softmax(t):
     """exp(t) normalized to the unit simplex: the inverse mirror map of the
     negative entropy. Shifts by max(t) first, so nothing overflows. The
-    result is a fresh array."""
+    result is a fresh array.
+
+    The shift is ``t[t.argmax()]``: an entry of t, so it equals ``t.max()``
+    (a NaN anywhere is the first NaN either way, and which of tied maxima or
+    of +0.0 and -0.0 it picks changes no exp). The normaliser is
+    ``np.add.reduce(e, None)``, the pairwise sum ``e.sum()`` runs, called
+    without numpy's Python-level ``_methods`` wrapper. Both save calls on the
+    small vectors of the game proxes, and the result keeps its bits."""
     t = np.asarray(t, dtype=float)
-    e = t - t.max()
+    e = t - t[t.argmax()]
     np.exp(e, out=e)
-    e /= e.sum()
+    e /= np.add.reduce(e, None)
     return e
 
 

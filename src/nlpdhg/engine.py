@@ -2,10 +2,18 @@
 
 A problem supplies two Bregman proximal maps and a linear operator; a
 schedule supplies the step sizes and names its update order (overrelaxed,
-x-first or y-first). ``step`` carries out one iteration in that order;
-``run`` repeats it until a ``StoppingRule`` fires (one ``tol``; ``stop_on``
-or a ``residual_fn`` says what it bounds) and tracks ergodic averages and
-a residual trace; the Lyapunov diagnostic ``delta_diag`` runs over ``step``.
+x-first or y-first). One private step helper carries out an iteration in
+that order on plain arrays; the public ``step`` wraps it for an
+``IterateState``, and ``run`` calls it directly, keeping the iterates as
+locals. ``run`` repeats it until a ``StoppingRule`` fires (one ``tol``;
+``stop_on`` or a ``residual_fn`` says what it bounds) and tracks ergodic
+averages and a residual trace; the Lyapunov diagnostic ``delta_diag`` runs
+over ``step``. ``run`` forms the ergodic dual average only on iterations
+whose ergodic test reads it: each one under ``stop_on="ergodic"``, those
+where the regular test passed under "both", none otherwise. The previous
+iteration's average, when needed and not formed, is read from the
+accumulator before the next add, so every result is the one an average
+formed on every iteration gives.
 Besides the problem's data, a run holds O(m + n) state and a trace of 16
 bytes per iteration: the (k, value) pairs go into one flat ``array('d')``
 that the report views as a (K, 2) float64 array without copying.
@@ -25,6 +33,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import time
 from array import array
 from dataclasses import dataclass
@@ -142,12 +151,27 @@ class ErgodicAccumulator:
         return self.sum_y / self.total
 
 
+def check_tol(tol):
+    """Raise a ValueError naming ``tol`` unless it is a finite number >= 0:
+    a NaN tolerance would never stop a run, a negative one never could."""
+    if not (isinstance(tol, numbers.Real) and math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be a finite number >= 0, got {tol!r}")
+
+
+def check_count(name, value, least):
+    """Raise a ValueError naming ``name`` unless ``value`` is an integer (not
+    a bool) of at least ``least``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
 @dataclass
 class StoppingRule:
     """When ``run`` stops, checked after every iteration.
 
-    ``max_iters`` caps the run and never marks it converged; with ``tol``
-    left at None nothing else stops it. With ``tol`` set, ``stop_on`` picks
+    ``max_iters`` (an integer >= 0) caps the run and never marks it
+    converged; with ``tol`` left at None nothing else stops it, and a set
+    ``tol`` must be a finite number >= 0. With ``tol`` set, ``stop_on`` picks
     the test: "regular" bounds the relative dual change,
     ||y_{k+1} - y_k|| <= tol * ||y_{k+1}|| (from k = 2 on), "ergodic" the
     same change of the ergodic dual average, and "both" requires both. A
@@ -162,6 +186,9 @@ class StoppingRule:
     residual_fn: object = None
 
     def __post_init__(self):
+        check_count("max_iters", self.max_iters, 0)
+        if self.tol is not None:
+            check_tol(self.tol)
         if self.stop_on not in ("regular", "ergodic", "both"):
             raise ValueError(
                 f"stop_on must be 'regular', 'ergodic' or 'both', got {self.stop_on!r}"
@@ -230,27 +257,24 @@ class SolveReport:
         )
 
 
-def step(problem, state, schedule):
-    """One iteration in the schedule's ``order`` at its current (theta, tau,
-    sigma), then ``schedule.advance()``. "overrelaxed": x-prox at y_k, y-prox
-    at 2 x_{k+1} - x_k. "x-first": x-prox at y_k + theta (y_k - y_{k-1}),
-    y-prox at x_{k+1}. "y-first": y-prox at x_k + theta (x_k - x_{k-1}),
-    x-prox at y_{k+1}."""
+def _step(problem, schedule, x, x_prev, y, y_prev):
+    """The iteration of ``step`` on plain arrays: returns (x_{k+1}, y_{k+1})
+    and advances the schedule. ``run`` calls it directly, so its loop keeps
+    the iterates as locals and builds no ``IterateState``."""
     order = schedule.order
-    x, y = state.x, state.y
     if order == "overrelaxed":
         x_new = problem.primal_prox(y, x, schedule.tau)
         x_bar = 2.0 * x_new
         x_bar -= x
         y_new = problem.dual_prox(x_bar, y, schedule.sigma)
     elif order == "x-first":
-        y_tilde = y - state.y_prev
+        y_tilde = y - y_prev
         y_tilde *= schedule.theta
         y_tilde += y
         x_new = problem.primal_prox(y_tilde, x, schedule.tau)
         y_new = problem.dual_prox(x_new, y, schedule.sigma)
     elif order == "y-first":
-        x_tilde = x - state.x_prev
+        x_tilde = x - x_prev
         x_tilde *= schedule.theta
         x_tilde += x
         y_new = problem.dual_prox(x_tilde, y, schedule.sigma)
@@ -258,7 +282,17 @@ def step(problem, state, schedule):
     else:
         raise ValueError(f"unknown update order {order!r}")
     schedule.advance()
-    return IterateState(x_new, x, y_new, y, state.k + 1)
+    return x_new, y_new
+
+
+def step(problem, state, schedule):
+    """One iteration in the schedule's ``order`` at its current (theta, tau,
+    sigma), then ``schedule.advance()``. "overrelaxed": x-prox at y_k, y-prox
+    at 2 x_{k+1} - x_k. "x-first": x-prox at y_k + theta (y_k - y_{k-1}),
+    y-prox at x_{k+1}. "y-first": y-prox at x_k + theta (x_k - x_{k-1}),
+    x-prox at y_{k+1}."""
+    x_new, y_new = _step(problem, schedule, state.x, state.x_prev, state.y, state.y_prev)
+    return IterateState(x_new, state.x, y_new, state.y, state.k + 1)
 
 
 def delta_diag(problem, state, schedule, x_ref, y_ref):
@@ -305,8 +339,10 @@ def run(problem, schedule, x0, y0, stop=None):
     """
     if stop is None:
         stop = StoppingRule()
-    state = IterateState.initial(x0, y0)
-    acc = ErgodicAccumulator(state.x.shape[0], state.y.shape[0])
+    x = np.asarray(x0, dtype=float).copy()
+    y = np.asarray(y0, dtype=float).copy()
+    x_prev, y_prev = x, y
+    acc = ErgodicAccumulator(x.shape[0], y.shape[0])
     trace = array("d")
     tol, residual_fn = stop.tol, stop.residual_fn
     dual_tests = tol is not None and residual_fn is None
@@ -314,13 +350,16 @@ def run(problem, schedule, x0, y0, stop=None):
     ergodic = dual_tests and stop.stop_on != "regular"
     t_start = time.perf_counter()
     converged = False
+    # The ergodic dual average of the previous iteration, or None when that
+    # iteration did not form it (or there was none).
     y_erg_prev = None
-    for _ in range(stop.max_iters):
+    k = 0
+    for k in range(1, stop.max_iters + 1):
         # Consecutive ergodic weights grow by 1/theta after the schedule's
         # first step; the accumulator rescales to keep them in range.
         growth = 1.0 if schedule.k == 0 else 1.0 / schedule.theta
-        state = step(problem, state, schedule)
-        x, y = state.x, state.y
+        x_new, y_new = _step(problem, schedule, x, x_prev, y, y_prev)
+        x_prev, y_prev, x, y = x, y, x_new, y_new
         y_norm = _norm(y)
         # A finite x . x or ||y|| proves every entry finite; only an
         # overflowing one needs the entrywise scan.
@@ -328,25 +367,33 @@ def run(problem, schedule, x0, y0, stop=None):
             (math.isfinite(x.dot(x)) or np.isfinite(x).all())
             and (math.isfinite(y_norm) or np.isfinite(y).all())
         ):
-            raise RuntimeError(f"non-finite iterate at k={state.k}")
-        acc.add(x, y, growth)
+            raise RuntimeError(f"non-finite iterate at k={k}")
 
         if residual_fn is not None:
             monitored = float(residual_fn(x, y))
         else:
-            monitored = _rel_change(y, state.y_prev, y_norm)
-        trace.append(state.k)
+            monitored = _rel_change(y, y_prev, y_norm)
+        trace.append(k)
         trace.append(monitored)
 
-        # Averages are fresh arrays, so the previous one needs no copy.
-        y_avg = acc.y_avg if ergodic else None
         if residual_fn is not None:
             converged = tol is not None and monitored <= tol
         elif dual_tests:
-            converged = (not regular or (state.k > 1 and monitored <= tol)) and (
-                not ergodic or (y_erg_prev is not None and _rel_change(y_avg, y_erg_prev) <= tol)
-            )
-        y_erg_prev = y_avg
+            converged = not regular or (k > 1 and monitored <= tol)
+        # The ergodic test reads the dual average only where the regular one
+        # passed, so only those iterations form it. The previous iteration's
+        # average, when that iteration did not form it, is the accumulator's
+        # before this add.
+        form_avg = ergodic and converged
+        if form_avg and y_erg_prev is None and k > 1:
+            y_erg_prev = acc.y_avg
+        acc.add(x, y, growth)
+        if form_avg:
+            y_avg = acc.y_avg
+            converged = y_erg_prev is not None and _rel_change(y_avg, y_erg_prev) <= tol
+            y_erg_prev = y_avg
+        else:
+            y_erg_prev = None
         if converged:
             break
     wall_ms = 1000.0 * (time.perf_counter() - t_start)
@@ -354,12 +401,12 @@ def run(problem, schedule, x0, y0, stop=None):
     return SolveReport(
         problem_id=getattr(problem, "problem_id", "saddle"),
         regime=schedule.regime,
-        k=state.k,
+        k=k,
         converged=converged,
         wall_ms=wall_ms,
         residual_trace=trace,
-        x=state.x,
-        y=state.y,
+        x=x,
+        y=y,
         x_ergodic=acc.x_avg if has_avg else None,
         y_ergodic=acc.y_avg if has_avg else None,
     )

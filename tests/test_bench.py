@@ -55,6 +55,21 @@ class TestSpec:
         with pytest.raises(ValueError, match="solvers must be a list of solver names"):
             small_spec(solvers=solvers)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("tol", -1),
+            ("tol", float("nan")),
+            ("tol", float("inf")),
+            ("max_iters", -5),
+            ("max_iters", 0),
+            ("reps", 0),
+        ],
+    )
+    def test_bad_numbers_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            small_spec(**{field: value})
+
     def test_default_solver_list(self):
         spec = ExperimentSpec(kind="game", m=4, n=4, lam=0.5, seed=0)
         assert "nonlinear-pdhg" in spec.solvers and "pu" in spec.solvers

@@ -124,3 +124,58 @@ def test_committed_regenerate_command_runs(tmp_path, name):
     assert {k: rebuilt["claim"][k] for k in ("workload", "metric")} == {
         k: committed["claim"][k] for k in ("workload", "metric")
     }
+
+
+def test_bounds_come_from_the_benchmark_file(tmp_path):
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    assert bench_summary.BOUNDS == {m["name"]: m["bound"] for m in spec["end_to_end"]}
+    path = tmp_path / "BENCHMARK.json"
+    path.write_text(json.dumps({"end_to_end": [{"name": "a", "better": "lower", "bound": 0.5}]}))
+    assert bench_summary.bounds(path) == {"a": 0.5}
+
+
+def check(bench, metric):
+    e2e = bench["workloads"]["game-swarm"]["end_to_end"][metric]
+    return e2e["within_bound"], e2e["unresolved"]
+
+
+def test_regression_within_bound(tmp_path):
+    """A gain, and a loss smaller than the bound, are both within it."""
+    bench = summarise(tmp_path, PARENT, FASTER)
+    assert check(bench, "best_solves_per_s") == (True, False)
+    slower = [metrics(80.0 + i) for i in range(10)]  # -19% at bound 0.25
+    bench = summarise(tmp_path, PARENT, slower)
+    assert check(bench, "best_solves_per_s") == (True, False)
+    assert bench["regressed"] == [] and bench["unresolved"] == []
+
+
+def test_regression_beyond_bound(tmp_path):
+    """Medians 104.5 -> 69.5 on a higher-is-better metric (-33%), and a
+    lower-is-better one whose median rises 11% at bound 0.1."""
+    slower = [metrics(65.0 + i, rss=55.5) for i in range(10)]
+    bench = summarise(tmp_path, PARENT, slower)
+    assert check(bench, "best_solves_per_s") == (False, False)
+    assert check(bench, "peak_rss_mb") == (False, False)
+    assert check(bench, "setup_s") == (True, False)
+    assert bench["regressed"] == ["game-swarm/best_solves_per_s", "game-swarm/peak_rss_mb"]
+
+
+def test_wide_parent_spread_is_unresolved(tmp_path):
+    """Parent IQR/median 45/105 > bound 0.25: a 9% loss cannot be told apart,
+    and neither can a gain unless every change run beats every parent run."""
+    wide = [metrics(60.0 + 10 * i) for i in range(10)]
+    bench = summarise(tmp_path, wide, [metrics(55.0 + 9 * i) for i in range(10)])
+    assert check(bench, "best_solves_per_s") == (True, True)
+    assert bench["unresolved"] == ["game-swarm/best_solves_per_s"]
+    assert bench["regressed"] == []
+    bench = summarise(tmp_path, wide, [metrics(160.0 + i) for i in range(10)])
+    assert check(bench, "best_solves_per_s") == (True, False)
+
+
+def test_unresolved_loss_beyond_bound_is_not_called_a_regression(tmp_path):
+    """Medians 105 -> 75 (-29%) inside a parent spread wider than the bound."""
+    wide = [metrics(60.0 + 10 * i) for i in range(10)]
+    bench = summarise(tmp_path, wide, [metrics(30.0 + 10 * i) for i in range(10)])
+    assert check(bench, "best_solves_per_s") == (False, True)
+    assert bench["regressed"] == []
+    assert bench["unresolved"] == ["game-swarm/best_solves_per_s"]

@@ -241,6 +241,27 @@ def test_bench_rejects_string_solvers(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("tol", -1, "tol must be a finite number >= 0, got -1"),
+        ("tol", float("nan"), "tol must be a finite number >= 0, got nan"),
+        ("max_iters", -5, "max_iters must be an integer >= 1, got -5"),
+        ("reps", 0, "reps must be an integer >= 1, got 0"),
+    ],
+    ids=["negative-tol", "nan-tol", "negative-max-iters", "zero-reps"],
+)
+def test_bench_rejects_bad_spec_numbers(tmp_path, field, value, message):
+    """A spec that would write unconverged, empty-iteration or no rows ends
+    in one line before any solve runs."""
+    out = tmp_path / "o.csv"
+    spec = _spec_file(tmp_path, m=6, n=5, **{field: value})
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--spec", str(spec), "--out", str(out)])
+    assert str(exc.value) == f"bench: {message}"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["bench", "solve"])
 def test_output_path_checked_before_work(tmp_path, monkeypatch, command):
     """A missing output directory ends in one line before any solve runs."""

@@ -8,16 +8,19 @@ import pytest
 import nlpdhg
 from nlpdhg import engine
 from nlpdhg.engine import (
+    ErgodicAccumulator,
     IterateState,
     StoppingRule,
+    _rel_change,
     delta_diag,
     run,
     step,
 )
 from nlpdhg.baselines import solve_game_pu
-from nlpdhg.data import gen_game_data, gen_logreg_data
+from nlpdhg.data import gen_game_data, gen_lasso_data, gen_logreg_data
 from nlpdhg.problems import (
     L1LogRegProblem,
+    LassoProblem,
     MatrixGameProblem,
     solve_l1_logreg,
     solve_lasso,
@@ -257,6 +260,29 @@ class TestRun:
         with pytest.raises(ValueError, match="stop_on"):
             StoppingRule(50, 1e-3, "sometimes")
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("tol", float("nan")),
+            ("tol", float("inf")),
+            ("tol", -1e-3),
+            ("max_iters", 2.5),
+            ("max_iters", -1),
+            ("max_iters", "10"),
+            ("max_iters", True),
+        ],
+    )
+    def test_stopping_rule_rejects_bad_numbers(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            StoppingRule(**{field: value})
+
+    def test_stopping_rule_edge_values_stay_valid(self):
+        prob = one_d_game()
+        stop = StoppingRule(max_iters=0, tol=None)
+        rep = run(prob, ConstantSchedule(0.5, 0.5, prob.op_norm), np.ones(1), np.ones(1), stop)
+        assert rep.k == 0 and not rep.converged
+        assert StoppingRule(np.int64(3), 0.0).max_iters == 3
+
     def test_unknown_stop_on_raises_with_a_residual_fn(self):
         with pytest.raises(ValueError, match="stop_on"):
             StoppingRule(50, 1e-3, "sometimes", residual_fn=lambda x, y: 0.0)
@@ -424,6 +450,64 @@ class TestErgodic:
         # Late iterates dominate the geometric weights, so the average sits
         # essentially at the saddle point.
         assert abs(rep.x_ergodic[0]) < 1e-10
+
+
+def eager_average_run(problem, schedule, x0, y0, stop):
+    """The loop of ``run`` over ``step`` with the ergodic dual average formed
+    on every iteration, whether or not a test reads it: the oracle for the
+    lazy average of ``run``. Returns (k, trace, x_ergodic, y_ergodic)."""
+    state = IterateState.initial(x0, y0)
+    acc = ErgodicAccumulator(state.x.shape[0], state.y.shape[0])
+    tol, stop_on = stop.tol, stop.stop_on
+    trace, y_erg_prev = [], None
+    for _ in range(stop.max_iters):
+        growth = 1.0 if schedule.k == 0 else 1.0 / schedule.theta
+        state = step(problem, state, schedule)
+        acc.add(state.x, state.y, growth)
+        monitored = _rel_change(state.y, state.y_prev)
+        trace.append((state.k, monitored))
+        y_avg = acc.y_avg
+        regular_ok = state.k > 1 and monitored <= tol
+        ergodic_ok = y_erg_prev is not None and _rel_change(y_avg, y_erg_prev) <= tol
+        y_erg_prev = y_avg
+        if (regular_ok or stop_on == "ergodic") and (ergodic_ok or stop_on == "regular"):
+            break
+    return state.k, np.array(trace, dtype=float), acc.x_avg, acc.y_avg
+
+
+class TestLazyErgodicAverage:
+    """``run`` forms the ergodic dual average only where the ergodic test
+    reads it; every result must equal the eager oracle's bit for bit."""
+
+    @pytest.mark.parametrize("stop_on", ["regular", "ergodic", "both"])
+    @pytest.mark.parametrize("case", ["acc-dual", "linear-rate"])
+    def test_run_matches_eager_oracle(self, case, stop_on):
+        if case == "acc-dual":
+            # The Lasso's own schedule. Under "both" the regular test passes,
+            # fails and passes again before the stop, so the ergodic test
+            # reads averages that the previous iteration did not form.
+            A, b, _ = gen_lasso_data(20, 50, 4, 0.1, 0)
+            problem = LassoProblem(A, b, 0.3)
+            x0, y0 = problem.default_init(0)
+            tol, make_schedule = 1e-5, problem.schedule
+        else:
+            # Weights grow by 1/theta = 100 per step: the accumulator
+            # rescales near k = 60, well before the stop near k = 128.
+            problem = random_game(5)
+            x0, y0 = np.zeros(4), np.zeros(3)
+            tol = 1e-10
+
+            def make_schedule():
+                return LinearRateSchedule(0.01, 0.5, 0.5, order="y-first")
+        stop = StoppingRule(20000, tol, stop_on)
+        rep = run(problem, make_schedule(), x0, y0, stop)
+        k, trace, x_erg, y_erg = eager_average_run(problem, make_schedule(), x0, y0, stop)
+        assert rep.converged and rep.k == k
+        if case == "linear-rate":
+            assert 100.0 ** (k - 1) > ErgodicAccumulator.RESCALE_AT
+        assert rep.residual_trace.tobytes() == trace.tobytes()
+        assert rep.x_ergodic.tobytes() == x_erg.tobytes()
+        assert rep.y_ergodic.tobytes() == y_erg.tobytes()
 
 
 class TestErgodicGapBound:

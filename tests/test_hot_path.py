@@ -23,10 +23,28 @@ from nlpdhg.problems.quadratic import QuadraticSaddleProblem
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 vectors = arrays(np.float64, st.integers(1, 40), elements=finite)
-# Moderate entries make the normalisation round; extreme ones overflow the shift.
-softmax_inputs = arrays(
-    np.float64, st.integers(1, 40), elements=st.one_of(st.floats(-30.0, 30.0), finite)
-)
+
+
+@st.composite
+def softmax_inputs(draw):
+    """Moderate entries make the normalisation round; extreme ones overflow
+    the shift. Some draws repeat the maximum, or make it +0.0 or -0.0
+    (every entry <= 0, zeros of either sign)."""
+    t = draw(arrays(
+        np.float64, st.integers(1, 40), elements=st.one_of(st.floats(-30.0, 30.0), finite)
+    ))
+    top = draw(st.sampled_from(["as drawn", "repeated", "signed zero"]))
+    if top != "as drawn":
+        spots = draw(st.lists(
+            st.integers(0, t.size - 1), min_size=min(2, t.size), max_size=t.size, unique=True
+        ))
+        if top == "repeated":
+            t[spots] = t.max()
+        else:
+            t = -np.abs(t)
+            t[spots] = draw(st.lists(st.sampled_from([0.0, -0.0]), min_size=len(spots),
+                                     max_size=len(spots)))
+    return t
 
 
 def same_bits(a, b):
@@ -34,11 +52,14 @@ def same_bits(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-@given(softmax_inputs)
+@given(softmax_inputs(), st.data())
 @settings(max_examples=300, deadline=None)
-def test_softmax_matches_reference_at_extreme_inputs(t):
+def test_softmax_matches_reference_at_extreme_inputs(t, data):
     with np.errstate(over="ignore"):
         assert same_bits(softmax(t), softmax_reference(t))
+    # A NaN anywhere makes every entry NaN.
+    t[data.draw(st.integers(0, t.size - 1))] = np.nan
+    assert np.isnan(softmax(t)).all()
 
 
 @given(finite, st.integers(1, 40))

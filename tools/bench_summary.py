@@ -12,7 +12,10 @@ values, the median and quartiles of each side, and how many pairs the change
 won; traced pairs give the per-layer metrics side by side. The claim is
 that ``--metric`` (an end-to-end metric, ``best_solves_per_s`` by default)
 improves on the ``--claim`` workload, in the direction ``BENCHMARK.json``'s
-``end_to_end[].better`` gives it, without more failed solves there.
+``end_to_end[].better`` gives it, without more failed solves there. Every
+workload and end-to-end metric also gets the regression check of
+``summarise`` against that metric's ``bound``; the top-level ``regressed``
+and ``unresolved`` lists name the metrics that fail it or cannot be told.
 """
 
 from __future__ import annotations
@@ -36,7 +39,14 @@ def directions(path=BENCHMARK):
     return out
 
 
+def bounds(path=BENCHMARK):
+    """The relative amount by which each end-to-end metric of a
+    ``BENCHMARK.json`` may worsen before it counts as a regression."""
+    return {m["name"]: float(m["bound"]) for m in json.loads(Path(path).read_text())["end_to_end"]}
+
+
 HIGHER_IS_BETTER = directions()
+BOUNDS = bounds()
 
 
 def load(directory):
@@ -63,14 +73,27 @@ def quartiles(values):
 
 
 def summarise(pairs):
-    """Per end-to-end metric: both sides' quartiles and the change's wins."""
+    """Per end-to-end metric: both sides' quartiles, the change's wins and the
+    regression check.
+
+    The change's median is ``within_bound`` unless it is worse than the
+    parent's by more than the metric's ``bound``, relative to the parent's
+    median. A metric is ``unresolved`` when the parent's own IQR/median
+    exceeds the bound, unless every change run beats every parent run.
+    """
     out = {}
     for name, higher in HIGHER_IS_BETTER.items():
         a = [p["metrics"][name] for p, _ in pairs]
         b = [c["metrics"][name] for _, c in pairs]
         wins = sum((y > x) if higher else (y < x) for x, y in zip(a, b))
         pa, pb = quartiles(a), quartiles(b)
+        sign = 1.0 if higher else -1.0
+        worse_rel = sign * (pa["median"] - pb["median"]) / abs(pa["median"])
+        all_beat = min(b) > max(a) if higher else max(b) < min(a)
         out[name] = {
+            "bound": BOUNDS[name],
+            "within_bound": worse_rel <= BOUNDS[name],
+            "unresolved": pa["iqr"] / abs(pa["median"]) > BOUNDS[name] and not all_beat,
             "parent": pa,
             "change": pb,
             "median_change_rel": pb["median"] / pa["median"] - 1.0,
@@ -118,6 +141,11 @@ def main(argv=None):
             for side in ("parent", "change")
         }
 
+    checks = [
+        (f"{workload}/{metric}", e2e)
+        for workload, w in sorted(workloads.items())
+        for metric, e2e in w.get("end_to_end", {}).items()
+    ]
     claimed = workloads[args.claim]
     claim = claimed["end_to_end"][args.metric]
     sign = 1.0 if HIGHER_IS_BETTER[args.metric] else -1.0
@@ -132,6 +160,8 @@ def main(argv=None):
             f" --parent PARENT/perfbench/results --change CHANGE/perfbench/results"
             f" --out BENCH_{args.topic}.json",
         ],
+        "regressed": [n for n, e in checks if not e["within_bound"] and not e["unresolved"]],
+        "unresolved": [n for n, e in checks if e["unresolved"]],
         "claim": {
             "workload": args.claim,
             "metric": args.metric,
