@@ -178,11 +178,14 @@ def solve_linear_pdhg_logreg(problem, tol=1e-4, max_iters=50000, stop_on="both")
     return _linear_pdhg(saddle, schedule, np.full(d, 1.0 / d), y0, stop, t0)
 
 
-def _fista(step, monitor, x0, tol, max_iters):
+def _fista(step, monitor, x0, stop):
     """FISTA from x0: x_{k+1} = step(x_k + beta_k (x_k - x_{k-1})), with the
-    first extrapolation clamped to zero. Stops once monitor(x_{k+1}, x_k) <=
-    tol; returns (x, k, converged, trace), the trace a flat ``array('d')``
-    of (k, monitored) pairs."""
+    first extrapolation clamped to zero. Runs per ``stop``: at most its
+    max_iters iterations, ending once monitor(x_{k+1}, x_k) <= its tol (never
+    when tol is None). Returns (x, k, converged, trace), the trace a flat
+    ``array('d')`` of (k, monitored) pairs."""
+    tol = -math.inf if stop.tol is None else stop.tol
+    max_iters = stop.max_iters
     x = x0
     x_prev = x0.copy()
     t_k = 0.0
@@ -210,7 +213,9 @@ def _fista(step, monitor, x0, tol, max_iters):
 def solve_fb_logreg(problem, tol=1e-4, max_iters=50000):
     """FISTA-style projected gradient on the ball-constrained logistic
     objective; step 4m/||B||_{2,2}^2, first extrapolation clamped to zero.
-    Stops on the relative l1 change of the iterate."""
+    Stops per ``StoppingRule(max_iters, tol)`` on the relative l1 change of
+    the iterate."""
+    stop = StoppingRule(max_iters, tol)
     t0 = time.perf_counter()
     B = problem.B
     m, d = B.shape
@@ -229,7 +234,7 @@ def solve_fb_logreg(problem, tol=1e-4, max_iters=50000):
         np.abs(diff, out=diff)
         return float(diff.sum() / (denom if denom > 0 else 1.0))
 
-    v, k, converged, trace = _fista(step, monitor, np.full(d, 1.0 / d), tol, max_iters)
+    v, k, converged, trace = _fista(step, monitor, np.full(d, 1.0 / d), stop)
     wall_ms = 1000.0 * (time.perf_counter() - t0)
     return SolveReport(
         problem.problem_id, "fb-splitting", k, converged, wall_ms, trace, v, np.zeros(m)
@@ -272,9 +277,10 @@ def solve_linear_pdhg_game(problem, tol=1e-4, max_iters=50000, stop_on="both", s
 
 
 def fista_lasso(problem, tol=1e-8, max_iters=100000):
-    """FISTA on the Lasso primal, stopping on the absolute iterate change;
-    wall time includes the largest-singular-value estimate that sets the
-    step size."""
+    """FISTA on the Lasso primal, stopping per ``StoppingRule(max_iters,
+    tol)`` on the absolute iterate change; wall time includes the
+    largest-singular-value estimate that sets the step size."""
+    stop = StoppingRule(max_iters, tol)
     t0 = time.perf_counter()
     A, b, lam, m = problem.A, problem.b, problem.lam, problem.m
     tau = m / norm_2_2(problem.operator) ** 2
@@ -290,7 +296,7 @@ def fista_lasso(problem, tol=1e-8, max_iters=100000):
     def monitor(new, old):
         return _norm(new - old)
 
-    x, k, converged, trace = _fista(step, monitor, np.zeros(problem.n), tol, max_iters)
+    x, k, converged, trace = _fista(step, monitor, np.zeros(problem.n), stop)
     wall_ms = 1000.0 * (time.perf_counter() - t0)
     return SolveReport(
         problem.problem_id, "fista", k, converged, wall_ms, trace, x, (A @ x - b) / m
@@ -336,15 +342,19 @@ def _normalize_log(l):
     return l - np.log(np.exp(l).sum())
 
 
-def _mwu(problem, regime, eta, gradients, seed, tol, max_iters, t0):
-    """Damped multiplicative-weights loop in normalized log space.
+def _mwu(problem, regime, eta, gradients, seed, stop):
+    """Damped multiplicative-weights loop in normalized log space, timed
+    from its own start.
 
     Each iteration takes the step log x <- damp log x - eta g_x,
     log y <- damp log y + eta g_y, with damp = 1 - eta lam and
     (g_x, g_y) = gradients(step, lx, ly, x, y); ``step(lx, ly, g_x, g_y)``
-    is that same step, for a gradient rule that predicts with it. Stops once
-    the larger relative change of x and y is at most ``tol``.
+    is that same step, for a gradient rule that predicts with it. Runs per
+    ``stop`` as ``_fista`` does, on the larger relative change of x and y.
     """
+    t0 = time.perf_counter()
+    tol = -math.inf if stop.tol is None else stop.tol
+    max_iters = stop.max_iters
     damp = 1.0 - eta * problem.lam
 
     def step(lx, ly, g_x, g_y):
@@ -377,9 +387,10 @@ def solve_game_pu(problem, tol=1e-8, max_iters=100000, seed=0):
     half-step to predict the opponent, then the full step against the
     predicted strategies. Everything is carried in normalized log space.
     The fixed point is the regularized equilibrium
-    y = softmax(A x / lam), x = softmax(-A^T y / lam).
+    y = softmax(A x / lam), x = softmax(-A^T y / lam). Stops per
+    ``StoppingRule(max_iters, tol)``.
     """
-    t0 = time.perf_counter()
+    stop = StoppingRule(max_iters, tol)
     A = problem.payoff
 
     def predicted(step, lx, ly, x, y):
@@ -387,14 +398,15 @@ def solve_game_pu(problem, tol=1e-8, max_iters=100000, seed=0):
         return A.T @ np.exp(ly_bar), A @ np.exp(lx_bar)
 
     eta = pu_learning_rate(problem)
-    return _mwu(problem, "pu", eta, predicted, seed, tol, max_iters, t0)
+    return _mwu(problem, "pu", eta, predicted, seed, stop)
 
 
 def solve_game_omwu(problem, tol=1e-8, max_iters=100000, seed=0):
     """Optimistic multiplicative-weights update from
     ``problem.default_init(seed)``: a single damped MWU step against the
-    extrapolated gradient 2 g_k - g_{k-1}."""
-    t0 = time.perf_counter()
+    extrapolated gradient 2 g_k - g_{k-1}. Stops per
+    ``StoppingRule(max_iters, tol)``."""
+    stop = StoppingRule(max_iters, tol)
     A = problem.payoff
     g_prev = None
 
@@ -407,4 +419,4 @@ def solve_game_omwu(problem, tol=1e-8, max_iters=100000, seed=0):
         return 2.0 * g[0] - prev[0], 2.0 * g[1] - prev[1]
 
     eta = omwu_learning_rate(problem)
-    return _mwu(problem, "omwu", eta, optimistic, seed, tol, max_iters, t0)
+    return _mwu(problem, "omwu", eta, optimistic, seed, stop)

@@ -9,7 +9,11 @@ Three geometries are provided:
   entropy terms, defined on the box [0, 1/m]^m (interior (0, 1/m)^m).
 
 A geometry is immutable after construction and all of its operations are
-pure functions, so instances are safe to share between threads.
+pure functions, so instances are safe to share between threads. They share
+no base class; callers use ``value``, ``gradient``, ``divergence`` and
+``validate_point`` by name. ``sigmoid`` is one ``np.where`` over the whole
+array: the bits of a masked fill of its two stable branches, without the
+gathers and scatters that cost more than its arithmetic.
 """
 
 from __future__ import annotations
@@ -17,7 +21,6 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "BregmanGeometry",
     "Quadratic",
     "NegativeEntropy",
     "BinaryEntropyAverage",
@@ -79,15 +82,16 @@ def softmax(t):
 
 
 def sigmoid(w):
-    """Componentwise 1 / (1 + exp(-w)), the inverse of ``logit``; each
-    branch exponentiates only nonpositive values, so nothing overflows."""
+    """Componentwise 1 / (1 + exp(-w)), the inverse of ``logit``.
+
+    With e = exp(-|w|), which never overflows, the stable branches are
+    1 / (1 + e) for w >= 0 and e / (1 + e) otherwise. One ``np.where`` over
+    the whole array picks between them: each entry gets the operations a
+    masked fill of its branch would give it, so the same bits, without the
+    fill's gathers and scatters. A NaN entry gives NaN."""
     w = np.asarray(w, dtype=float)
-    out = np.empty_like(w)
-    pos = w >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-w[pos]))
-    ew = np.exp(w[~pos])
-    out[~pos] = ew / (1.0 + ew)
-    return out
+    e = np.exp(-np.abs(w))
+    return np.where(w >= 0, 1.0, e) / (1.0 + e)
 
 
 def logit(s):
@@ -97,27 +101,7 @@ def logit(s):
     return out
 
 
-class BregmanGeometry:
-    """Common interface for distance-generating functions.
-
-    Subclasses implement ``value``, ``gradient`` and ``divergence``;
-    ``validate_point`` enforces the geometry's domain.
-    """
-
-    def value(self, x):
-        raise NotImplementedError
-
-    def gradient(self, x):
-        raise NotImplementedError
-
-    def divergence(self, x, x_bar):
-        raise NotImplementedError
-
-    def validate_point(self, x, interior):
-        raise NotImplementedError
-
-
-class Quadratic(BregmanGeometry):
+class Quadratic:
     """phi(x) = (scale/2) ||x||_2^2; divergence (scale/2) ||x - x_bar||_2^2."""
 
     def __init__(self, scale=1.0):
@@ -145,7 +129,7 @@ class Quadratic(BregmanGeometry):
         _asvector(x, "x")
 
 
-class NegativeEntropy(BregmanGeometry):
+class NegativeEntropy:
     """phi(x) = sum_j x_j log x_j on the unit simplex.
 
     The divergence is computed in the log-ratio form sum x_j log(x_j/x_bar_j)
@@ -187,7 +171,7 @@ class NegativeEntropy(BregmanGeometry):
         self._check(x, "x", interior)
 
 
-class BinaryEntropyAverage(BregmanGeometry):
+class BinaryEntropyAverage:
     """scale * psi where psi averages m binary entropies of m*y_i.
 
     psi(y) = (1/m) sum_i [ m y_i log(m y_i) + (1 - m y_i) log(1 - m y_i) ]

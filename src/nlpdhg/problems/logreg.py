@@ -40,7 +40,8 @@ def _log_interior(x):
 
 
 def _softplus(t):
-    return np.where(t > 0, t + np.log1p(np.exp(-np.abs(t))), np.log1p(np.exp(-np.abs(t))))
+    """log(1 + exp(t)) = max(t, 0) + log1p(exp(-|t|)), which never overflows."""
+    return np.maximum(t, 0.0) + np.log1p(np.exp(-np.abs(t)))
 
 
 class L1LogRegProblem(SaddleProblem):
@@ -86,9 +87,6 @@ class L1LogRegProblem(SaddleProblem):
     def objective_v(self, v):
         """Primal objective of the original ball-constrained problem at v."""
         return float(np.mean(_softplus(self.B @ v)))
-
-    def objective(self, x):
-        return float(np.mean(_softplus(self.operator.apply(x))))
 
     def default_init(self, seed=0):
         """The simplex barycentre and the dual box centre; ``seed`` is unused."""

@@ -36,6 +36,13 @@ def sigmoid_reference(w):
         return np.where(w >= 0, 1.0 / (1.0 + np.exp(-w)), ew / (1.0 + ew))
 
 
+def softplus_reference(t):
+    """log(1 + exp(t)) as two ``np.where`` branches, t + log1p(exp(-|t|))
+    for t > 0 and log1p(exp(-|t|)) otherwise; ``logreg._softplus`` must
+    agree with it bit for bit."""
+    return np.where(t > 0, t + np.log1p(np.exp(-np.abs(t))), np.log1p(np.exp(-np.abs(t))))
+
+
 def rel_change_reference(new, old):
     """||new - old|| / ||new|| (plain ||new - old|| when new = 0) through
     ``np.linalg.norm``; ``engine._rel_change`` must agree bit for bit."""

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from nlpdhg import baselines
 from nlpdhg.baselines import (
     fista_lasso,
     omwu_learning_rate,
@@ -15,7 +16,7 @@ from nlpdhg.baselines import (
     solve_linear_pdhg_game,
     solve_linear_pdhg_logreg,
 )
-from nlpdhg.data import gen_game_data, gen_lasso_data
+from nlpdhg.data import gen_game_data, gen_lasso_data, gen_logreg_data
 from nlpdhg.problems.games import MatrixGameProblem, game_optimality_residual, solve_matrix_game
 from nlpdhg.problems.lasso import LassoProblem, solve_lasso
 from nlpdhg.problems.logreg import L1LogRegProblem, recover_v, solve_l1_logreg
@@ -222,3 +223,53 @@ class TestLogRegBaselines:
         u = _logistic_conjugate_prox(z, 1e-3, m, z.copy(), 1e-12, 10000)
         y = z - u  # the dual update the solver would take
         np.testing.assert_allclose(y, np.clip(z, 0.0, 1.0 / m), atol=0.05)
+
+
+# The solvers that run their own loop rather than ``engine.run``.
+OWN_LOOP_SOLVERS = {
+    "fb": solve_fb_logreg,
+    "fista": fista_lasso,
+    "pu": solve_game_pu,
+    "omwu": solve_game_omwu,
+}
+
+
+def _own_loop_problem(name):
+    if name == "fb":
+        return L1LogRegProblem(gen_logreg_data(8, 5, 0)[0], 2.0)
+    if name == "fista":
+        A, b, _ = gen_lasso_data(8, 12, 3, 0.1, 0)
+        return LassoProblem(A, b, 0.3)
+    return MatrixGameProblem(gen_game_data(6, 5, 0), 0.1)
+
+
+@pytest.mark.parametrize("name", list(OWN_LOOP_SOLVERS))
+class TestStoppingContract:
+    """FB, FISTA, PU and OMWU stop by ``StoppingRule``, as the PDHG solvers
+    do: the same errors for a bad ``tol`` or ``max_iters``, and ``tol=None``
+    runs to the cap."""
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("tol", float("nan")),
+            ("tol", float("inf")),
+            ("tol", -1.0),
+            ("max_iters", 2.5),
+            ("max_iters", -1),
+            ("max_iters", True),
+        ],
+    )
+    def test_bad_numbers_rejected_before_any_work(self, monkeypatch, name, field, value):
+        problem = _own_loop_problem(name)
+        norm_calls = []
+        monkeypatch.setattr(baselines, "norm_2_2", lambda op: norm_calls.append(op))
+        kwargs = {"tol": 1e-6, "max_iters": 10, field: value}
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            OWN_LOOP_SOLVERS[name](problem, **kwargs)
+        assert norm_calls == []
+
+    def test_no_tol_runs_to_the_cap(self, name):
+        rep = OWN_LOOP_SOLVERS[name](_own_loop_problem(name), tol=None, max_iters=7)
+        assert rep.k == 7 and not rep.converged
+        assert len(rep.residual_trace) == 7

@@ -32,14 +32,15 @@ def metrics(rate, setup=0.03, rss=50.0):
 
 
 def summarise(tmp_path, parent_metrics, change_metrics, parent_failed=0, change_failed=0,
-              metric="best_solves_per_s"):
+              metric="best_solves_per_s", claim="game-swarm", workload="game-swarm"):
     for seed, (p, c) in enumerate(zip(parent_metrics, change_metrics)):
         failed = (parent_failed, change_failed) if seed == 0 else (0, 0)
-        write_record(tmp_path / "parent", "game-swarm", seed, p, failed[0])
-        write_record(tmp_path / "change", "game-swarm", seed, c, failed[1])
+        write_record(tmp_path / "parent", workload, seed, p, failed[0])
+        write_record(tmp_path / "change", workload, seed, c, failed[1])
     out = tmp_path / "BENCH_t.json"
+    claim_args = [] if claim is None else ["--claim", claim, "--metric", metric]
     bench_summary.main([
-        "--topic", "t", "--claim", "game-swarm", "--metric", metric,
+        "--topic", "t", *claim_args,
         "--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
         "--out", str(out),
     ])
@@ -105,7 +106,25 @@ def test_change_inside_parent_spread_does_not_hold(tmp_path):
     assert bench["claim"]["holds"] is False
 
 
-@pytest.mark.parametrize("name", ["BENCH_game.json", "BENCH_memory.json"])
+def test_no_claim_still_checks_every_workload(tmp_path):
+    """Without --claim the file records a null claim and keeps each
+    workload's end-to-end checks and the top-level lists."""
+    slower = [metrics(65.0 + i) for i in range(10)]
+    summarise(tmp_path, PARENT, FASTER, claim=None, workload="lasso-path")
+    bench = summarise(tmp_path, PARENT, slower, claim=None)
+    assert bench["claim"] is None
+    assert set(bench["workloads"]) == {"game-swarm", "lasso-path"}
+    for w in bench["workloads"].values():
+        assert set(w["end_to_end"]) == set(bench_summary.HIGHER_IS_BETTER)
+    assert bench["regressed"] == ["game-swarm/best_solves_per_s"]
+    assert bench["unresolved"] == []
+    assert "--claim" not in bench["regenerate"][-1]
+    assert "--metric" not in bench["regenerate"][-1]
+
+
+@pytest.mark.parametrize(
+    "name", ["BENCH_game.json", "BENCH_memory.json", "BENCH_engine.json", "BENCH_loops.json"]
+)
 def test_committed_regenerate_command_runs(tmp_path, name):
     committed = json.loads((ROOT / name).read_text())
     argv = shlex.split(committed["regenerate"][-1])
@@ -115,15 +134,19 @@ def test_committed_regenerate_command_runs(tmp_path, name):
         for a in argv[2:]
     ]
     argv[argv.index("--out") + 1] = str(tmp_path / name)
-    workload = committed["claim"]["workload"]
-    for seed in range(3):
-        write_record(tmp_path / "p" / "perfbench" / "results", workload, seed, PARENT[seed])
-        write_record(tmp_path / "c" / "perfbench" / "results", workload, seed, FASTER[seed])
+    for workload in committed["workloads"]:
+        for seed in range(3):
+            write_record(tmp_path / "p" / "perfbench" / "results", workload, seed, PARENT[seed])
+            write_record(tmp_path / "c" / "perfbench" / "results", workload, seed, FASTER[seed])
     bench_summary.main(argv)
     rebuilt = json.loads((tmp_path / name).read_text())
-    assert {k: rebuilt["claim"][k] for k in ("workload", "metric")} == {
-        k: committed["claim"][k] for k in ("workload", "metric")
-    }
+    assert set(rebuilt["workloads"]) == set(committed["workloads"])
+    if committed["claim"] is None:
+        assert rebuilt["claim"] is None
+    else:
+        assert {k: rebuilt["claim"][k] for k in ("workload", "metric")} == {
+            k: committed["claim"][k] for k in ("workload", "metric")
+        }
 
 
 def test_bounds_come_from_the_benchmark_file(tmp_path):

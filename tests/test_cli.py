@@ -262,6 +262,17 @@ def test_bench_rejects_bad_spec_numbers(tmp_path, field, value, message):
     assert not out.exists()
 
 
+def test_solve_rejects_bad_tol_for_an_own_loop_solver(tmp_path):
+    """PU runs its own loop, and still ends on the one-line tolerance error
+    that the PDHG solvers give."""
+    fix = tmp_path / "fix"
+    main(["gen-data", "--kind", "game", "--m", "6", "--n", "5", "--out", str(fix)])
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--problem", str(fix), "--method", "pu", "--tol", "nan",
+              "--max-iters", "300"])
+    assert str(exc.value) == "solve: ValueError: tol must be a finite number >= 0; got nan"
+
+
 @pytest.mark.parametrize("command", ["bench", "solve"])
 def test_output_path_checked_before_work(tmp_path, monkeypatch, command):
     """A missing output directory ends in one line before any solve runs."""

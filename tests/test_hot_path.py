@@ -12,6 +12,7 @@ from _oracles import (
     shrink1_reference,
     sigmoid_reference,
     softmax_reference,
+    softplus_reference,
 )
 from nlpdhg.bregman import sigmoid, softmax
 from nlpdhg.data import gen_game_data, gen_lasso_data, gen_logreg_data
@@ -19,10 +20,15 @@ from nlpdhg.engine import _norm, _rel_change
 from nlpdhg.operators import DenseOperator, ScaledConcat
 from nlpdhg.problems import L1LogRegProblem, LassoProblem, MatrixGameProblem
 from nlpdhg.problems.lasso import shrink1
+from nlpdhg.problems.logreg import _softplus
 from nlpdhg.problems.quadratic import QuadraticSaddleProblem
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 vectors = arrays(np.float64, st.integers(1, 40), elements=finite)
+# Entries past |w| = 710, where exp overflows, and +-inf, beside finite ones.
+extended_vectors = arrays(np.float64, st.integers(1, 40), elements=st.one_of(
+    finite, st.floats(-800.0, 800.0), st.floats(allow_nan=False)
+))
 
 
 @st.composite
@@ -70,10 +76,16 @@ def test_softmax_matches_reference_at_constant_inputs(c, n):
     assert same_bits(softmax(t), np.full(n, 1.0 / n))
 
 
-@given(vectors)
+@given(extended_vectors)
 @settings(max_examples=200, deadline=None)
 def test_sigmoid_matches_reference(w):
     assert same_bits(sigmoid(w), sigmoid_reference(w))
+
+
+@given(extended_vectors)
+@settings(max_examples=200, deadline=None)
+def test_softplus_matches_reference(t):
+    assert same_bits(_softplus(t), softplus_reference(t))
 
 
 def test_sigmoid_takes_integer_and_list_input():

@@ -1,21 +1,23 @@
 """Summarise parent/change benchmark records into a ``BENCH_<topic>.json``.
 
-    python3 tools/bench_summary.py --topic game --claim game-swarm \
-        --parent PARENT/perfbench/results --change CHANGE/perfbench/results \
-        --out BENCH_game.json [--metric best_solves_per_s]
+    python3 tools/bench_summary.py --topic game [--claim game-swarm \
+        [--metric best_solves_per_s]] --parent PARENT/perfbench/results \
+        --change CHANGE/perfbench/results --out BENCH_game.json
 
 PARENT and CHANGE are two checkouts on which ``perfbench/run.py`` ran with
 the same workloads, seeds and ``--seconds``. Every record the two results
 directories share (``<workload>-seed<N>-trace<T>.json``) becomes one pair.
 For each workload, untraced pairs give each end-to-end metric's per-run
 values, the median and quartiles of each side, and how many pairs the change
-won; traced pairs give the per-layer metrics side by side. The claim is
-that ``--metric`` (an end-to-end metric, ``best_solves_per_s`` by default)
-improves on the ``--claim`` workload, in the direction ``BENCHMARK.json``'s
-``end_to_end[].better`` gives it, without more failed solves there. Every
-workload and end-to-end metric also gets the regression check of
-``summarise`` against that metric's ``bound``; the top-level ``regressed``
-and ``unresolved`` lists name the metrics that fail it or cannot be told.
+won; traced pairs give the per-layer metrics side by side. With
+``--claim``, the claim is that ``--metric`` (an end-to-end metric,
+``best_solves_per_s`` by default) improves on the ``--claim`` workload, in
+the direction ``BENCHMARK.json``'s ``end_to_end[].better`` gives it, without
+more failed solves there. Without it the file records ``"claim": null``: a
+change that claims no gain still commits its regression check. Every
+workload and end-to-end metric gets the regression check of ``summarise``
+against that metric's ``bound``; the top-level ``regressed`` and
+``unresolved`` lists name the metrics that fail it or cannot be told.
 """
 
 from __future__ import annotations
@@ -108,7 +110,7 @@ def summarise(pairs):
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--topic", required=True)
-    ap.add_argument("--claim", required=True, help="workload whose --metric is claimed")
+    ap.add_argument("--claim", help="workload whose --metric is claimed; omit to claim no gain")
     ap.add_argument(
         "--metric",
         default="best_solves_per_s",
@@ -146,34 +148,39 @@ def main(argv=None):
         for workload, w in sorted(workloads.items())
         for metric, e2e in w.get("end_to_end", {}).items()
     ]
-    claimed = workloads[args.claim]
-    claim = claimed["end_to_end"][args.metric]
-    sign = 1.0 if HIGHER_IS_BETTER[args.metric] else -1.0
+    claim = None
+    claim_args = ""
+    if args.claim is not None:
+        claimed = workloads[args.claim]
+        e2e = claimed["end_to_end"][args.metric]
+        sign = 1.0 if HIGHER_IS_BETTER[args.metric] else -1.0
+        claim = {
+            "workload": args.claim,
+            "metric": args.metric,
+            "holds": e2e["change_wins"] >= 0.9 * e2e["pairs"]
+            and e2e["medians_differ_by_more_than_parent_iqr"]
+            and sign * e2e["median_change_rel"] > 0
+            and claimed["failed"]["change"] <= claimed["failed"]["parent"],
+        }
+        claim_args = f" --claim {args.claim} --metric {args.metric}"
     bench = {
         "topic": args.topic,
         "regenerate": [
             "check out the parent commit in PARENT and the change in CHANGE",
             "run each workload's 'command' below in PARENT and in CHANGE, one pair at a"
             " time, alternating which side runs first",
-            f"python3 tools/bench_summary.py --topic {args.topic} --claim {args.claim}"
-            f" --metric {args.metric}"
+            f"python3 tools/bench_summary.py --topic {args.topic}{claim_args}"
             f" --parent PARENT/perfbench/results --change CHANGE/perfbench/results"
             f" --out BENCH_{args.topic}.json",
         ],
         "regressed": [n for n, e in checks if not e["within_bound"] and not e["unresolved"]],
         "unresolved": [n for n, e in checks if e["unresolved"]],
-        "claim": {
-            "workload": args.claim,
-            "metric": args.metric,
-            "holds": claim["change_wins"] >= 0.9 * claim["pairs"]
-            and claim["medians_differ_by_more_than_parent_iqr"]
-            and sign * claim["median_change_rel"] > 0
-            and claimed["failed"]["change"] <= claimed["failed"]["parent"],
-        },
+        "claim": claim,
         "workloads": workloads,
     }
     Path(args.out).write_text(json.dumps(bench, indent=1) + "\n")
-    print(f"wrote {args.out}: claim holds = {bench['claim']['holds']}")
+    verdict = "no claim" if claim is None else f"claim holds = {claim['holds']}"
+    print(f"wrote {args.out}: {verdict}; regressed = {bench['regressed']}")
 
 
 if __name__ == "__main__":
