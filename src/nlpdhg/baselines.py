@@ -111,8 +111,8 @@ def _logistic_conjugate_prox(z, sigma, m, u0, tol, max_iters):
 class _WarmStartedProxes(SaddleProblem):
     """Single-use saddle problem of one linear-PDHG solve.
 
-    Both geometries are Euclidean, so each prox is a gradient step on
-    <y, M x> with the raw matrix M, finished by ``dual_map(z, sigma, warm)``
+    Both geometries are Euclidean, so each prox is a gradient step along the
+    engine's product with ``operator``, finished by ``dual_map(z, sigma, warm)``
     or ``primal_map(w, tau, warm)``. A map returns the new point and the warm
     start for its next inner solve; the instance carries the warm starts
     across iterations, so every solve builds a fresh one. ``problem_id`` is
@@ -121,21 +121,21 @@ class _WarmStartedProxes(SaddleProblem):
 
     geom_x = geom_y = Quadratic()
 
-    def __init__(self, problem_id, matrix, dual_map, primal_map, warm_y, warm_x):
+    def __init__(self, problem_id, operator, dual_map, primal_map, warm_y, warm_x):
         self.problem_id = problem_id
-        self.matrix = matrix
+        self.operator = operator
         self.dual_map = dual_map
         self.primal_map = primal_map
         self.warm_y = warm_y
         self.warm_x = warm_x
 
-    def dual_prox(self, x_tilde, y_bar, sigma):
-        z = y_bar + sigma * (self.matrix @ x_tilde)
+    def dual_prox(self, ax, y_bar, sigma):
+        z = y_bar + sigma * ax
         y, self.warm_y = self.dual_map(z, sigma, self.warm_y)
         return y
 
-    def primal_prox(self, y_tilde, x_bar, tau):
-        w = x_bar - tau * (self.matrix.T @ y_tilde)
+    def primal_prox(self, aty, x_bar, tau):
+        w = x_bar - tau * aty
         x, self.warm_x = self.primal_map(w, tau, self.warm_x)
         return x
 
@@ -161,10 +161,10 @@ def solve_linear_pdhg_logreg(problem, tol=1e-4, max_iters=50000, stop_on="both")
     reported wall time. Stops per ``StoppingRule(max_iters, tol, stop_on)``.
     """
     t0 = time.perf_counter()
-    B = problem.B
-    m, d = B.shape
     stop = StoppingRule(max_iters, tol, stop_on)
-    schedule = schedule_for(problem.gamma_g, problem.gamma_h_star, norm_2_2(DenseOperator(B)))
+    op = DenseOperator(problem.B)
+    m, d = op.rows, op.cols
+    schedule = schedule_for(problem.gamma_g, problem.gamma_h_star, norm_2_2(op))
 
     def dual_map(z, sigma, u_warm):
         u = _logistic_conjugate_prox(z, sigma, m, u_warm, _INNER_TOL, _INNER_MAX_ITERS)
@@ -174,7 +174,7 @@ def solve_linear_pdhg_logreg(problem, tol=1e-4, max_iters=50000, stop_on="both")
         return project_l1_ball(w, problem.lam), None
 
     y0 = np.full(m, 1.0 / (2.0 * m))
-    saddle = _WarmStartedProxes(problem.problem_id, B, dual_map, primal_map, y0, None)
+    saddle = _WarmStartedProxes(problem.problem_id, op, dual_map, primal_map, y0, None)
     return _linear_pdhg(saddle, schedule, np.full(d, 1.0 / d), y0, stop, t0)
 
 
@@ -262,7 +262,6 @@ def solve_linear_pdhg_game(problem, tol=1e-4, max_iters=50000, stop_on="both", s
     Stops per ``StoppingRule(max_iters, tol, stop_on)``.
     """
     t0 = time.perf_counter()
-    A = problem.payoff
     lam = problem.lam
     stop = StoppingRule(max_iters, tol, stop_on)
     schedule = schedule_for(problem.gamma_g, problem.gamma_h_star, norm_2_2(problem.operator))
@@ -272,7 +271,9 @@ def solve_linear_pdhg_game(problem, tol=1e-4, max_iters=50000, stop_on="both", s
         return z - u, u
 
     x0, y0 = problem.default_init(seed=seed)
-    saddle = _WarmStartedProxes(problem.problem_id, A, entropy_map, entropy_map, y0, x0)
+    saddle = _WarmStartedProxes(
+        problem.problem_id, problem.operator, entropy_map, entropy_map, y0, x0
+    )
     return _linear_pdhg(saddle, schedule, x0, y0, stop, t0)
 
 
@@ -304,10 +305,12 @@ def fista_lasso(problem, tol=1e-8, max_iters=100000):
 
 
 def prox_gradient_lasso(A, b, lam, tol=1e-10, max_iters=500000):
-    """Plain forward-backward (ISTA) on the Lasso primal from x = 0, run to
-    a tight iterate-change tolerance; serves as an independent oracle.
-    Raises RuntimeError if the change is still above ``tol`` after
-    ``max_iters`` iterations."""
+    """Plain forward-backward (ISTA) on the Lasso primal from x = 0, run per
+    ``StoppingRule(max_iters, tol)`` to a tight iterate-change tolerance;
+    serves as an independent oracle. Raises RuntimeError if the change is
+    still above ``tol`` (always, for tol=None) after ``max_iters`` iterations."""
+    stop = StoppingRule(max_iters, tol)
+    tol = -math.inf if stop.tol is None else stop.tol
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
     m = A.shape[0]
@@ -321,7 +324,7 @@ def prox_gradient_lasso(A, b, lam, tol=1e-10, max_iters=500000):
             return x_new
         x = x_new
     raise RuntimeError(
-        f"prox_gradient_lasso: iterate change {change:.3e} still above tol {tol:g} "
+        f"prox_gradient_lasso: iterate change {change:.3e} still above tol {stop.tol} "
         f"after {max_iters} iterations"
     )
 

@@ -44,7 +44,7 @@ def _asvector(v, name):
     v = np.asarray(v, dtype=float)
     if v.ndim != 1:
         raise ValueError(f"{name} must be a 1-d vector, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError(f"{name} contains NaN or Inf entries")
     return v
 
@@ -147,12 +147,13 @@ class NegativeEntropy:
         if x.shape[0] != self.dim:
             raise ValueError(f"{name} has dimension {x.shape[0]}, expected {self.dim}")
         if interior:
-            if np.min(x) < EPS_DOM:
+            if x.min() < EPS_DOM:
                 raise ValueError(f"{name} is on or below the simplex boundary")
-        elif np.min(x) < 0.0:
+        elif x.min() < 0.0:
             raise ValueError(f"{name} has negative entries")
-        if abs(x.sum() - 1.0) > _SIMPLEX_ATOL:
-            raise ValueError(f"{name} does not sum to 1 (sum = {x.sum()!r})")
+        total = x.sum()
+        if abs(total - 1.0) > _SIMPLEX_ATOL:
+            raise ValueError(f"{name} does not sum to 1 (sum = {total!r})")
         return x
 
     def value(self, x):
@@ -196,9 +197,10 @@ class BinaryEntropyAverage:
             raise ValueError(f"{name} has dimension {y.shape[0]}, expected {self.m}")
         s = self.m * y
         if interior:
-            if np.min(s) < EPS_DOM or np.min(1.0 - s) < EPS_DOM:
+            # min(1 - s) < EPS_DOM, as 1 - s is exact (<= 0 or >= 2**-53) near 1.
+            if s.min() < EPS_DOM or s.max() >= 1.0:
                 raise ValueError(f"{name} is on the boundary of the box (0, 1/m)^m")
-        elif np.min(s) < 0.0 or np.max(s) > 1.0:
+        elif s.min() < 0.0 or s.max() > 1.0:
             raise ValueError(f"{name} lies outside the box [0, 1/m]^m")
         return y
 

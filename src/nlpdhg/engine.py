@@ -3,17 +3,18 @@
 A problem supplies two Bregman proximal maps and a linear operator; a
 schedule supplies the step sizes and names its update order (overrelaxed,
 x-first or y-first). One private step helper carries out an iteration in
-that order on plain arrays; the public ``step`` wraps it for an
-``IterateState``, and ``run`` calls it directly, keeping the iterates as
-locals. ``run`` repeats it until a ``StoppingRule`` fires (one ``tol``;
-``stop_on`` or a ``residual_fn`` says what it bounds) and tracks ergodic
-averages and a residual trace; the Lyapunov diagnostic ``delta_diag`` runs
-over ``step``. ``run`` forms the ergodic dual average only on iterations
-whose ergodic test reads it: each one under ``stop_on="ergodic"``, those
-where the regular test passed under "both", none otherwise. The previous
-iteration's average, when needed and not formed, is read from the
-accumulator before the next add, so every result is the one an average
-formed on every iteration gives.
+that order on plain arrays and is the one place the loop applies the
+operator: the proxes get A x and A^T y from it. The public ``step`` wraps
+it for an ``IterateState``, and ``run`` calls it directly, keeping the
+iterates as locals. ``run`` repeats it until a ``StoppingRule`` fires (one
+``tol``; ``stop_on`` or a ``residual_fn`` says what it bounds) and tracks
+ergodic averages and a residual trace; the Lyapunov diagnostic
+``delta_diag`` runs over ``step``. ``run`` forms the ergodic dual average
+only on iterations whose ergodic test reads it: each one under
+``stop_on="ergodic"``, those where the regular test passed under "both",
+none otherwise. The previous iteration's average, when needed and not
+formed, is read from the accumulator before the next add, so every result
+is the one an average formed on every iteration gives.
 Besides the problem's data, a run holds O(m + n) state and a trace of 16
 bytes per iteration: the (k, value) pairs go into one flat ``array('d')``
 that the report views as a (K, 2) float64 array without copying.
@@ -60,20 +61,19 @@ class SaddleProblem:
 
     Concrete problems provide:
 
-    primal_prox(y_tilde, x_bar, tau)
-        argmin_x { g(x) + <y_tilde, A x> + (1/tau) D_X(x, x_bar) }
-    dual_prox(x_tilde, y_bar, sigma)
-        argmax_y { -h*(y) + <y, A x_tilde> - (1/sigma) D_Y(y, y_bar) }
+    primal_prox(aty, x_bar, tau)
+        argmin_x { g(x) + <aty, x> + (1/tau) D_X(x, x_bar) }, aty = A^T y_tilde
+    dual_prox(ax, y_bar, sigma)
+        argmax_y { -h*(y) + <y, ax> - (1/sigma) D_Y(y, y_bar) }, ax = A x_tilde
 
-    together with ``operator`` (apply/adjoint_apply), ``op_norm`` (the norm
-    compatible with the chosen geometries), strong-convexity constants
-    ``gamma_g`` and ``gamma_h_star`` (0 when the assumption is absent), and
-    the geometries ``geom_x``, ``geom_y``. Prox outputs must land in the
-    geometry domain interiors. A prox returns a fresh array and never writes
-    to its arguments (``run`` passes its iterates without copying); it may
-    work in place on arrays it allocated itself, but not on what
-    ``operator.apply``/``adjoint_apply`` return, which a caller's operator
-    may share.
+    together with ``operator`` (apply/adjoint_apply; the engine makes the
+    products the proxes take), ``op_norm`` (the norm compatible with the
+    chosen geometries), strong-convexity constants ``gamma_g`` and
+    ``gamma_h_star`` (0 when the assumption is absent), and the geometries
+    ``geom_x``, ``geom_y``. Prox outputs must land in the geometry domain
+    interiors. A prox returns a fresh array and never writes to its
+    arguments (``run`` passes its iterates without copying); it may work in
+    place on arrays it allocated.
 
     For ``solve``, a problem also provides ``default_init(seed)``, its start
     pair (x0, y0). It need not provide ``schedule()``: the inherited one
@@ -83,12 +83,6 @@ class SaddleProblem:
     problem_id = "saddle"
     gamma_g = 0.0
     gamma_h_star = 0.0
-
-    def primal_prox(self, y_tilde, x_bar, tau):
-        raise NotImplementedError
-
-    def dual_prox(self, x_tilde, y_bar, sigma):
-        raise NotImplementedError
 
     def schedule(self):
         """A fresh schedule from the problem's constants."""
@@ -259,26 +253,28 @@ class SolveReport:
 
 def _step(problem, schedule, x, x_prev, y, y_prev):
     """The iteration of ``step`` on plain arrays: returns (x_{k+1}, y_{k+1})
-    and advances the schedule. ``run`` calls it directly, so its loop keeps
+    and advances the schedule; the primal prox gets its one A^T y product,
+    the dual prox its one A x. ``run`` calls it directly, so its loop keeps
     the iterates as locals and builds no ``IterateState``."""
     order = schedule.order
+    A = problem.operator
     if order == "overrelaxed":
-        x_new = problem.primal_prox(y, x, schedule.tau)
+        x_new = problem.primal_prox(A.adjoint_apply(y), x, schedule.tau)
         x_bar = 2.0 * x_new
         x_bar -= x
-        y_new = problem.dual_prox(x_bar, y, schedule.sigma)
+        y_new = problem.dual_prox(A.apply(x_bar), y, schedule.sigma)
     elif order == "x-first":
         y_tilde = y - y_prev
         y_tilde *= schedule.theta
         y_tilde += y
-        x_new = problem.primal_prox(y_tilde, x, schedule.tau)
-        y_new = problem.dual_prox(x_new, y, schedule.sigma)
+        x_new = problem.primal_prox(A.adjoint_apply(y_tilde), x, schedule.tau)
+        y_new = problem.dual_prox(A.apply(x_new), y, schedule.sigma)
     elif order == "y-first":
         x_tilde = x - x_prev
         x_tilde *= schedule.theta
         x_tilde += x
-        y_new = problem.dual_prox(x_tilde, y, schedule.sigma)
-        x_new = problem.primal_prox(y_new, x, schedule.tau)
+        y_new = problem.dual_prox(A.apply(x_tilde), y, schedule.sigma)
+        x_new = problem.primal_prox(A.adjoint_apply(y_new), x, schedule.tau)
     else:
         raise ValueError(f"unknown update order {order!r}")
     schedule.advance()

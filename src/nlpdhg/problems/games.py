@@ -47,19 +47,19 @@ class MatrixGameProblem(SaddleProblem):
         self.gamma_g = self.lam
         self.gamma_h_star = self.lam
 
-    def primal_prox(self, y_tilde, x_bar, tau):
+    def primal_prox(self, aty, x_bar, tau):
         # argmin over the simplex of lam*H(x) + <A^T y, x> + KL(x, x_bar)/tau:
         # x_j propto (x_bar_j exp(-tau [A^T y]_j))^{1/(1+lam tau)}.
         t = np.log(x_bar)
-        t -= tau * self.operator.adjoint_apply(y_tilde)
+        t -= tau * aty
         t /= 1.0 + self.lam * tau
         return softmax(t)
 
-    def dual_prox(self, x_tilde, y_bar, sigma):
+    def dual_prox(self, ax, y_bar, sigma):
         # argmax over the simplex of -lam*H(y) + <y, A x> - KL(y, y_bar)/sigma:
         # y_i propto (y_bar_i exp(+sigma [A x]_i))^{1/(1+lam sigma)}.
         t = np.log(y_bar)
-        t += sigma * self.operator.apply(x_tilde)
+        t += sigma * ax
         t /= 1.0 + self.lam * sigma
         return softmax(t)
 

@@ -67,13 +67,13 @@ class LassoProblem(SaddleProblem):
         self.geom_y = Quadratic(float(self.m))
         self.gamma_h_star = 1.0
 
-    def primal_prox(self, y_tilde, x_bar, tau):
-        u = tau * self.operator.adjoint_apply(y_tilde)
+    def primal_prox(self, aty, x_bar, tau):
+        u = tau * aty
         return shrink1(np.subtract(x_bar, u, out=u), self.lam * tau)
 
-    def dual_prox(self, x_tilde, y_bar, sigma):
+    def dual_prox(self, ax, y_bar, sigma):
         # (y_bar + sigma (A x - b) / m) / (1 + sigma)
-        v = self.operator.apply(x_tilde) - self.b
+        v = ax - self.b
         v *= sigma
         v /= self.m
         v += y_bar

@@ -65,19 +65,19 @@ class L1LogRegProblem(SaddleProblem):
         self.geom_y = BinaryEntropyAverage(self.m)
         self.gamma_h_star = 4.0 * self.m
 
-    def primal_prox(self, y_tilde, x_bar, tau):
+    def primal_prox(self, aty, x_bar, tau):
         # The update is multiplicative, so x stays positive in exact
         # arithmetic; coordinates suppressed past the double-precision
         # exponent range underflow to exact zeros on long runs and stay
         # there.
         t = _log_interior(x_bar)
-        t -= tau * self.operator.adjoint_apply(y_tilde)
+        t -= tau * aty
         return softmax(t)
 
-    def dual_prox(self, x_tilde, y_bar, sigma):
+    def dual_prox(self, ax, y_bar, sigma):
         w_bar = logit(self.m * np.asarray(y_bar, dtype=float))
         c = 4.0 * self.m * sigma
-        w = c * self.operator.apply(x_tilde)
+        w = c * ax
         w += w_bar
         w /= 1.0 + c
         y = sigmoid(w)

@@ -35,14 +35,12 @@ class QuadraticSaddleProblem(SaddleProblem):
         self.geom_y = Quadratic(1.0)
         self.op_norm = float(np.linalg.norm(self.operator.matrix, 2))
 
-    def primal_prox(self, y_tilde, x_bar, tau):
-        grad_lin = self.c + self.operator.adjoint_apply(y_tilde)
+    def primal_prox(self, aty, x_bar, tau):
+        grad_lin = self.c + aty
         return (x_bar - tau * grad_lin) / (1.0 + self.gamma_g * tau)
 
-    def dual_prox(self, x_tilde, y_bar, sigma):
-        return (y_bar + sigma * (self.operator.apply(x_tilde) - self.d)) / (
-            1.0 + self.gamma_h_star * sigma
-        )
+    def dual_prox(self, ax, y_bar, sigma):
+        return (y_bar + sigma * (ax - self.d)) / (1.0 + self.gamma_h_star * sigma)
 
     def lagrangian(self, x, y):
         x = np.asarray(x, dtype=float)

@@ -295,7 +295,7 @@ def test_criterion_08_prox_oracle_equivalence():
         y_b = rng.standard_normal(m)
         x_t = rng.standard_normal(dim)
         sg = 10.0 ** rng.uniform(-1, 1)
-        got = prob.dual_prox(x_t, y_b, sg)
+        got = prob.dual_prox(prob.operator.apply(x_t), y_b, sg)
         ax_b = prob.operator.apply(x_t) - prob.b
 
         def obj(y, ax_b=ax_b, prob=prob, y_b=y_b, sg=sg):

@@ -225,19 +225,21 @@ class TestLogRegBaselines:
         np.testing.assert_allclose(y, np.clip(z, 0.0, 1.0 / m), atol=0.05)
 
 
-# The solvers that run their own loop rather than ``engine.run``.
+# The solvers that run their own loop rather than ``engine.run``, and the
+# ISTA oracle on a Lasso problem's data.
 OWN_LOOP_SOLVERS = {
     "fb": solve_fb_logreg,
     "fista": fista_lasso,
     "pu": solve_game_pu,
     "omwu": solve_game_omwu,
+    "ista": lambda p, **kw: prox_gradient_lasso(p.A, p.b, p.lam, **kw),
 }
 
 
 def _own_loop_problem(name):
     if name == "fb":
         return L1LogRegProblem(gen_logreg_data(8, 5, 0)[0], 2.0)
-    if name == "fista":
+    if name in ("fista", "ista"):
         A, b, _ = gen_lasso_data(8, 12, 3, 0.1, 0)
         return LassoProblem(A, b, 0.3)
     return MatrixGameProblem(gen_game_data(6, 5, 0), 0.1)
@@ -245,9 +247,9 @@ def _own_loop_problem(name):
 
 @pytest.mark.parametrize("name", list(OWN_LOOP_SOLVERS))
 class TestStoppingContract:
-    """FB, FISTA, PU and OMWU stop by ``StoppingRule``, as the PDHG solvers
-    do: the same errors for a bad ``tol`` or ``max_iters``, and ``tol=None``
-    runs to the cap."""
+    """FB, FISTA, PU, OMWU and the ISTA oracle stop by ``StoppingRule``, as
+    the PDHG solvers do: the same errors for a bad ``tol`` or ``max_iters``,
+    and ``tol=None`` runs to the cap."""
 
     @pytest.mark.parametrize(
         "field, value",
@@ -270,6 +272,11 @@ class TestStoppingContract:
         assert norm_calls == []
 
     def test_no_tol_runs_to_the_cap(self, name):
+        if name == "ista":
+            # The oracle hands back only a converged iterate: at the cap it raises.
+            with pytest.raises(RuntimeError, match="still above tol None after 7 iterations"):
+                OWN_LOOP_SOLVERS[name](_own_loop_problem(name), tol=None, max_iters=7)
+            return
         rep = OWN_LOOP_SOLVERS[name](_own_loop_problem(name), tol=None, max_iters=7)
         assert rep.k == 7 and not rep.converged
         assert len(rep.residual_trace) == 7

@@ -123,7 +123,14 @@ def test_no_claim_still_checks_every_workload(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "name", ["BENCH_game.json", "BENCH_memory.json", "BENCH_engine.json", "BENCH_loops.json"]
+    "name",
+    [
+        "BENCH_game.json",
+        "BENCH_memory.json",
+        "BENCH_engine.json",
+        "BENCH_loops.json",
+        "BENCH_matvecs.json",
+    ],
 )
 def test_committed_regenerate_command_runs(tmp_path, name):
     committed = json.loads((ROOT / name).read_text())

@@ -207,3 +207,69 @@ def test_quadratic_scale_linearity(scale, seed):
         scale * Quadratic(1.0).divergence(x, xb),
         rtol=1e-12,
     )
+
+
+# Just inside the box (0, 1/2)^2 at its upper face: m y = 1 - 2**-53.
+_TOP = (1.0 - 2.0**-53) / 2.0
+_SIMPLEX, _BOX = NegativeEntropy(2), BinaryEntropyAverage(2)
+_ON_BOX = "y is on the boundary of the box (0, 1/m)^m"
+_OFF_BOX = "y lies outside the box [0, 1/m]^m"
+
+
+@pytest.mark.parametrize(
+    "check, message",
+    [
+        (lambda: Quadratic().value(np.zeros((2, 2))), "x must be a 1-d vector, got shape (2, 2)"),
+        (lambda: Quadratic().value([1.0, np.nan]), "x contains NaN or Inf entries"),
+        (lambda: NegativeEntropy(3).value([0.5, 0.5]), "x has dimension 2, expected 3"),
+        (lambda: _SIMPLEX.gradient([1.0, 0.0]), "x is on or below the simplex boundary"),
+        (lambda: _SIMPLEX.gradient([1.0, 1e-301]), "x is on or below the simplex boundary"),
+        (lambda: _SIMPLEX.value([1.5, -0.5]), "x has negative entries"),
+        (
+            lambda: _SIMPLEX.value([0.5, 0.75]),
+            f"x does not sum to 1 (sum = {np.float64(1.25)!r})",
+        ),
+        (lambda: _BOX.value([0.25]), "y has dimension 1, expected 2"),
+        (lambda: _BOX.gradient([0.0, 0.25]), _ON_BOX),
+        (lambda: _BOX.gradient([0.25, 0.5]), _ON_BOX),
+        (lambda: _BOX.gradient([0.25, 0.75]), _ON_BOX),
+        (lambda: _BOX.value([-0.1, 0.25]), _OFF_BOX),
+        (lambda: _BOX.value([0.25, 0.75]), _OFF_BOX),
+    ],
+    ids=[
+        "not-a-vector",
+        "not-finite",
+        "simplex-dimension",
+        "simplex-boundary-zero",
+        "simplex-boundary-tiny",
+        "simplex-negative",
+        "simplex-sum",
+        "box-dimension",
+        "box-lower-face",
+        "box-upper-face",
+        "box-beyond-upper-face",
+        "box-below",
+        "box-above",
+    ],
+)
+def test_every_domain_check_raises_its_message(check, message):
+    with pytest.raises(ValueError) as exc:
+        check()
+    assert str(exc.value) == message
+
+
+def test_box_interior_reaches_the_upper_face():
+    """The last double below the face 1/m is still interior; the face is not."""
+    assert 2.0 * _TOP == 1.0 - 2.0**-53
+    _BOX.validate_point([0.25, _TOP], interior=True)
+    with pytest.raises(ValueError, match="boundary"):
+        _BOX.validate_point([0.25, 0.5], interior=True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=8))
+def test_box_upper_test_is_the_one_minus_s_test(values):
+    """For finite s, s.max() >= 1 says what min(1 - s) < 1e-300 says: 1 - s
+    is exact for s in [0.5, 2], so it is <= 0 or at least 2**-53."""
+    s = np.array(values)
+    assert bool(s.max() >= 1.0) == bool(np.min(1.0 - s) < 1e-300)

@@ -94,7 +94,7 @@ class TestStepAccelerated:
         y0 = np.zeros(prob.operator.rows)
         sched = AccDualSchedule(prob.gamma_h_star, prob.op_norm)
         st = step(prob, IterateState.initial(x0, y0), sched)
-        expect = prob.dual_prox(x0, y0, sched.sigma0)
+        expect = prob.dual_prox(prob.operator.apply(x0), y0, sched.sigma0)
         np.testing.assert_allclose(st.y, expect, rtol=1e-14)
 
     def test_acc_dual_converges_to_saddle(self):
@@ -192,6 +192,49 @@ class TestDelta:
             prev = cur
 
 
+class _CountingOperator:
+    """Wraps an operator and counts its products."""
+
+    def __init__(self, op):
+        self.op = op
+        self.applies = self.adjoints = 0
+
+    def apply(self, x):
+        self.applies += 1
+        return self.op.apply(x)
+
+    def adjoint_apply(self, y):
+        self.adjoints += 1
+        return self.op.adjoint_apply(y)
+
+
+# A schedule of each update order, for a problem p.
+SCHEDULE_OF_ORDER = {
+    "overrelaxed": lambda p: ConstantSchedule(0.5 / p.op_norm, 0.5 / p.op_norm, p.op_norm),
+    "x-first": lambda p: AccPrimalSchedule(p.gamma_g, p.op_norm),
+    "y-first": lambda p: AccDualSchedule(p.gamma_h_star, p.op_norm),
+}
+
+
+@pytest.mark.parametrize("order", list(SCHEDULE_OF_ORDER))
+def test_run_takes_one_product_each_way_per_iteration(order):
+    """The engine makes the only operator products of the loop: K
+    iterations take K products with A and K with A^T, in every order, and
+    give the bits of a run on the bare operator."""
+    K = 9
+    x0, y0 = np.zeros(4), np.zeros(3)
+    prob = random_game(21)
+    make_schedule = SCHEDULE_OF_ORDER[order]
+    sched = make_schedule(prob)
+    assert sched.order == order
+    plain = run(prob, make_schedule(prob), x0, y0, StoppingRule(max_iters=K))
+    counter = _CountingOperator(prob.operator)
+    prob.operator = counter
+    rep = run(prob, sched, x0, y0, StoppingRule(max_iters=K))
+    assert rep.k == K and (counter.applies, counter.adjoints) == (K, K)
+    assert rep.x.tobytes() == plain.x.tobytes() and rep.y.tobytes() == plain.y.tobytes()
+
+
 class TestRun:
     def test_zero_iterations_returns_initial(self):
         prob = one_d_game()
@@ -224,7 +267,7 @@ class TestRun:
         """||y|| overflows to inf at y = 1e200, yet y is finite: the guard
         must check the entries before raising."""
         prob = one_d_game()
-        prob.dual_prox = lambda x_tilde, y_bar, sigma: np.array([1e200])
+        prob.dual_prox = lambda ax, y_bar, sigma: np.array([1e200])
         sched = ConstantSchedule(0.5, 0.5, prob.op_norm)
         with np.errstate(over="ignore", invalid="ignore"):
             rep = run(prob, sched, np.array([1.0]), np.array([1.0]), StoppingRule(max_iters=2))
@@ -234,17 +277,18 @@ class TestRun:
         """x . x overflows to inf at x = 1e200, yet x is finite: the guard
         must check the entries before raising."""
         prob = one_d_game()
-        prob.primal_prox = lambda y_tilde, x_bar, tau: np.array([1e200])
-        prob.dual_prox = lambda x_tilde, y_bar, sigma: np.array([1.0])
+        prob.primal_prox = lambda aty, x_bar, tau: np.array([1e200])
+        prob.dual_prox = lambda ax, y_bar, sigma: np.array([1.0])
         sched = ConstantSchedule(0.5, 0.5, prob.op_norm)
         with np.errstate(over="ignore", invalid="ignore"):
             rep = run(prob, sched, np.array([1.0]), np.array([1.0]), StoppingRule(max_iters=2))
         assert rep.k == 2 and rep.x[0] == 1e200
 
     def test_nan_primal_iterate_raises(self):
-        prob = one_d_game()
-        prob.primal_prox = lambda y_tilde, x_bar, tau: np.array([0.0, np.nan])
-        prob.dual_prox = lambda x_tilde, y_bar, sigma: np.array([1.0])
+        # A 1x2 payoff, so that the engine can multiply the x of shape (2,).
+        prob = QuadraticSaddleProblem(np.array([[1.0, 1.0]]), gamma_g=1.0, gamma_h_star=1.0)
+        prob.primal_prox = lambda aty, x_bar, tau: np.array([0.0, np.nan])
+        prob.dual_prox = lambda ax, y_bar, sigma: np.array([1.0])
         sched = ConstantSchedule(0.5, 0.5, prob.op_norm)
         with pytest.raises(RuntimeError, match="non-finite iterate at k=1"):
             run(prob, sched, np.array([1.0, 1.0]), np.array([1.0]), StoppingRule(max_iters=2))

@@ -103,7 +103,7 @@ class TestProxOracles:
             x = rng.random(3)
             x /= x.sum()
             sigma = 10.0 ** rng.uniform(-1, 0.5)
-            got = p.dual_prox(x, y_bar, sigma)
+            got = p.dual_prox(p.operator.apply(x), y_bar, sigma)
             # argmax <y,z> - lam H(y) - KL/sigma == argmin lam H(y) + <y,-z> + KL/sigma
             want = entropy_prox_oracle(y_bar, -p.operator.apply(x), sigma, lam=p.lam)
             np.testing.assert_allclose(got, want, atol=1e-9)
@@ -118,7 +118,7 @@ class TestProxOracles:
             y = rng.random(3)
             y /= y.sum()
             tau = 10.0 ** rng.uniform(-1, 0.5)
-            got = p.primal_prox(y, x_bar, tau)
+            got = p.primal_prox(p.operator.adjoint_apply(y), x_bar, tau)
             want = entropy_prox_oracle(x_bar, p.operator.adjoint_apply(y), tau, lam=p.lam)
             np.testing.assert_allclose(got, want, atol=1e-9)
 

@@ -1,6 +1,8 @@
 """The in-place hot path: each rewritten helper equals its plain formula bit
 for bit, and no prox or operator action writes to its arguments."""
 
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,8 @@ from _oracles import (
     softmax_reference,
     softplus_reference,
 )
+from nlpdhg import baselines
+from nlpdhg.baselines import solve_linear_pdhg_game, solve_linear_pdhg_logreg
 from nlpdhg.bregman import sigmoid, softmax
 from nlpdhg.data import gen_game_data, gen_lasso_data, gen_logreg_data
 from nlpdhg.engine import _norm, _rel_change
@@ -143,31 +147,64 @@ def test_scaled_concat_matches_plain_formula():
     assert same_bits(op.adjoint_apply(y), np.concatenate([bty, -bty]))
 
 
+def _linear_pdhg_proxes(solver, problem):
+    """The ``_WarmStartedProxes`` a linear-PDHG solve builds, and its start
+    pair, taken before the solve runs."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(baselines, "_linear_pdhg", lambda saddle, _, x0, y0, *rest: (saddle, x0, y0))
+        return solver(problem)
+
+
 def _problems_with_points():
-    """Each worked problem with an interior (x, y) of its geometries."""
+    """Each worked problem, and the saddle problem of each linear-PDHG
+    baseline, with an interior (x, y) of its geometries."""
     B, _, _ = gen_logreg_data(6, 4, 1)
     A, b, _ = gen_lasso_data(6, 9, 3, 0.1, 1)
+    game = MatrixGameProblem(gen_game_data(5, 4, 1), 0.2)
+    logreg = L1LogRegProblem(B, 3.0)
     quad = QuadraticSaddleProblem(np.random.default_rng(11).standard_normal((3, 4)), 0.5, 0.7)
-    cases = [
-        MatrixGameProblem(gen_game_data(5, 4, 1), 0.2),
-        LassoProblem(A, b, 0.05),
-        L1LogRegProblem(B, 3.0),
-    ]
-    points = [(p, *p.default_init(seed=3)) for p in cases]
+    points = [(p, *p.default_init(seed=3)) for p in (game, LassoProblem(A, b, 0.05), logreg)]
     points.append((quad, np.linspace(-1.0, 1.0, 4), np.linspace(0.5, -0.5, 3)))
-    return [pytest.param(*case, id=case[0].problem_id) for case in points]
+    ids = [case[0].problem_id for case in points]
+    points.append(_linear_pdhg_proxes(solve_linear_pdhg_game, game))
+    points.append(_linear_pdhg_proxes(solve_linear_pdhg_logreg, logreg))
+    ids += ["linear-pdhg-game", "linear-pdhg-logreg"]
+    return [pytest.param(*case, id=i) for case, i in zip(points, ids)]
 
 
 @pytest.mark.parametrize("problem, x, y", _problems_with_points())
 def test_proxes_leave_their_arguments_alone(problem, x, y):
     """Proxes work in place only on arrays they allocate: every argument
     keeps its bits and the result shares no memory with it."""
-    for prox, args in ((problem.primal_prox, (y, x, 0.7)), (problem.dual_prox, (x, y, 0.3))):
+    aty, ax = problem.operator.adjoint_apply(y), problem.operator.apply(x)
+    for prox, args in ((problem.primal_prox, (aty, x, 0.7)), (problem.dual_prox, (ax, y, 0.3))):
         before = [a.copy() for a in args[:2]]
         out = prox(*args)
         for arg, kept in zip(args[:2], before):
             assert same_bits(arg, kept)
             assert not np.shares_memory(out, arg)
+
+
+class _NoOperator:
+    """Stands in for ``problem.operator``: any product with it fails."""
+
+    def apply(self, v):
+        raise AssertionError("a prox applied the operator")
+
+    adjoint_apply = apply
+
+
+@pytest.mark.parametrize("problem, x, y", _problems_with_points())
+def test_proxes_never_apply_the_operator(problem, x, y, monkeypatch):
+    """The engine passes each prox its product with A, so a prox gives the
+    same bits with the operator gone. A shallow copy keeps a linear-PDHG
+    saddle's warm starts apart from the original's."""
+    aty, ax = problem.operator.adjoint_apply(y), problem.operator.apply(x)
+    ref = copy.copy(problem)
+    want = (ref.primal_prox(aty, x, 0.7), ref.dual_prox(ax, y, 0.3))
+    monkeypatch.setattr(problem, "operator", _NoOperator())
+    got = (problem.primal_prox(aty, x, 0.7), problem.dual_prox(ax, y, 0.3))
+    assert all(same_bits(g, w) for g, w in zip(got, want))
 
 
 @pytest.mark.parametrize(

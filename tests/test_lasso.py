@@ -127,7 +127,7 @@ class TestProxOracles:
             x_bar = rng.standard_normal(n)
             y_t = rng.standard_normal(3)
             tau = 10.0 ** rng.uniform(-1, 0.5)
-            got = p.primal_prox(y_t, x_bar, tau)
+            got = p.primal_prox(p.operator.adjoint_apply(y_t), x_bar, tau)
             base = x_bar - tau * p.operator.adjoint_apply(y_t)
             want = np.array([shrink1_scalar_oracle(v, p.lam * tau) for v in base])
             np.testing.assert_allclose(got, want, atol=1e-8)
@@ -140,7 +140,7 @@ class TestProxOracles:
             y_bar = rng.standard_normal(m)
             x_t = rng.standard_normal(4)
             sigma = 10.0 ** rng.uniform(-1, 1)
-            got = p.dual_prox(x_t, y_bar, sigma)
+            got = p.dual_prox(p.operator.apply(x_t), y_bar, sigma)
             ax_b = p.operator.apply(x_t) - p.b
 
             def objective(y, ax_b=ax_b, p=p, y_bar=y_bar, sigma=sigma):
