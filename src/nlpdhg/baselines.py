@@ -182,8 +182,9 @@ def _fista(step, monitor, x0, stop):
     """FISTA from x0: x_{k+1} = step(x_k + beta_k (x_k - x_{k-1})), with the
     first extrapolation clamped to zero. Runs per ``stop``: at most its
     max_iters iterations, ending once monitor(x_{k+1}, x_k) <= its tol (never
-    when tol is None). Returns (x, k, converged, trace), the trace a flat
-    ``array('d')`` of (k, monitored) pairs."""
+    when tol is None); a non-finite iterate raises, as in ``engine.run``.
+    Returns (x, k, converged, trace), the trace a flat ``array('d')`` of
+    (k, monitored) pairs."""
     tol = -math.inf if stop.tol is None else stop.tol
     max_iters = stop.max_iters
     x = x0
@@ -198,6 +199,9 @@ def _fista(step, monitor, x0, stop):
         x_bar += x
         x_new = step(x_bar)
         monitored = monitor(x_new, x)
+        # A finite monitored value needs no scan of the iterate.
+        if not (math.isfinite(monitored) or np.isfinite(x_new).all()):
+            raise RuntimeError(f"non-finite iterate at k={k}")
         trace.append(k)
         trace.append(monitored)
         t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_k**2))
@@ -217,14 +221,14 @@ def solve_fb_logreg(problem, tol=1e-4, max_iters=50000):
     the iterate."""
     stop = StoppingRule(max_iters, tol)
     t0 = time.perf_counter()
-    B = problem.B
-    m, d = B.shape
-    tau = 4.0 * m / norm_2_2(DenseOperator(B)) ** 2
+    op = DenseOperator(problem.B)
+    m, d = op.rows, op.cols
+    tau = 4.0 * m / norm_2_2(op) ** 2
 
     def step(w):
-        s = sigmoid(B @ w)
+        s = sigmoid(op.apply(w))
         s /= m
-        g = B.T @ s
+        g = op.adjoint_apply(s)
         g *= tau
         return project_l1_ball(np.subtract(w, g, out=g), problem.lam)
 
@@ -283,13 +287,13 @@ def fista_lasso(problem, tol=1e-8, max_iters=100000):
     largest-singular-value estimate that sets the step size."""
     stop = StoppingRule(max_iters, tol)
     t0 = time.perf_counter()
-    A, b, lam, m = problem.A, problem.b, problem.lam, problem.m
-    tau = m / norm_2_2(problem.operator) ** 2
+    A, b, lam, m = problem.operator, problem.b, problem.lam, problem.m
+    tau = m / norm_2_2(A) ** 2
 
     def step(w):
-        r = A @ w
+        r = A.apply(w)
         r -= b
-        g = A.T @ r
+        g = A.adjoint_apply(r)
         g *= tau
         g /= m
         return shrink1(np.subtract(w, g, out=g), lam * tau)
@@ -300,7 +304,7 @@ def fista_lasso(problem, tol=1e-8, max_iters=100000):
     x, k, converged, trace = _fista(step, monitor, np.zeros(problem.n), stop)
     wall_ms = 1000.0 * (time.perf_counter() - t0)
     return SolveReport(
-        problem.problem_id, "fista", k, converged, wall_ms, trace, x, (A @ x - b) / m
+        problem.problem_id, "fista", k, converged, wall_ms, trace, x, (A.apply(x) - b) / m
     )
 
 
@@ -353,7 +357,8 @@ def _mwu(problem, regime, eta, gradients, seed, stop):
     log y <- damp log y + eta g_y, with damp = 1 - eta lam and
     (g_x, g_y) = gradients(step, lx, ly, x, y); ``step(lx, ly, g_x, g_y)``
     is that same step, for a gradient rule that predicts with it. Runs per
-    ``stop`` as ``_fista`` does, on the larger relative change of x and y.
+    ``stop`` as ``_fista`` does, on the larger relative change of x and y,
+    and raises as it does on a non-finite iterate.
     """
     t0 = time.perf_counter()
     tol = -math.inf if stop.tol is None else stop.tol
@@ -372,7 +377,14 @@ def _mwu(problem, regime, eta, gradients, seed, stop):
     for k in range(1, max_iters + 1):
         lx, ly = step(lx, ly, *gradients(step, lx, ly, x, y))
         x_new, y_new = np.exp(lx), np.exp(ly)
-        monitored = max(_rel_change(x_new, x), _rel_change(y_new, y))
+        change_x, change_y = _rel_change(x_new, x), _rel_change(y_new, y)
+        # max() would hide a NaN second argument, so test both changes.
+        if not (
+            (math.isfinite(change_x) and math.isfinite(change_y))
+            or (np.isfinite(x_new).all() and np.isfinite(y_new).all())
+        ):
+            raise RuntimeError(f"non-finite iterate at k={k}")
+        monitored = max(change_x, change_y)
         trace.append(k)
         trace.append(monitored)
         x, y = x_new, y_new
@@ -394,11 +406,11 @@ def solve_game_pu(problem, tol=1e-8, max_iters=100000, seed=0):
     ``StoppingRule(max_iters, tol)``.
     """
     stop = StoppingRule(max_iters, tol)
-    A = problem.payoff
+    A = problem.operator
 
     def predicted(step, lx, ly, x, y):
-        lx_bar, ly_bar = step(lx, ly, A.T @ y, A @ x)
-        return A.T @ np.exp(ly_bar), A @ np.exp(lx_bar)
+        lx_bar, ly_bar = step(lx, ly, A.adjoint_apply(y), A.apply(x))
+        return A.adjoint_apply(np.exp(ly_bar)), A.apply(np.exp(lx_bar))
 
     eta = pu_learning_rate(problem)
     return _mwu(problem, "pu", eta, predicted, seed, stop)
@@ -410,12 +422,12 @@ def solve_game_omwu(problem, tol=1e-8, max_iters=100000, seed=0):
     extrapolated gradient 2 g_k - g_{k-1}. Stops per
     ``StoppingRule(max_iters, tol)``."""
     stop = StoppingRule(max_iters, tol)
-    A = problem.payoff
+    A = problem.operator
     g_prev = None
 
     def optimistic(step, lx, ly, x, y):
         nonlocal g_prev
-        g = (A.T @ y, A @ x)
+        g = (A.adjoint_apply(y), A.apply(x))
         # The first step has no history: it extrapolates with g_0 itself.
         prev = g if g_prev is None else g_prev
         g_prev = g

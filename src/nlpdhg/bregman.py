@@ -153,7 +153,7 @@ class NegativeEntropy:
             raise ValueError(f"{name} has negative entries")
         total = x.sum()
         if abs(total - 1.0) > _SIMPLEX_ATOL:
-            raise ValueError(f"{name} does not sum to 1 (sum = {total!r})")
+            raise ValueError(f"{name} does not sum to 1 (sum = {float(total)})")
         return x
 
     def value(self, x):

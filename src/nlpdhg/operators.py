@@ -11,6 +11,11 @@ Norms:
 * ``norm_2_2``  -- largest singular value via power iteration on A^T A
 
 All operators are immutable and their apply/adjoint methods are pure.
+
+Every solver multiplies by its problem matrix through an operator's
+``apply`` and ``adjoint_apply``, so counting or timing those two methods
+covers every solver's products. The one exception is the independent test
+oracle ``baselines.prox_gradient_lasso``, which multiplies its raw arrays.
 """
 
 from __future__ import annotations
@@ -67,13 +72,13 @@ class DenseOperator:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.cols,):
             raise ValueError(f"expected input of shape ({self.cols},), got {x.shape}")
-        return self.matrix @ x
+        return self.matrix.dot(x)
 
     def adjoint_apply(self, y):
         y = np.asarray(y, dtype=float)
         if y.shape != (self.rows,):
             raise ValueError(f"expected input of shape ({self.rows},), got {y.shape}")
-        return self._matrix_t @ y
+        return self._matrix_t.dot(y)
 
     def column_norms_sq(self):
         return np.einsum("ij,ij->j", self.matrix, self.matrix)
@@ -110,7 +115,7 @@ class ScaledConcat:
         if x.shape != (self.cols,):
             raise ValueError(f"expected input of shape ({self.cols},), got {x.shape}")
         d = self._d
-        out = self.base @ (x[:d] - x[d:])
+        out = self.base.dot(x[:d] - x[d:])
         out *= self.scale
         return out
 
@@ -121,7 +126,7 @@ class ScaledConcat:
         # scale * B^T y into the first half, its negation into the second.
         out = np.empty(self.cols)
         bty = out[: self._d]
-        np.matmul(self._base_t, y, out=bty)
+        self._base_t.dot(y, out=bty)
         bty *= self.scale
         np.negative(bty, out=out[self._d :])
         return out

@@ -38,8 +38,7 @@ class MatrixGameProblem(SaddleProblem):
         if not lam > 0:
             raise ValueError(f"lam must be positive, got {lam}")
         self.operator = DenseOperator(payoff)
-        self.payoff = self.operator.matrix
-        self.m, self.n = self.payoff.shape
+        self.m, self.n = self.operator.rows, self.operator.cols
         self.lam = float(lam)
         self.op_norm = norm_1_inf(self.operator)
         self.geom_x = NegativeEntropy(self.n)

@@ -21,7 +21,7 @@ import numpy as np
 
 from ..bregman import Quadratic
 from ..engine import SaddleProblem, solve
-from ..operators import DenseOperator
+from ..operators import DenseOperator, _check_finite
 
 __all__ = [
     "shrink1",
@@ -53,11 +53,11 @@ class LassoProblem(SaddleProblem):
         if not lam > 0:
             raise ValueError(f"lam must be positive, got {lam}")
         self.operator = DenseOperator(A)
-        self.A = self.operator.matrix
-        self.m, self.n = self.A.shape
+        self.m, self.n = self.operator.rows, self.operator.cols
         b = np.asarray(b, dtype=float)
         if b.shape != (self.m,):
             raise ValueError(f"b must have shape ({self.m},), got {b.shape}")
+        _check_finite(b, "b")
         self.b = b
         self.lam = float(lam)
         self.op_norm = float(np.sqrt(np.max(self.operator.row_norms_sq())))

@@ -17,6 +17,7 @@ from nlpdhg.baselines import (
     solve_linear_pdhg_logreg,
 )
 from nlpdhg.data import gen_game_data, gen_lasso_data, gen_logreg_data
+from nlpdhg.engine import StoppingRule
 from nlpdhg.problems.games import MatrixGameProblem, game_optimality_residual, solve_matrix_game
 from nlpdhg.problems.lasso import LassoProblem, solve_lasso
 from nlpdhg.problems.logreg import L1LogRegProblem, recover_v, solve_l1_logreg
@@ -232,7 +233,7 @@ OWN_LOOP_SOLVERS = {
     "fista": fista_lasso,
     "pu": solve_game_pu,
     "omwu": solve_game_omwu,
-    "ista": lambda p, **kw: prox_gradient_lasso(p.A, p.b, p.lam, **kw),
+    "ista": lambda p, **kw: prox_gradient_lasso(p.operator.matrix, p.b, p.lam, **kw),
 }
 
 
@@ -280,3 +281,53 @@ class TestStoppingContract:
         rep = OWN_LOOP_SOLVERS[name](_own_loop_problem(name), tol=None, max_iters=7)
         assert rep.k == 7 and not rep.converged
         assert len(rep.residual_trace) == 7
+
+
+class TestNonFiniteIterate:
+    """The FISTA and MWU loops raise on a non-finite iterate, as
+    ``engine.run`` does, instead of running to the cap."""
+
+    @staticmethod
+    def fista_step(bad_k, value):
+        k = 0
+
+        def step(w):
+            nonlocal k
+            k += 1
+            return np.full_like(w, value) if k == bad_k else 0.5 * w
+
+        return step
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_fista_raises(self, value):
+        step = self.fista_step(3, value)
+        with np.errstate(invalid="ignore"), pytest.raises(
+            RuntimeError, match="^non-finite iterate at k=3$"
+        ):
+            baselines._fista(step, lambda new, old: float(np.abs(new - old).sum()),
+                             np.ones(4), StoppingRule(100, 1e-12))
+
+    def test_fista_scans_only_a_non_finite_monitored_value(self):
+        """An infinite monitored value of a finite iterate is no failure."""
+        x, k, converged, _ = baselines._fista(lambda w: 0.5 * w, lambda new, old: np.inf,
+                                              np.ones(4), StoppingRule(5, 1e-12))
+        assert (k, converged) == (5, False) and np.isfinite(x).all()
+
+    @pytest.mark.parametrize("player", ["x", "y"])
+    def test_mwu_raises(self, player):
+        """A NaN in either player's gradient raises at once; for y it is the
+        second argument of the max that the loop monitors."""
+        problem = MatrixGameProblem(gen_game_data(6, 5, 0), 0.1)
+        op = problem.operator
+        calls = 0
+
+        def gradients(step, lx, ly, x, y):
+            nonlocal calls
+            calls += 1
+            g = {"x": op.adjoint_apply(y), "y": op.apply(x)}
+            if calls == 3:
+                g[player] = np.full_like(g[player], np.nan)
+            return g["x"], g["y"]
+
+        with pytest.raises(RuntimeError, match="^non-finite iterate at k=3$"):
+            baselines._mwu(problem, "mwu", 0.1, gradients, 0, StoppingRule(100, 1e-12))

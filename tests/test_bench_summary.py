@@ -13,13 +13,13 @@ sys.path.insert(0, str(ROOT / "tools"))
 import bench_summary  # noqa: E402
 
 
-def write_record(directory, workload, seed, metrics, failed=0, rounds=10, trace=0):
+def write_record(directory, workload, seed, metrics, failed=0, rounds=10, trace=0, seconds=40.0):
     directory.mkdir(parents=True, exist_ok=True)
     rec = {
         "workload": workload,
         "seed": seed,
         "trace": trace,
-        "seconds": 40.0,
+        "seconds": seconds,
         "provenance": {"git_commit": "0" * 40},
         "metrics": {name: {"value": v} for name, v in metrics.items()},
         "rounds": [{"ok": i >= failed} for i in range(rounds)],
@@ -106,6 +106,20 @@ def test_change_inside_parent_spread_does_not_hold(tmp_path):
     assert bench["claim"]["holds"] is False
 
 
+def test_runs_of_different_lengths_do_not_pair(tmp_path):
+    for seed in range(3):
+        write_record(tmp_path / "parent", "game-swarm", seed, PARENT[seed], seconds=20.0)
+        write_record(tmp_path / "change", "game-swarm", seed, FASTER[seed],
+                     seconds=40.0 if seed == 1 else 20.0)
+    with pytest.raises(SystemExit, match=r"^game-swarm-seed1-trace0\.json: the parent ran 20 s"
+                                         r" and the change 40 s"):
+        bench_summary.main([
+            "--topic", "t", "--parent", str(tmp_path / "parent"),
+            "--change", str(tmp_path / "change"), "--out", str(tmp_path / "BENCH_t.json"),
+        ])
+    assert not (tmp_path / "BENCH_t.json").exists()
+
+
 def test_no_claim_still_checks_every_workload(tmp_path):
     """Without --claim the file records a null claim and keeps each
     workload's end-to-end checks and the top-level lists."""
@@ -130,6 +144,7 @@ def test_no_claim_still_checks_every_workload(tmp_path):
         "BENCH_engine.json",
         "BENCH_loops.json",
         "BENCH_matvecs.json",
+        "BENCH_products.json",
     ],
 )
 def test_committed_regenerate_command_runs(tmp_path, name):

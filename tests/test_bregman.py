@@ -227,7 +227,7 @@ _OFF_BOX = "y lies outside the box [0, 1/m]^m"
         (lambda: _SIMPLEX.value([1.5, -0.5]), "x has negative entries"),
         (
             lambda: _SIMPLEX.value([0.5, 0.75]),
-            f"x does not sum to 1 (sum = {np.float64(1.25)!r})",
+            "x does not sum to 1 (sum = 1.25)",
         ),
         (lambda: _BOX.value([0.25]), "y has dimension 1, expected 2"),
         (lambda: _BOX.gradient([0.0, 0.25]), _ON_BOX),

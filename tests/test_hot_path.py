@@ -16,7 +16,7 @@ from _oracles import (
     softmax_reference,
     softplus_reference,
 )
-from nlpdhg import baselines
+from nlpdhg import baselines, bench
 from nlpdhg.baselines import solve_linear_pdhg_game, solve_linear_pdhg_logreg
 from nlpdhg.bregman import sigmoid, softmax
 from nlpdhg.data import gen_game_data, gen_lasso_data, gen_logreg_data
@@ -205,6 +205,44 @@ def test_proxes_never_apply_the_operator(problem, x, y, monkeypatch):
     monkeypatch.setattr(problem, "operator", _NoOperator())
     got = (problem.primal_prox(aty, x, 0.7), problem.dual_prox(ax, y, 0.3))
     assert all(same_bits(g, w) for g, w in zip(got, want))
+
+
+def _tiny_problem(kind):
+    if kind == "logreg":
+        return L1LogRegProblem(gen_logreg_data(8, 5, 0)[0], 2.0)
+    if kind == "game":
+        return MatrixGameProblem(gen_game_data(6, 5, 0), 0.5)
+    A, b, _ = gen_lasso_data(8, 12, 3, 0.1, 0)
+    return LassoProblem(A, b, 0.3)
+
+
+# (apply, adjoint_apply) calls of a solve that reports k iterations: one
+# product each way per iteration, unless listed here. PU predicts with a
+# second pair; FISTA forms its returned dual point with one more apply.
+_PRODUCTS = {"pu": lambda k: (2 * k, 2 * k), "fista": lambda k: (k + 1, k)}
+
+
+@pytest.mark.parametrize("kind, name", list(bench.SOLVERS))
+def test_every_solver_multiplies_through_its_operator(kind, name, monkeypatch):
+    """Counting the operators' two products counts every product a solve
+    takes with its matrix. ``norm_2_2`` returns the exact norm, so that its
+    power iterations stay out of the count."""
+    problem = _tiny_problem(kind)
+    calls = {"apply": 0, "adjoint_apply": 0}
+    for cls in (DenseOperator, ScaledConcat):
+        for method in calls:
+            def counted(self, v, _method=method, _original=getattr(cls, method)):
+                calls[_method] += 1
+                return _original(self, v)
+
+            monkeypatch.setattr(cls, method, counted)
+    monkeypatch.setattr(baselines, "norm_2_2", lambda op: float(np.linalg.norm(op.matrix, 2)))
+    report = bench.call_solver(
+        bench.SOLVERS[kind, name], problem, tol=1e-6, max_iters=40, seed=0, stop_on="both"
+    )
+    assert report.k > 1
+    want = _PRODUCTS.get(name, lambda k: (k, k))(report.k)
+    assert (calls["apply"], calls["adjoint_apply"]) == want
 
 
 @pytest.mark.parametrize(

@@ -64,6 +64,14 @@ class TestSolve:
         with pytest.raises(ValueError, match="lam"):
             LassoProblem(np.eye(2), np.zeros(2), 0.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_b_rejected(self, bad):
+        """A NaN b would make FISTA run to its cap and return a NaN x."""
+        A, b, _ = gen_lasso_data(12, 20, 3, 0.1, 0)
+        b[3] = bad
+        with pytest.raises(ValueError, match="^b contains NaN or Inf entries$"):
+            LassoProblem(A, b, 0.1)
+
     def test_all_zero_matrix_rejected(self):
         with pytest.raises(ValueError, match="A has operator norm 0"):
             LassoProblem(np.zeros((3, 4)), np.ones(3), 0.1)

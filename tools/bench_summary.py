@@ -6,7 +6,9 @@
 
 PARENT and CHANGE are two checkouts on which ``perfbench/run.py`` ran with
 the same workloads, seeds and ``--seconds``. Every record the two results
-directories share (``<workload>-seed<N>-trace<T>.json``) becomes one pair.
+directories share (``<workload>-seed<N>-trace<T>.json``) becomes one pair;
+a pair whose two runs differ in ``seconds`` stops the summary with an error
+naming the file.
 For each workload, untraced pairs give each end-to-end metric's per-run
 values, the median and quartiles of each side, and how many pairs the change
 won; traced pairs give the per-layer metrics side by side. With
@@ -126,6 +128,11 @@ def main(argv=None):
     workloads = {}
     for name in sorted(parent.keys() & change.keys()):
         p, c = parent[name], change[name]
+        if p["seconds"] != c["seconds"]:
+            raise SystemExit(
+                f"{name}: the parent ran {p['seconds']:g} s and the change"
+                f" {c['seconds']:g} s; pair runs of the same length"
+            )
         w = workloads.setdefault(p["workload"], {"runs": [], "traced": []})
         command = (
             f"python3 perfbench/run.py --workload {p['workload']} --seed {p['seed']}"
