@@ -1,9 +1,11 @@
 """Seeded synthetic data generators.
 
-Every generator derives independent child streams from one root
-``numpy.random.SeedSequence`` (PCG64), one stream per tensor, so each tensor
+Every generator draws each tensor from its own PCG64 stream, so each tensor
 is bitwise reproducible for a given seed regardless of how the others are
-consumed. Streams are spawned in a fixed documented order.
+consumed. The streams are the first k children of
+``numpy.random.SeedSequence(seed)`` in a fixed documented order, built
+directly as ``SeedSequence(seed, spawn_key=(i,))``: that is what
+``SeedSequence(seed).spawn(k)[i]`` returns, without the parent.
 """
 
 from __future__ import annotations
@@ -13,6 +15,11 @@ import math
 import numpy as np
 
 __all__ = ["gen_logreg_data", "gen_game_data", "gen_lasso_data"]
+
+
+def _streams(seed, k):
+    """Generators on the first ``k`` children of ``SeedSequence(seed)``."""
+    return [np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,))) for i in range(k)]
 
 
 def gen_logreg_data(m, d, seed):
@@ -28,13 +35,13 @@ def gen_logreg_data(m, d, seed):
     """
     if m < 1 or d < 1:
         raise ValueError(f"m and d must be >= 1, got {m}, {d}")
-    s_feat, s_supp, s_noise = np.random.SeedSequence(seed).spawn(3)
-    u = np.random.default_rng(s_feat).standard_normal((m, d))
+    r_feat, r_supp, r_noise = _streams(seed, 3)
+    u = r_feat.standard_normal((m, d))
     k = math.ceil(0.01 * d)
-    support = np.random.default_rng(s_supp).choice(d, size=k, replace=False)
+    support = r_supp.choice(d, size=k, replace=False)
     v_true = np.zeros(d)
     v_true[support] = 10.0
-    xi = np.random.default_rng(s_noise).standard_normal(m)
+    xi = r_noise.standard_normal(m)
     labels = np.where(u @ v_true + xi >= 0.0, 1.0, -1.0)
     u *= -labels[:, None]
     return u, v_true, labels
@@ -44,8 +51,14 @@ def gen_game_data(m, n, seed):
     """Payoff matrix with iid uniform [-1, 1] entries."""
     if m < 1 or n < 1:
         raise ValueError(f"m and n must be >= 1, got {m}, {n}")
-    (s_payoff,) = np.random.SeedSequence(seed).spawn(1)
-    return np.random.default_rng(s_payoff).uniform(-1.0, 1.0, size=(m, n))
+    (r_payoff,) = _streams(seed, 1)
+    # uniform(-1, 1) computes -1 + 2u from the same doubles u that random()
+    # returns; 2u is exact, so mapping them in place gives the same bits
+    # without numpy's per-element uniform loop.
+    a = r_payoff.random((m, n))
+    a *= 2.0
+    a -= 1.0
+    return a
 
 
 def gen_lasso_data(m, n, sparsity, noise, seed):
@@ -59,12 +72,12 @@ def gen_lasso_data(m, n, sparsity, noise, seed):
         raise ValueError(f"m and n must be >= 1, got {m}, {n}")
     if not 0 <= sparsity <= n:
         raise ValueError(f"sparsity must lie in [0, {n}], got {sparsity}")
-    s_feat, s_supp, s_sign, s_noise = np.random.SeedSequence(seed).spawn(4)
-    A = np.random.default_rng(s_feat).standard_normal((m, n))
+    r_feat, r_supp, r_sign, r_noise = _streams(seed, 4)
+    A = r_feat.standard_normal((m, n))
     x_true = np.zeros(n)
     if sparsity > 0:
-        support = np.random.default_rng(s_supp).choice(n, size=sparsity, replace=False)
-        signs = np.random.default_rng(s_sign).choice([-1.0, 1.0], size=sparsity)
+        support = r_supp.choice(n, size=sparsity, replace=False)
+        signs = r_sign.choice([-1.0, 1.0], size=sparsity)
         x_true[support] = signs
-    b = A @ x_true + noise * np.random.default_rng(s_noise).standard_normal(m)
+    b = A @ x_true + noise * r_noise.standard_normal(m)
     return A, b, x_true

@@ -11,6 +11,10 @@ Norms:
 * ``norm_2_2``  -- largest singular value via power iteration on A^T A
 
 All operators are immutable and their apply/adjoint methods are pure.
+Because of that, a dense operator keeps max_ij |A_ij| from the scan that
+validates its matrix: one ``max`` and one ``min`` reduction prove every
+entry finite and give the entry of largest magnitude, so ``norm_1_inf``
+reads a cached number and never copies or rescans the matrix.
 
 Every solver multiplies by its problem matrix through an operator's
 ``apply`` and ``adjoint_apply``, so counting or timing those two methods
@@ -54,6 +58,18 @@ def _check_finite(a, name):
         raise ValueError(f"{name} contains NaN or Inf entries")
 
 
+def _checked_max_abs(a, name):
+    """max |a_ij|, raising unless every entry of ``a`` is finite. One ``max``
+    and one ``min`` reduction do both: neither overflows, an infinity is an
+    extreme and a NaN propagates through either, so both are finite exactly
+    when every entry is. ``+ 0.0`` folds a -0.0 to +0.0, as ``np.abs``
+    would."""
+    hi, lo = float(a.max()), float(a.min())
+    if not (math.isfinite(hi) and math.isfinite(lo)):
+        raise ValueError(f"{name} contains NaN or Inf entries")
+    return max(hi, -lo) + 0.0
+
+
 class DenseOperator:
     """A dense m x n matrix with apply/adjoint actions."""
 
@@ -63,7 +79,7 @@ class DenseOperator:
             raise ValueError(f"matrix must be 2-d, got shape {a.shape}")
         if a.size == 0:
             raise ValueError("empty operator")
-        _check_finite(a, "matrix")
+        self._max_abs = _checked_max_abs(a, "matrix")
         self.matrix = a
         self._matrix_t = a.T
         self.rows, self.cols = a.shape
@@ -87,7 +103,7 @@ class DenseOperator:
         return np.einsum("ij,ij->i", self.matrix, self.matrix)
 
     def max_abs_entry(self):
-        return float(np.max(np.abs(self.matrix)))
+        return self._max_abs
 
 
 class ScaledConcat:
@@ -137,7 +153,7 @@ class ScaledConcat:
         return np.concatenate([base_sq, base_sq])
 
     def max_abs_entry(self):
-        return self.scale * float(np.max(np.abs(self.base)))
+        return self.scale * _checked_max_abs(self.base, "base")
 
 
 def norm_1_2(op):

@@ -18,6 +18,8 @@ residual is measured mean-centered.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from ..bregman import NegativeEntropy, softmax
@@ -37,6 +39,8 @@ class MatrixGameProblem(SaddleProblem):
     def __init__(self, payoff, lam):
         if not lam > 0:
             raise ValueError(f"lam must be positive, got {lam}")
+        if not math.isfinite(lam):
+            raise ValueError(f"lam must be finite, got {lam}")
         self.operator = DenseOperator(payoff)
         self.m, self.n = self.operator.rows, self.operator.cols
         self.lam = float(lam)

@@ -17,6 +17,8 @@ conditions read y = (A x - b)/m together with -A^T y in lam * d||x||_1.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from ..bregman import Quadratic
@@ -52,6 +54,8 @@ class LassoProblem(SaddleProblem):
     def __init__(self, A, b, lam):
         if not lam > 0:
             raise ValueError(f"lam must be positive, got {lam}")
+        if not math.isfinite(lam):
+            raise ValueError(f"lam must be finite, got {lam}")
         self.operator = DenseOperator(A)
         self.m, self.n = self.operator.rows, self.operator.cols
         b = np.asarray(b, dtype=float)

@@ -18,6 +18,8 @@ runs it.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from ..bregman import BinaryEntropyAverage, NegativeEntropy, logit, sigmoid, softmax
@@ -53,6 +55,8 @@ class L1LogRegProblem(SaddleProblem):
             raise ValueError(f"B must be an m x d matrix, got shape {B.shape}")
         if not lam > 0:
             raise ValueError(f"lam must be positive, got {lam}")
+        if not math.isfinite(lam):
+            raise ValueError(f"lam must be finite, got {lam}")
         self.B = B
         self.lam = float(lam)
         self.m, self.d = B.shape

@@ -14,9 +14,20 @@ import numpy as np
 
 from ..bregman import Quadratic
 from ..engine import SaddleProblem
-from ..operators import DenseOperator
+from ..operators import DenseOperator, _check_finite
 
 __all__ = ["QuadraticSaddleProblem"]
+
+
+def _linear_term(v, size, name):
+    """A finite vector of shape (size,); None means zeros."""
+    if v is None:
+        return np.zeros(size)
+    v = np.asarray(v, dtype=float)
+    if v.shape != (size,):
+        raise ValueError(f"{name} must have shape ({size},), got {v.shape}")
+    _check_finite(v, name)
+    return v
 
 
 class QuadraticSaddleProblem(SaddleProblem):
@@ -29,8 +40,8 @@ class QuadraticSaddleProblem(SaddleProblem):
             raise ValueError("strong convexity constants must be nonnegative")
         self.gamma_g = float(gamma_g)
         self.gamma_h_star = float(gamma_h_star)
-        self.c = np.zeros(n) if c is None else np.asarray(c, dtype=float)
-        self.d = np.zeros(m) if d is None else np.asarray(d, dtype=float)
+        self.c = _linear_term(c, n, "c")
+        self.d = _linear_term(d, m, "d")
         self.geom_x = Quadratic(1.0)
         self.geom_y = Quadratic(1.0)
         self.op_norm = float(np.linalg.norm(self.operator.matrix, 2))

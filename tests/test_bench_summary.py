@@ -145,6 +145,7 @@ def test_no_claim_still_checks_every_workload(tmp_path):
         "BENCH_loops.json",
         "BENCH_matvecs.json",
         "BENCH_products.json",
+        "BENCH_setup.json",
     ],
 )
 def test_committed_regenerate_command_runs(tmp_path, name):

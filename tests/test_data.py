@@ -78,6 +78,17 @@ class TestGameData:
     def test_determinism(self):
         assert np.array_equal(gen_game_data(10, 10, 5), gen_game_data(10, 10, 5))
 
+    @pytest.mark.parametrize(
+        "m, n, seed, digest",
+        [(100, 100, 0, "a22111a4aacaf29e"), (6, 5, 1, "7a9f0827d9be1d34")],
+    )
+    def test_payoff_bytes_pinned(self, m, n, seed, digest):
+        """The payoff's bytes, pinned by SHA-256 prefix, stay those of
+        ``uniform(-1, 1)`` on the seed's first child stream."""
+        A = gen_game_data(m, n, seed)
+        assert A.dtype == np.float64 and A.flags.c_contiguous
+        assert hashlib.sha256(A.tobytes()).hexdigest()[:16] == digest
+
 
 class TestLassoData:
     def test_zero_sparsity_is_pure_noise(self):
@@ -95,6 +106,19 @@ class TestLassoData:
         b = gen_lasso_data(8, 12, 3, 0.2, 9)
         for left, right in zip(a, b):
             assert np.array_equal(left, right)
+
+    @pytest.mark.parametrize(
+        "m, n, sparsity, seed, digests",
+        [
+            (50, 250, 10, 0, ("b4ade1b6f51556dd", "bf4d1c147c4f4f32", "a9e669c7700d2202")),
+            (12, 20, 3, 3, ("85ccaed1d880cae6", "dfd683c8def525fb", "751ac58b0c19b878")),
+        ],
+    )
+    def test_bytes_pinned(self, m, n, sparsity, seed, digests):
+        """A, b and x_true, pinned by SHA-256 prefix (noise 0.1)."""
+        out = gen_lasso_data(m, n, sparsity, 0.1, seed)
+        got = tuple(hashlib.sha256(a.tobytes()).hexdigest()[:16] for a in out)
+        assert got == digests
 
     def test_noiseless_support_recovery(self):
         """Overdetermined 50 x 10, no noise, tiny lam: FISTA recovers the

@@ -293,6 +293,23 @@ class TestRun:
         with pytest.raises(RuntimeError, match="non-finite iterate at k=1"):
             run(prob, sched, np.array([1.0, 1.0]), np.array([1.0]), StoppingRule(max_iters=2))
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"c": [1.0]}, r"c must have shape \(3,\), got \(1,\)"),
+            ({"c": np.zeros((3, 1))}, r"c must have shape \(3,\)"),
+            ({"d": [2.0]}, r"d must have shape \(2,\), got \(1,\)"),
+            ({"c": [0.0, np.nan, 0.0]}, "c contains NaN or Inf entries"),
+            ({"d": [np.inf, 0.0]}, "d contains NaN or Inf entries"),
+        ],
+        ids=["c-short", "c-column", "d-short", "c-nan", "d-inf"],
+    )
+    def test_quadratic_linear_terms_validated(self, kwargs, message):
+        """Unchecked, a short c would broadcast into every primal prox, and a
+        short d would fail in saddle_point's matmul."""
+        with pytest.raises(ValueError, match=message):
+            QuadraticSaddleProblem(np.ones((2, 3)), **kwargs)
+
     def test_stop_on_rules(self):
         rule = StoppingRule()
         assert (rule.max_iters, rule.tol, rule.stop_on, rule.residual_fn) == (

@@ -140,3 +140,10 @@ class TestProxOracles:
 def test_construction_guards():
     with pytest.raises(ValueError, match="lam"):
         MatrixGameProblem(np.ones((2, 2)), 0.0)
+
+
+@pytest.mark.parametrize("lam", [np.inf, np.nan])
+def test_non_finite_lam_rejected(lam):
+    """An infinite lam would fail later, in the schedule, with theta = 0."""
+    with pytest.raises(ValueError, match="^lam must be"):
+        MatrixGameProblem(np.ones((2, 2)), lam)

@@ -64,6 +64,13 @@ class TestSolve:
         with pytest.raises(ValueError, match="lam"):
             LassoProblem(np.eye(2), np.zeros(2), 0.0)
 
+    @pytest.mark.parametrize("lam", [np.inf, np.nan])
+    def test_non_finite_lam_rejected(self, lam):
+        """An infinite lam would make the solvers stop at x = 0 with a NaN
+        objective."""
+        with pytest.raises(ValueError, match="^lam must be"):
+            LassoProblem(np.eye(2), np.ones(2), lam)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_b_rejected(self, bad):
         """A NaN b would make FISTA run to its cap and return a NaN x."""

@@ -180,3 +180,9 @@ class TestInvariants:
             L1LogRegProblem(np.ones((2, 2)), 0.0)
         with pytest.raises(ValueError, match="matrix"):
             L1LogRegProblem(np.ones(3), 1.0)
+
+    @pytest.mark.parametrize("lam", [np.inf, np.nan])
+    def test_non_finite_lam_rejected(self, lam):
+        """The message names lam, not the operator's scale."""
+        with pytest.raises(ValueError, match="^lam must be"):
+            L1LogRegProblem(np.ones((2, 2)), lam)

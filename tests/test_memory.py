@@ -66,6 +66,14 @@ def test_problem_setup_copies_no_matrix():
     assert peak < 0.05 * MATRIX_BYTES
 
 
+def test_game_setup_copies_no_matrix():
+    """The game's norm max|A_ij| comes from the validation scan, so set-up
+    makes no abs copy of the payoff."""
+    payoff = gen_game_data(M, D, 0)
+    _, peak, _ = traced(lambda: MatrixGameProblem(payoff, 0.1))
+    assert peak < 0.05 * MATRIX_BYTES
+
+
 def _quadratic_run(iters):
     prob = QuadraticSaddleProblem(np.array([[1.0]]), gamma_g=1.0, gamma_h_star=1.0)
     sched = ConstantSchedule(0.5, 0.5, prob.op_norm)
@@ -96,6 +104,8 @@ NON_FINITE = {
     "nan": [[1.0, np.nan], [0.0, 2.0]],
     "inf": [[1.0, np.inf], [0.0, 2.0]],
     "inf-pair": [[np.inf, -np.inf], [0.0, 2.0]],
+    "-inf": [[1.0, 2.0], [0.0, -np.inf]],
+    "lone-nan": [[np.nan]],
 }
 
 

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from nlpdhg.operators import (
     DenseOperator,
@@ -134,6 +137,32 @@ class TestNorms:
     def test_empty_operator_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             DenseOperator(np.zeros((0, 3)))
+
+
+# Finite entries of both signs, with signed zeros and +-1e308 drawn often.
+matrices = arrays(
+    np.float64,
+    array_shapes(min_dims=2, max_dims=2, max_side=12),
+    elements=st.one_of(
+        st.sampled_from([0.0, -0.0, 1e308, -1e308]),
+        st.floats(allow_nan=False, allow_infinity=False),
+    ),
+)
+
+
+def same_bits(a, b):
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+@given(matrices, st.floats(1e-3, 1e3))
+@example(np.full((3, 2), -0.0), 2.0)
+@example(np.array([[0.0, -0.0], [-0.0, 0.0]]), 1.0)
+@example(np.array([[1e308, -1e308]]), 0.5)
+@settings(max_examples=300, deadline=None)
+def test_max_abs_entry_is_the_abs_scan(a, s):
+    """The max|A_ij| kept from the validation scan has the abs scan's bits."""
+    assert same_bits(DenseOperator(a).max_abs_entry(), np.max(np.abs(a)))
+    assert same_bits(ScaledConcat(a, s).max_abs_entry(), s * float(np.max(np.abs(a))))
 
 
 class TestCauchySchwarzProbe:
