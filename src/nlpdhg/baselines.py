@@ -4,7 +4,9 @@ FISTA, and the predictive-update / optimistic-MWU game methods.
 The linear PDHG baselines are the same iteration as nonlinear PDHG in
 Euclidean geometry, so they run through ``engine.run``: each solve builds a
 single-use saddle problem whose proxes solve the nested Euclidean
-subproblems by forward-backward iteration, warm-started across iterations.
+subproblems by one inner solve, ``_moreau``: the Moreau split z - u* with u*
+the prox of the conjugate, found by gradient steps warm-started across
+iterations.
 They pay for a largest-singular-value estimate up front, and their reported
 wall time includes that ``norm_2_2`` call, mirroring how such baselines are
 usually accounted. Projected forward-backward on logistic regression and
@@ -19,7 +21,7 @@ from array import array
 
 import numpy as np
 
-from .bregman import Quadratic, sigmoid, softmax
+from .bregman import sigmoid, softmax
 from .engine import SaddleProblem, SolveReport, StoppingRule, _norm, _rel_change, run
 from .operators import DenseOperator, norm_2_2
 from .problems.lasso import shrink1
@@ -57,13 +59,17 @@ def project_l1_ball(v, radius):
     """Euclidean projection onto {u : ||u||_1 <= radius}, exact.
 
     Sort-based threshold search, O(d log d). Inputs already inside the ball
-    are returned unchanged.
+    are returned unchanged; ValueError for a NaN or infinite entry.
     """
     if not radius > 0:
         raise ValueError(f"radius must be positive, got {radius}")
     v = np.asarray(v, dtype=float)
     a = np.abs(v)
-    if a.sum() <= radius:
+    total = a.sum()
+    # A finite sum needs no scan of the entries.
+    if not (math.isfinite(total) or np.isfinite(a).all()):
+        raise ValueError("v contains NaN or Inf entries")
+    if total <= radius:
         return v.copy()
     u = np.sort(a)[::-1]
     css = np.cumsum(u)
@@ -73,39 +79,30 @@ def project_l1_ball(v, radius):
     return np.sign(v) * np.maximum(a - theta, 0.0)
 
 
-def _fb_minimize(grad, lipschitz, u0, tol, max_iters):
-    """Forward-backward (plain gradient) iteration on a smooth strongly
-    convex objective; stops on absolute iterate change."""
-    u = u0.copy()
-    step = 1.0 / lipschitz
-    for _ in range(max_iters):
-        # u - step * grad(u), then max |u_new - u|, in the fresh gradient
-        # and difference arrays.
-        u_new = grad(u)
+def _moreau(z, conj_grad, lip, u):
+    """Moreau split (z - u*, u*) of z, where u* = argmin_u 0.5||u - z||^2 +
+    f(u), f is the conjugate term with gradient ``conj_grad`` (a fresh array
+    each call, which the step overwrites) and ``lip`` is 1 plus a Lipschitz
+    constant of that gradient. Plain gradient steps from
+    the warm start ``u`` find u*, stopping once no coordinate moves by more
+    than ``_INNER_TOL``; InnerSolveError after ``_INNER_MAX_ITERS`` steps."""
+    step = 1.0 / lip
+    for _ in range(_INNER_MAX_ITERS):
+        # u - step * (conj_grad(u) + u - z), then max |u_new - u|, in the
+        # fresh gradient and difference arrays.
+        u_new = conj_grad(u)
+        u_new += u - z
         u_new *= step
         np.subtract(u, u_new, out=u_new)
         diff = u_new - u
         np.abs(diff, out=diff)
         delta = float(diff.max())
         u = u_new
-        if delta <= tol:
-            return u
+        if delta <= _INNER_TOL:
+            return z - u, u
     raise InnerSolveError(
-        f"inner forward-backward iteration stalled above tolerance {tol}", residual=delta
+        f"inner forward-backward iteration stalled above tolerance {_INNER_TOL}", residual=delta
     )
-
-
-def _logistic_conjugate_prox(z, sigma, m, u0, tol, max_iters):
-    """argmin_u 0.5||u - z||^2 + (sigma/m) sum log(1 + exp(u_i/sigma))."""
-
-    def grad(u):
-        g = sigmoid(u / sigma)
-        g /= m
-        g += u - z
-        return g
-
-    lip = 1.0 + 1.0 / (4.0 * sigma * m)
-    return _fb_minimize(grad, lip, u0, tol, max_iters)
 
 
 class _WarmStartedProxes(SaddleProblem):
@@ -118,8 +115,6 @@ class _WarmStartedProxes(SaddleProblem):
     across iterations, so every solve builds a fresh one. ``problem_id`` is
     that of the problem being solved, so that the report names it.
     """
-
-    geom_x = geom_y = Quadratic()
 
     def __init__(self, problem_id, operator, dual_map, primal_map, warm_y, warm_x):
         self.problem_id = problem_id
@@ -154,8 +149,8 @@ def solve_linear_pdhg_logreg(problem, tol=1e-4, max_iters=50000, stop_on="both")
 
     Works directly on B (m x d) and the radius-lam ball: a dual gradient
     step followed by the Euclidean prox of the averaged binary entropy
-    (evaluated through its conjugate and an inner forward-backward solve,
-    warm-started across iterations), then an exact l1-ball projection. The
+    (a ``_moreau`` split by its conjugate, warm-started across
+    iterations), then an exact l1-ball projection. The
     schedule is the accelerated dual recurrence driven by gamma = 4m and the
     largest singular value of B, whose power-iteration cost is part of the
     reported wall time. Stops per ``StoppingRule(max_iters, tol, stop_on)``.
@@ -167,8 +162,12 @@ def solve_linear_pdhg_logreg(problem, tol=1e-4, max_iters=50000, stop_on="both")
     schedule = schedule_for(problem.gamma_g, problem.gamma_h_star, norm_2_2(op))
 
     def dual_map(z, sigma, u_warm):
-        u = _logistic_conjugate_prox(z, sigma, m, u_warm, _INNER_TOL, _INNER_MAX_ITERS)
-        return z - u, u
+        def conj_grad(u):
+            g = sigmoid(u / sigma)
+            g /= m
+            return g
+
+        return _moreau(z, conj_grad, 1.0 + 1.0 / (4.0 * sigma * m), u_warm)
 
     def primal_map(w, tau, _):
         return project_l1_ball(w, problem.lam), None
@@ -245,24 +244,12 @@ def solve_fb_logreg(problem, tol=1e-4, max_iters=50000):
     )
 
 
-def _entropy_conjugate_prox(v, c, u_warm, tol, max_iters):
-    """argmin_z 0.5||z - v||^2 + c * logsumexp(z/c)."""
-
-    def grad(z):
-        g = softmax(z / c)
-        g += z - v
-        return g
-
-    lip = 1.0 + 1.0 / c
-    return _fb_minimize(grad, lip, u_warm, tol, max_iters)
-
-
 def solve_linear_pdhg_game(problem, tol=1e-4, max_iters=50000, stop_on="both", seed=0):
     """Euclidean PDHG on the entropy-regularized game.
 
     Uses the linear-rate parameters computed from the largest singular value
-    of the payoff matrix, applied y-first; both entropic proxes are evaluated
-    through their conjugates with warm-started inner forward-backward solves.
+    of the payoff matrix, applied y-first; each entropic prox is a
+    warm-started ``_moreau`` split by the conjugate, c * logsumexp(u/c).
     Stops per ``StoppingRule(max_iters, tol, stop_on)``.
     """
     t0 = time.perf_counter()
@@ -271,8 +258,8 @@ def solve_linear_pdhg_game(problem, tol=1e-4, max_iters=50000, stop_on="both", s
     schedule = schedule_for(problem.gamma_g, problem.gamma_h_star, norm_2_2(problem.operator))
 
     def entropy_map(z, step, u_warm):
-        u = _entropy_conjugate_prox(z, lam * step, u_warm, _INNER_TOL, _INNER_MAX_ITERS)
-        return z - u, u
+        c = lam * step
+        return _moreau(z, lambda u: softmax(u / c), 1.0 + 1.0 / c, u_warm)
 
     x0, y0 = problem.default_init(seed=seed)
     saddle = _WarmStartedProxes(

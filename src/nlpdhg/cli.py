@@ -29,6 +29,7 @@ from .bench import (
     rows_to_csv,
     run_experiment,
 )
+from .engine import _check_real
 from .operators import load_matrix_csv, save_matrix_csv
 
 _DEFAULT_LAM = {"logreg": 100.0, "game": 0.1, "lasso": None}
@@ -59,9 +60,15 @@ def _cmd_gen_data(args):
     except ValueError as exc:
         raise SystemExit(f"gen-data: {exc}") from None
     lam = args.lam if args.lam is not None else _DEFAULT_LAM[args.kind]
+    name = "lam"
     if lam is None:
         A, b = arrays["matrix"], arrays["b"]
         lam = 0.3 * float(np.max(np.abs(A.T @ b))) / args.m
+        name = "the default lam 0.3*max|A^T b|/m"
+    try:
+        _check_real(name, lam, positive=True)
+    except ValueError as exc:
+        raise SystemExit(f"gen-data: {exc}") from None
     out.mkdir(parents=True, exist_ok=True)
     for stem, array in arrays.items():
         save_matrix_csv(out / f"{stem}.csv", array)

@@ -145,11 +145,23 @@ class ErgodicAccumulator:
         return self.sum_y / self.total
 
 
+def _check_real(name, value, positive):
+    """Raise a ValueError naming ``name`` unless ``value`` is a finite number
+    (not a bool) that is > 0 if ``positive``, else >= 0."""
+    if not (
+        isinstance(value, numbers.Real)
+        and not isinstance(value, bool)
+        and math.isfinite(value)
+        and (value > 0 if positive else value >= 0)
+    ):
+        bound = "> 0" if positive else ">= 0"
+        raise ValueError(f"{name} must be a finite number {bound}, got {value!r}")
+
+
 def check_tol(tol):
     """Raise a ValueError naming ``tol`` unless it is a finite number >= 0:
     a NaN tolerance would never stop a run, a negative one never could."""
-    if not (isinstance(tol, numbers.Real) and math.isfinite(tol) and tol >= 0):
-        raise ValueError(f"tol must be a finite number >= 0, got {tol!r}")
+    _check_real("tol", tol, positive=False)
 
 
 def check_count(name, value, least):

@@ -16,6 +16,7 @@ from nlpdhg.baselines import (
     solve_linear_pdhg_game,
     solve_linear_pdhg_logreg,
 )
+from nlpdhg.bregman import sigmoid, softmax
 from nlpdhg.data import gen_game_data, gen_lasso_data, gen_logreg_data
 from nlpdhg.engine import StoppingRule
 from nlpdhg.problems.games import MatrixGameProblem, game_optimality_residual, solve_matrix_game
@@ -40,6 +41,11 @@ class TestProjectL1Ball:
     def test_radius_validation(self):
         with pytest.raises(ValueError, match="radius"):
             project_l1_ball(np.ones(2), 0.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entries_rejected(self, bad):
+        with pytest.raises(ValueError, match="^v contains NaN or Inf entries$"):
+            project_l1_ball(np.array([0.5, bad, 2.0]), 1.0)
 
     def test_against_bisection_oracle(self):
         rng = np.random.default_rng(0)
@@ -205,24 +211,36 @@ class TestLogRegBaselines:
         ):
             assert abs(primal(np.maximum(rep.x, 1e-300)) - ref) < 1e-5
 
-    def test_inner_nonconvergence_carries_residual(self):
-        from nlpdhg.baselines import InnerSolveError, _logistic_conjugate_prox
-
+    # The conjugate gradients and ``lip`` values of the two linear-PDHG
+    # inner solves: logistic with sigma = 1e-4, m = 2, and entropic with
+    # c = 1e-3.
+    @pytest.mark.parametrize(
+        "conj_grad, lip",
+        [
+            (lambda u: sigmoid(u / 1e-4) / 2, 1.0 + 1.0 / (4e-4 * 2)),
+            (lambda u: softmax(u / 1e-3), 1.0 + 1.0 / 1e-3),
+        ],
+        ids=["logistic", "entropy"],
+    )
+    def test_inner_nonconvergence_carries_residual(self, conj_grad, lip, monkeypatch):
+        monkeypatch.setattr(baselines, "_INNER_TOL", 1e-14)
+        monkeypatch.setattr(baselines, "_INNER_MAX_ITERS", 3)
         z = np.array([5.0, -5.0])
-        with pytest.raises(InnerSolveError) as exc:
-            _logistic_conjugate_prox(z, 1e-4, 2, np.zeros(2), 1e-14, 3)
+        with pytest.raises(baselines.InnerSolveError, match="above tolerance 1e-14") as exc:
+            baselines._moreau(z, conj_grad, lip, np.zeros(2))
         assert exc.value.residual > 0
 
-    def test_sigma_to_zero_inner_limit(self):
+    def test_sigma_to_zero_inner_limit(self, monkeypatch):
         """As sigma -> 0 the scaled conjugate tends to the hinge max(u, 0)/m,
         so the dual update z - argmin degenerates to the box projection
         clip(z, 0, 1/m)."""
-        from nlpdhg.baselines import _logistic_conjugate_prox
-
-        m = 2
+        monkeypatch.setattr(baselines, "_INNER_TOL", 1e-12)
+        m, sigma = 2, 1e-3
         z = np.array([0.4, -0.2, 0.8])
-        u = _logistic_conjugate_prox(z, 1e-3, m, z.copy(), 1e-12, 10000)
-        y = z - u  # the dual update the solver would take
+        y, u = baselines._moreau(
+            z, lambda u: sigmoid(u / sigma) / m, 1.0 + 1.0 / (4.0 * sigma * m), z.copy()
+        )
+        np.testing.assert_array_equal(y, z - u)  # the dual update the solver would take
         np.testing.assert_allclose(y, np.clip(z, 0.0, 1.0 / m), atol=0.05)
 
 

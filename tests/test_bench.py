@@ -64,11 +64,28 @@ class TestSpec:
             ("max_iters", -5),
             ("max_iters", 0),
             ("reps", 0),
+            ("m", 0),
+            ("n", 2.0),
+            ("seed", 1.5),
+            ("seed", -1),
+            ("sparsity", -1),
+            ("lam", -1),
+            ("lam", 0.0),
+            ("lam", float("nan")),
+            ("lam", True),
+            ("noise", -0.1),
+            ("noise", float("inf")),
+            ("noise", False),
+            ("record_timing", "no"),
         ],
     )
     def test_bad_numbers_rejected(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} must be"):
             small_spec(**{field: value})
+
+    def test_integer_lam_and_zero_noise_accepted(self):
+        spec = small_spec(lam=1, noise=0, sparsity=0, seed=0)
+        assert (spec.lam, spec.noise) == (1, 0)
 
     def test_default_solver_list(self):
         spec = ExperimentSpec(kind="game", m=4, n=4, lam=0.5, seed=0)

@@ -136,20 +136,27 @@ def test_no_claim_still_checks_every_workload(tmp_path):
     assert "--metric" not in bench["regenerate"][-1]
 
 
-@pytest.mark.parametrize(
-    "name",
-    [
-        "BENCH_game.json",
-        "BENCH_memory.json",
+# Every committed BENCH_<topic>.json, so that a new one is checked with no
+# list to edit.
+COMMITTED_BENCH = sorted(ROOT.glob("BENCH_*.json"))
+
+
+def test_committed_bench_files_are_all_found():
+    assert {p.name for p in COMMITTED_BENCH} >= {
         "BENCH_engine.json",
+        "BENCH_game.json",
         "BENCH_loops.json",
         "BENCH_matvecs.json",
+        "BENCH_memory.json",
         "BENCH_products.json",
         "BENCH_setup.json",
-    ],
-)
-def test_committed_regenerate_command_runs(tmp_path, name):
-    committed = json.loads((ROOT / name).read_text())
+    }
+
+
+@pytest.mark.parametrize("path", COMMITTED_BENCH, ids=lambda p: p.name)
+def test_committed_regenerate_command_runs(tmp_path, path):
+    name = path.name
+    committed = json.loads(path.read_text())
     argv = shlex.split(committed["regenerate"][-1])
     assert argv[:2] == ["python3", "tools/bench_summary.py"]
     argv = [

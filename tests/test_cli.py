@@ -56,6 +56,28 @@ def test_gen_data_rejects_bad_sizes_before_writing(tmp_path):
     assert not fix.exists()
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--kind", "logreg", "--m", "4", "--d", "3", "--lam", "nan"],
+         "lam must be a finite number > 0, got nan"),
+        (["--kind", "game", "--m", "3", "--n", "3", "--lam", "-1"],
+         "lam must be a finite number > 0, got -1.0"),
+        (["--kind", "lasso", "--m", "4", "--n", "6", "--sparsity", "0", "--noise", "0"],
+         "the default lam 0.3*max|A^T b|/m must be a finite number > 0, got 0.0"),
+    ],
+    ids=["nan-lam", "negative-lam", "zero-default-lam"],
+)
+def test_gen_data_rejects_bad_lambda_before_writing(tmp_path, args, message):
+    """A lambda that ``solve`` would refuse, or that JSON cannot hold, ends
+    in one line and leaves no output directory behind."""
+    fix = tmp_path / "fix"
+    with pytest.raises(SystemExit) as exc:
+        main(["gen-data", *args, "--out", str(fix)])
+    assert str(exc.value) == f"gen-data: {message}"
+    assert not fix.exists()
+
+
 def test_solve_game_with_baseline(tmp_path):
     fix = tmp_path / "fix"
     main([
@@ -248,14 +270,21 @@ def test_bench_rejects_string_solvers(tmp_path):
         ("tol", float("nan"), "tol must be a finite number >= 0, got nan"),
         ("max_iters", -5, "max_iters must be an integer >= 1, got -5"),
         ("reps", 0, "reps must be an integer >= 1, got 0"),
+        ("m", 0, "m must be an integer >= 1, got 0"),
+        ("lam", -1, "lam must be a finite number > 0, got -1"),
+        ("seed", 1.5, "seed must be an integer >= 0, got 1.5"),
+        ("record_timing", "no", "record_timing must be a bool, got 'no'"),
     ],
-    ids=["negative-tol", "nan-tol", "negative-max-iters", "zero-reps"],
+    ids=[
+        "negative-tol", "nan-tol", "negative-max-iters", "zero-reps", "zero-m",
+        "negative-lam", "fractional-seed", "string-record-timing",
+    ],
 )
 def test_bench_rejects_bad_spec_numbers(tmp_path, field, value, message):
     """A spec that would write unconverged, empty-iteration or no rows ends
     in one line before any solve runs."""
     out = tmp_path / "o.csv"
-    spec = _spec_file(tmp_path, m=6, n=5, **{field: value})
+    spec = _spec_file(tmp_path, **{"m": 6, "n": 5, field: value})
     with pytest.raises(SystemExit) as exc:
         main(["bench", "--spec", str(spec), "--out", str(out)])
     assert str(exc.value) == f"bench: {message}"
