@@ -59,7 +59,9 @@ def project_l1_ball(v, radius):
     """Euclidean projection onto {u : ||u||_1 <= radius}, exact.
 
     Sort-based threshold search, O(d log d). Inputs already inside the ball
-    are returned unchanged; ValueError for a NaN or infinite entry.
+    are returned unchanged; ValueError for a NaN or infinite entry. Where
+    rounding hides the radius next to the largest entry (about 1e16 times
+    the radius), the result is the zero vector.
     """
     if not radius > 0:
         raise ValueError(f"radius must be positive, got {radius}")
@@ -74,7 +76,11 @@ def project_l1_ball(v, radius):
     u = np.sort(a)[::-1]
     css = np.cumsum(u)
     ks = np.arange(1, u.shape[0] + 1)
-    k = ks[u * ks > css - radius][-1]
+    # k = 1 always qualifies in exact arithmetic; forcing it keeps the
+    # threshold at or above the largest entry when rounding rejects it.
+    keep = u * ks > css - radius
+    keep[0] = True
+    k = ks[keep][-1]
     theta = (css[k - 1] - radius) / k
     return np.sign(v) * np.maximum(a - theta, 0.0)
 
@@ -320,15 +326,20 @@ def prox_gradient_lasso(A, b, lam, tol=1e-10, max_iters=500000):
     )
 
 
+# The lam terms are the step bounds of Cen, Wei and Chi (NeurIPS 2021). They
+# keep eta lam <= 1, so the damping 1 - eta lam of ``_mwu`` never falls below
+# -1 and the iterates cannot blow up; neither binds at lam <= 1.
 def pu_learning_rate(problem):
-    return 1.0 / (2.0 + problem.op_norm)
+    nrm = problem.op_norm
+    return min(1.0 / (2.0 + nrm), 1.0 / (problem.lam + nrm))
 
 
 def omwu_learning_rate(problem):
     nrm = problem.op_norm
+    bound = 1.0 / (2.0 * problem.lam + 2.0 * nrm)
     if nrm == 0.0:
-        return 0.5
-    return min(1.0 / (2.0 + 2.0 * nrm), 1.0 / (4.0 * nrm))
+        return min(0.5, bound)
+    return min(1.0 / (2.0 + 2.0 * nrm), 1.0 / (4.0 * nrm), bound)
 
 
 def _normalize_log(l):

@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass, field, fields
 
 from . import baselines
 from .data import gen_game_data, gen_lasso_data, gen_logreg_data
-from .engine import _check_real, check_count, check_tol, solve
+from .engine import check_count, check_real, solve
 from .problems.games import MatrixGameProblem
 from .problems.lasso import LassoProblem
 from .problems.logreg import L1LogRegProblem
@@ -70,11 +70,11 @@ class ExperimentSpec:
         check_count("n", self.n, 1)
         check_count("seed", self.seed, 0)
         check_count("sparsity", self.sparsity, 0)
-        _check_real("lam", self.lam, positive=True)
-        _check_real("noise", self.noise, positive=False)
+        check_real("lam", self.lam, positive=True)
+        check_real("noise", self.noise, positive=False)
         if not isinstance(self.record_timing, bool):
             raise ValueError(f"record_timing must be a bool, got {self.record_timing!r}")
-        check_tol(self.tol)
+        check_real("tol", self.tol, positive=False)
         check_count("max_iters", self.max_iters, 1)
         check_count("reps", self.reps, 1)
 

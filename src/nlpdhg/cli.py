@@ -29,7 +29,7 @@ from .bench import (
     rows_to_csv,
     run_experiment,
 )
-from .engine import _check_real
+from .engine import check_real
 from .operators import load_matrix_csv, save_matrix_csv
 
 _DEFAULT_LAM = {"logreg": 100.0, "game": 0.1, "lasso": None}
@@ -66,7 +66,7 @@ def _cmd_gen_data(args):
         lam = 0.3 * float(np.max(np.abs(A.T @ b))) / args.m
         name = "the default lam 0.3*max|A^T b|/m"
     try:
-        _check_real(name, lam, positive=True)
+        check_real(name, lam, positive=True)
     except ValueError as exc:
         raise SystemExit(f"gen-data: {exc}") from None
     out.mkdir(parents=True, exist_ok=True)

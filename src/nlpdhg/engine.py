@@ -145,7 +145,7 @@ class ErgodicAccumulator:
         return self.sum_y / self.total
 
 
-def _check_real(name, value, positive):
+def check_real(name, value, positive):
     """Raise a ValueError naming ``name`` unless ``value`` is a finite number
     (not a bool) that is > 0 if ``positive``, else >= 0."""
     if not (
@@ -156,12 +156,6 @@ def _check_real(name, value, positive):
     ):
         bound = "> 0" if positive else ">= 0"
         raise ValueError(f"{name} must be a finite number {bound}, got {value!r}")
-
-
-def check_tol(tol):
-    """Raise a ValueError naming ``tol`` unless it is a finite number >= 0:
-    a NaN tolerance would never stop a run, a negative one never could."""
-    _check_real("tol", tol, positive=False)
 
 
 def check_count(name, value, least):
@@ -194,7 +188,8 @@ class StoppingRule:
     def __post_init__(self):
         check_count("max_iters", self.max_iters, 0)
         if self.tol is not None:
-            check_tol(self.tol)
+            # A NaN tolerance would never stop a run, a negative one never could.
+            check_real("tol", self.tol, positive=False)
         if self.stop_on not in ("regular", "ergodic", "both"):
             raise ValueError(
                 f"stop_on must be 'regular', 'ergodic' or 'both', got {self.stop_on!r}"
@@ -353,9 +348,8 @@ def run(problem, schedule, x0, y0, stop=None):
     acc = ErgodicAccumulator(x.shape[0], y.shape[0])
     trace = array("d")
     tol, residual_fn = stop.tol, stop.residual_fn
-    dual_tests = tol is not None and residual_fn is None
-    regular = dual_tests and stop.stop_on != "ergodic"
-    ergodic = dual_tests and stop.stop_on != "regular"
+    regular = stop.stop_on != "ergodic"
+    ergodic = tol is not None and residual_fn is None and stop.stop_on != "regular"
     t_start = time.perf_counter()
     converged = False
     # The ergodic dual average of the previous iteration, or None when that
@@ -377,17 +371,15 @@ def run(problem, schedule, x0, y0, stop=None):
         ):
             raise RuntimeError(f"non-finite iterate at k={k}")
 
-        if residual_fn is not None:
-            monitored = float(residual_fn(x, y))
-        else:
+        if residual_fn is None:
             monitored = _rel_change(y, y_prev, y_norm)
+            converged = tol is not None and (not regular or (k > 1 and monitored <= tol))
+        else:
+            monitored = float(residual_fn(x, y))
+            converged = tol is not None and monitored <= tol
         trace.append(k)
         trace.append(monitored)
 
-        if residual_fn is not None:
-            converged = tol is not None and monitored <= tol
-        elif dual_tests:
-            converged = not regular or (k > 1 and monitored <= tol)
         # The ergodic test reads the dual average only where the regular one
         # passed, so only those iterations form it. The previous iteration's
         # average, when that iteration did not form it, is the accumulator's

@@ -18,12 +18,10 @@ residual is measured mean-centered.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from ..bregman import NegativeEntropy, softmax
-from ..engine import SaddleProblem, solve
+from ..engine import SaddleProblem, check_real, solve
 from ..operators import DenseOperator, norm_1_inf
 
 __all__ = [
@@ -37,10 +35,7 @@ class MatrixGameProblem(SaddleProblem):
     problem_id = "matrix-game"
 
     def __init__(self, payoff, lam):
-        if not lam > 0:
-            raise ValueError(f"lam must be positive, got {lam}")
-        if not math.isfinite(lam):
-            raise ValueError(f"lam must be finite, got {lam}")
+        check_real("lam", lam, positive=True)
         self.operator = DenseOperator(payoff)
         self.m, self.n = self.operator.rows, self.operator.cols
         self.lam = float(lam)

@@ -17,12 +17,10 @@ conditions read y = (A x - b)/m together with -A^T y in lam * d||x||_1.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from ..bregman import Quadratic
-from ..engine import SaddleProblem, solve
+from ..engine import SaddleProblem, check_real, solve
 from ..operators import DenseOperator, _check_finite
 
 __all__ = [
@@ -52,10 +50,7 @@ class LassoProblem(SaddleProblem):
     problem_id = "lasso"
 
     def __init__(self, A, b, lam):
-        if not lam > 0:
-            raise ValueError(f"lam must be positive, got {lam}")
-        if not math.isfinite(lam):
-            raise ValueError(f"lam must be finite, got {lam}")
+        check_real("lam", lam, positive=True)
         self.operator = DenseOperator(A)
         self.m, self.n = self.operator.rows, self.operator.cols
         b = np.asarray(b, dtype=float)

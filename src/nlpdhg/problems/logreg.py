@@ -18,12 +18,10 @@ runs it.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from ..bregman import BinaryEntropyAverage, NegativeEntropy, logit, sigmoid, softmax
-from ..engine import SaddleProblem, solve
+from ..engine import SaddleProblem, check_real, solve
 from ..operators import ScaledConcat, norm_1_2
 
 __all__ = [
@@ -53,10 +51,7 @@ class L1LogRegProblem(SaddleProblem):
         B = np.asarray(B, dtype=float)
         if B.ndim != 2:
             raise ValueError(f"B must be an m x d matrix, got shape {B.shape}")
-        if not lam > 0:
-            raise ValueError(f"lam must be positive, got {lam}")
-        if not math.isfinite(lam):
-            raise ValueError(f"lam must be finite, got {lam}")
+        check_real("lam", lam, positive=True)
         self.B = B
         self.lam = float(lam)
         self.m, self.d = B.shape

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..bregman import Quadratic
-from ..engine import SaddleProblem
+from ..engine import SaddleProblem, check_real
 from ..operators import DenseOperator, _check_finite
 
 __all__ = ["QuadraticSaddleProblem"]
@@ -36,8 +36,8 @@ class QuadraticSaddleProblem(SaddleProblem):
     def __init__(self, A, gamma_g=1.0, gamma_h_star=1.0, c=None, d=None):
         self.operator = DenseOperator(A)
         m, n = self.operator.rows, self.operator.cols
-        if not (gamma_g >= 0 and gamma_h_star >= 0):
-            raise ValueError("strong convexity constants must be nonnegative")
+        check_real("gamma_g", gamma_g, positive=False)
+        check_real("gamma_h_star", gamma_h_star, positive=False)
         self.gamma_g = float(gamma_g)
         self.gamma_h_star = float(gamma_h_star)
         self.c = _linear_term(c, n, "c")

@@ -82,6 +82,14 @@ class TestProjectL1Ball:
         u = project_l1_ball(v, 1.0)
         np.testing.assert_array_equal(project_l1_ball(u, 1.0), u)
 
+    @pytest.mark.parametrize("v", [[1e17, 0.0], [-1e17, 5e16]], ids=["one-huge", "two-huge"])
+    def test_entry_that_dwarfs_the_radius(self, v):
+        """css - radius rounds to the largest entry itself, so the strict
+        threshold test rejects every index; the projection still returns a
+        point of the ball."""
+        u = project_l1_ball(np.array(v), 1.0)
+        assert np.abs(u).sum() <= 1.0
+
 
 class TestFista:
     def test_t_sequence(self):
@@ -122,6 +130,13 @@ class TestGameBaselines:
         p = MatrixGameProblem(np.array([[1.0]]), 0.5)
         assert pu_learning_rate(p) == 1.0 / 3.0
         assert omwu_learning_rate(p) == 0.25
+        # At lam = 10 the bounds 1/(lam + ||A||) and 1/(2 lam + 2 ||A||) bind.
+        p = MatrixGameProblem(np.array([[1.0]]), 10.0)
+        assert pu_learning_rate(p) == 1.0 / 11.0
+        assert omwu_learning_rate(p) == 1.0 / 22.0
+        p = MatrixGameProblem(np.zeros((2, 2)), 10.0)
+        assert pu_learning_rate(p) == 0.1
+        assert omwu_learning_rate(p) == 0.05
 
     def test_one_by_one_game(self):
         p = MatrixGameProblem(np.array([[2.0]]), 0.5)
@@ -146,6 +161,18 @@ class TestGameBaselines:
             rep = solver(p, tol=1e-12, max_iters=50000)
             r1, r2 = game_optimality_residual(p, rep.x, rep.y)
             assert r2 < 1e-8
+
+    @pytest.mark.parametrize(
+        "payoff", [gen_game_data(5, 5, 0), np.zeros((4, 4))], ids=["5x5", "zero-4x4"]
+    )
+    def test_pu_omwu_converge_at_large_lam(self, payoff):
+        """A step that ignores lam makes the damping 1 - eta lam fall below -1
+        at lam = 10, and the log iterates blow up."""
+        p = MatrixGameProblem(payoff, 10.0)
+        for solver in (solve_game_pu, solve_game_omwu):
+            rep = solver(p, tol=1e-12, max_iters=5000)
+            assert rep.converged
+            assert game_optimality_residual(p, rep.x, rep.y)[1] < 1e-10
 
     def test_linear_pdhg_game_agrees_with_nonlinear(self):
         p = MatrixGameProblem(gen_game_data(6, 6, 9), 0.3)

@@ -120,6 +120,20 @@ def test_runs_of_different_lengths_do_not_pair(tmp_path):
     assert not (tmp_path / "BENCH_t.json").exists()
 
 
+@pytest.mark.parametrize(
+    "workload, pairs", [("game-swarm", 1), ("lasso-path", 0)], ids=["one-pair", "no-pairs"]
+)
+def test_claim_without_two_untraced_pairs_exits(tmp_path, workload, pairs):
+    """A claim needs quartiles of at least two pairs; with fewer the summary
+    exits with one line naming the workload and its pair count."""
+    with pytest.raises(SystemExit) as exc:
+        summarise(tmp_path, PARENT[:1], FASTER[:1], claim=workload)
+    assert str(exc.value) == (
+        f"--claim {workload}: needs at least 2 untraced pairs, got {pairs}"
+    )
+    assert not (tmp_path / "BENCH_t.json").exists()
+
+
 def test_no_claim_still_checks_every_workload(tmp_path):
     """Without --claim the file records a null claim and keeps each
     workload's end-to-end checks and the top-level lists."""

@@ -186,7 +186,20 @@ def test_solve_rejects_negative_lambda(tmp_path):
     fix = _game_fixture(tmp_path)
     meta = json.loads((fix / "meta.json").read_text())
     (fix / "meta.json").write_text(json.dumps({**meta, "lambda": -1}))
-    assert _solve_exit_message(fix) == "solve: lam must be positive, got -1"
+    assert _solve_exit_message(fix) == "solve: lam must be a finite number > 0, got -1"
+
+
+def test_solve_and_gen_data_reject_a_lambda_alike(tmp_path):
+    """One check gives one message, whichever command reads the lambda."""
+    fix = _game_fixture(tmp_path)
+    meta = json.loads((fix / "meta.json").read_text())
+    (fix / "meta.json").write_text(json.dumps({**meta, "lambda": -1.0}))
+    with pytest.raises(SystemExit) as exc:
+        main(["gen-data", "--kind", "game", "--m", "3", "--n", "3", "--lam", "-1",
+              "--out", str(tmp_path / "other")])
+    assert str(exc.value).removeprefix("gen-data: ") == _solve_exit_message(fix).removeprefix(
+        "solve: "
+    )
 
 
 @pytest.mark.parametrize(

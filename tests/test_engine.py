@@ -310,6 +310,14 @@ class TestRun:
         with pytest.raises(ValueError, match=message):
             QuadraticSaddleProblem(np.ones((2, 3)), **kwargs)
 
+    @pytest.mark.parametrize("name", ["gamma_g", "gamma_h_star"])
+    @pytest.mark.parametrize("value", [np.inf, np.nan, -1.0])
+    def test_quadratic_gammas_validated(self, name, value):
+        """Unchecked, an infinite gamma would fail later, in the schedule,
+        with a ZeroDivisionError."""
+        with pytest.raises(ValueError, match=f"^{name} must be a finite number >= 0, got"):
+            QuadraticSaddleProblem(np.ones((2, 3)), **{name: value})
+
     def test_stop_on_rules(self):
         rule = StoppingRule()
         assert (rule.max_iters, rule.tol, rule.stop_on, rule.residual_fn) == (

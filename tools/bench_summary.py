@@ -158,7 +158,12 @@ def main(argv=None):
     claim = None
     claim_args = ""
     if args.claim is not None:
-        claimed = workloads[args.claim]
+        claimed = workloads.get(args.claim, {"runs": []})
+        if len(claimed["runs"]) < 2:
+            raise SystemExit(
+                f"--claim {args.claim}: needs at least 2 untraced pairs,"
+                f" got {len(claimed['runs'])}"
+            )
         e2e = claimed["end_to_end"][args.metric]
         sign = 1.0 if HIGHER_IS_BETTER[args.metric] else -1.0
         claim = {
