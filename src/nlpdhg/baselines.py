@@ -10,19 +10,20 @@ iterations.
 They pay for a largest-singular-value estimate up front, and their reported
 wall time includes that ``norm_2_2`` call, mirroring how such baselines are
 usually accounted. Projected forward-backward on logistic regression and
-FISTA on the Lasso share one FISTA loop.
+FISTA on the Lasso share one FISTA step, PU and OMWU one MWU step, all on the
+engine's loop driver; the ISTA oracle keeps its own loop, apart from them.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from array import array
 
 import numpy as np
 
 from .bregman import sigmoid, softmax
-from .engine import SaddleProblem, SolveReport, StoppingRule, _norm, _rel_change, run
+from .engine import SaddleProblem, SolveReport, StoppingRule, run
+from .engine import _check_finite, _iterate, _norm, _rel_change
 from .operators import DenseOperator, norm_2_2
 from .problems.lasso import shrink1
 from .schedules import schedule_for
@@ -61,7 +62,8 @@ def project_l1_ball(v, radius):
     Sort-based threshold search, O(d log d). Inputs already inside the ball
     are returned unchanged; ValueError for a NaN or infinite entry. Where
     rounding hides the radius next to the largest entry (about 1e16 times
-    the radius), the result is the zero vector.
+    the radius), the result is the vertex radius * sign(v_j) * e_j at the
+    largest |v_j|.
     """
     if not radius > 0:
         raise ValueError(f"radius must be positive, got {radius}")
@@ -82,6 +84,11 @@ def project_l1_ball(v, radius):
     keep[0] = True
     k = ks[keep][-1]
     theta = (css[k - 1] - radius) / k
+    if theta >= u[0]:
+        # Every entry would vanish, yet the projection lies on the sphere.
+        out = np.zeros_like(v)
+        out[np.argmax(a)] = radius
+        return np.copysign(out, v)
     return np.sign(v) * np.maximum(a - theta, 0.0)
 
 
@@ -185,38 +192,29 @@ def solve_linear_pdhg_logreg(problem, tol=1e-4, max_iters=50000, stop_on="both")
 
 def _fista(step, monitor, x0, stop):
     """FISTA from x0: x_{k+1} = step(x_k + beta_k (x_k - x_{k-1})), with the
-    first extrapolation clamped to zero. Runs per ``stop``: at most its
-    max_iters iterations, ending once monitor(x_{k+1}, x_k) <= its tol (never
-    when tol is None); a non-finite iterate raises, as in ``engine.run``.
-    Returns (x, k, converged, trace), the trace a flat ``array('d')`` of
-    (k, monitored) pairs."""
-    tol = -math.inf if stop.tol is None else stop.tol
-    max_iters = stop.max_iters
-    x = x0
-    x_prev = x0.copy()
-    t_k = 0.0
-    beta = 0.0
-    trace = array("d")
-    k = 0
-    for k in range(1, max_iters + 1):
+    first extrapolation clamped to zero, on the engine's driver: it ends per
+    ``stop`` once monitor(x_{k+1}, x_k) <= its tol, and raises on a non-finite
+    iterate. Returns x and the driver's (k, converged, trace)."""
+    x, x_prev = x0, x0.copy()
+    t_k = beta = 0.0
+
+    def advance(k):
+        nonlocal x, x_prev, t_k, beta
         x_bar = x - x_prev
         x_bar *= beta
         x_bar += x
         x_new = step(x_bar)
         monitored = monitor(x_new, x)
-        # A finite monitored value needs no scan of the iterate.
-        if not (math.isfinite(monitored) or np.isfinite(x_new).all()):
-            raise RuntimeError(f"non-finite iterate at k={k}")
-        trace.append(k)
-        trace.append(monitored)
+        _check_finite(k, (monitored, x_new))
         t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_k**2))
         # t0 = beta0 = 0 makes the raw first coefficient negative; clamp.
         beta = min(max((t_k - 1.0) / t_next, 0.0), 1.0)
         t_k = t_next
         x, x_prev = x_new, x
-        if monitored <= tol:
-            return x, k, True, trace
-    return x, k, False, trace
+        return monitored, stop.tol is not None and monitored <= stop.tol
+
+    k, converged, trace = _iterate(stop, advance)
+    return x, k, converged, trace
 
 
 def solve_fb_logreg(problem, tol=1e-4, max_iters=50000):
@@ -359,8 +357,6 @@ def _mwu(problem, regime, eta, gradients, seed, stop):
     and raises as it does on a non-finite iterate.
     """
     t0 = time.perf_counter()
-    tol = -math.inf if stop.tol is None else stop.tol
-    max_iters = stop.max_iters
     damp = 1.0 - eta * problem.lam
 
     def step(lx, ly, g_x, g_y):
@@ -369,26 +365,19 @@ def _mwu(problem, regime, eta, gradients, seed, stop):
     lx, ly = map(np.log, problem.default_init(seed=seed))
     # exp(log x0), not x0: every iterate is the exp of its log.
     x, y = np.exp(lx), np.exp(ly)
-    trace = array("d")
-    converged = False
-    k = 0
-    for k in range(1, max_iters + 1):
+
+    def advance(k):
+        nonlocal lx, ly, x, y
         lx, ly = step(lx, ly, *gradients(step, lx, ly, x, y))
         x_new, y_new = np.exp(lx), np.exp(ly)
         change_x, change_y = _rel_change(x_new, x), _rel_change(y_new, y)
-        # max() would hide a NaN second argument, so test both changes.
-        if not (
-            (math.isfinite(change_x) and math.isfinite(change_y))
-            or (np.isfinite(x_new).all() and np.isfinite(y_new).all())
-        ):
-            raise RuntimeError(f"non-finite iterate at k={k}")
+        # max() would hide a NaN second argument, so both changes are checked.
+        _check_finite(k, (change_x, x_new), (change_y, y_new))
         monitored = max(change_x, change_y)
-        trace.append(k)
-        trace.append(monitored)
         x, y = x_new, y_new
-        if monitored <= tol:
-            converged = True
-            break
+        return monitored, stop.tol is not None and monitored <= stop.tol
+
+    k, converged, trace = _iterate(stop, advance)
     wall_ms = 1000.0 * (time.perf_counter() - t0)
     return SolveReport(problem.problem_id, regime, k, converged, wall_ms, trace, x, y)
 

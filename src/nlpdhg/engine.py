@@ -5,20 +5,18 @@ schedule supplies the step sizes and names its update order (overrelaxed,
 x-first or y-first). One private step helper carries out an iteration in
 that order on plain arrays and is the one place the loop applies the
 operator: the proxes get A x and A^T y from it. The public ``step`` wraps
-it for an ``IterateState``, and ``run`` calls it directly, keeping the
-iterates as locals. ``run`` repeats it until a ``StoppingRule`` fires (one
-``tol``; ``stop_on`` or a ``residual_fn`` says what it bounds) and tracks
-ergodic averages and a residual trace; the Lyapunov diagnostic
-``delta_diag`` runs over ``step``. ``run`` forms the ergodic dual average
-only on iterations whose ergodic test reads it: each one under
-``stop_on="ergodic"``, those where the regular test passed under "both",
-none otherwise. The previous iteration's average, when needed and not
-formed, is read from the accumulator before the next add, so every result
-is the one an average formed on every iteration gives.
-Besides the problem's data, a run holds O(m + n) state and a trace of 16
-bytes per iteration: the (k, value) pairs go into one flat ``array('d')``
-that the report views as a (K, 2) float64 array without copying.
-``run`` is the one iteration loop of every PDHG solver. ``solve`` runs it on
+it for an ``IterateState``, the state the Lyapunov ``delta_diag`` reads.
+
+One private driver, ``_iterate``, is the loop of every solver but the ISTA
+oracle of ``baselines``: ``run``, FISTA and the MWU methods hand it a step
+returning (monitored value, converged); it counts, stops and records the
+(k, value) pairs, 16 bytes per iteration, in one flat ``array('d')`` that
+the report views as a (K, 2) array. ``_check_finite`` is their one guard
+against a non-finite iterate. ``run`` steps until a ``StoppingRule`` fires
+(one ``tol``; ``stop_on`` or a ``residual_fn`` says what it bounds), holding
+O(m + n) state, and forms the ergodic dual average only on iterations whose
+ergodic test reads it, yet reports what an average formed on every
+iteration gives. ``run`` serves every PDHG solver; ``solve`` runs it on
 a worked problem, which names its own start point (``default_init``) and
 declares its norm and strong-convexity constants; ``SaddleProblem.schedule()``
 turns those into a schedule through ``schedules.schedule_for``. The
@@ -258,6 +256,29 @@ class SolveReport:
         )
 
 
+def _check_finite(k, *pairs):
+    """Raise ``non-finite iterate at k=<k>`` unless each (reduction, array) pair
+    has a finite reduction (proof of finite entries) or else finite entries."""
+    for reduction, a in pairs:
+        if not (math.isfinite(reduction) or np.isfinite(a).all()):
+            raise RuntimeError(f"non-finite iterate at k={k}")
+
+
+def _iterate(stop, advance):
+    """For k = 1 .. ``stop.max_iters``: call ``advance(k) -> (monitored,
+    converged)``, record (k, monitored) and stop once converged. Returns (k,
+    converged, trace), the trace a flat ``array('d')``; k = 0 at max_iters 0."""
+    trace = array("d")
+    k, converged = 0, False
+    for k in range(1, stop.max_iters + 1):
+        monitored, converged = advance(k)
+        trace.append(k)
+        trace.append(monitored)
+        if converged:
+            break
+    return k, converged, trace
+
+
 def _step(problem, schedule, x, x_prev, y, y_prev):
     """The iteration of ``step`` on plain arrays: returns (x_{k+1}, y_{k+1})
     and advances the schedule; the primal prox gets its one A^T y product,
@@ -346,39 +367,28 @@ def run(problem, schedule, x0, y0, stop=None):
     y = np.asarray(y0, dtype=float).copy()
     x_prev, y_prev = x, y
     acc = ErgodicAccumulator(x.shape[0], y.shape[0])
-    trace = array("d")
     tol, residual_fn = stop.tol, stop.residual_fn
     regular = stop.stop_on != "ergodic"
     ergodic = tol is not None and residual_fn is None and stop.stop_on != "regular"
-    t_start = time.perf_counter()
-    converged = False
     # The ergodic dual average of the previous iteration, or None when that
     # iteration did not form it (or there was none).
     y_erg_prev = None
-    k = 0
-    for k in range(1, stop.max_iters + 1):
+
+    def advance(k):
+        nonlocal x, x_prev, y, y_prev, y_erg_prev
         # Consecutive ergodic weights grow by 1/theta after the schedule's
         # first step; the accumulator rescales to keep them in range.
         growth = 1.0 if schedule.k == 0 else 1.0 / schedule.theta
         x_new, y_new = _step(problem, schedule, x, x_prev, y, y_prev)
         x_prev, y_prev, x, y = x, y, x_new, y_new
         y_norm = _norm(y)
-        # A finite x . x or ||y|| proves every entry finite; only an
-        # overflowing one needs the entrywise scan.
-        if not (
-            (math.isfinite(x.dot(x)) or np.isfinite(x).all())
-            and (math.isfinite(y_norm) or np.isfinite(y).all())
-        ):
-            raise RuntimeError(f"non-finite iterate at k={k}")
-
+        _check_finite(k, (x.dot(x), x), (y_norm, y))
         if residual_fn is None:
             monitored = _rel_change(y, y_prev, y_norm)
             converged = tol is not None and (not regular or (k > 1 and monitored <= tol))
         else:
             monitored = float(residual_fn(x, y))
             converged = tol is not None and monitored <= tol
-        trace.append(k)
-        trace.append(monitored)
 
         # The ergodic test reads the dual average only where the regular one
         # passed, so only those iterations form it. The previous iteration's
@@ -394,8 +404,10 @@ def run(problem, schedule, x0, y0, stop=None):
             y_erg_prev = y_avg
         else:
             y_erg_prev = None
-        if converged:
-            break
+        return monitored, converged
+
+    t_start = time.perf_counter()
+    k, converged, trace = _iterate(stop, advance)
     wall_ms = 1000.0 * (time.perf_counter() - t_start)
     has_avg = acc.total > 0.0
     return SolveReport(

@@ -112,8 +112,7 @@ def l1logreg_dual_residual(problem, x, y):
 
 def support_from_dual(problem, y, tol):
     """Indices that can carry primal mass: within tol of max_j [-A^T y]_j."""
-    if not tol >= 0:
-        raise ValueError(f"tol must be nonnegative, got {tol}")
+    check_real("tol", tol, positive=False)
     s = -problem.operator.adjoint_apply(np.asarray(y, dtype=float))
     return np.flatnonzero(s >= s.max() - tol)
 

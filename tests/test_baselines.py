@@ -90,6 +90,17 @@ class TestProjectL1Ball:
         u = project_l1_ball(np.array(v), 1.0)
         assert np.abs(u).sum() <= 1.0
 
+    @pytest.mark.parametrize(
+        "v, want",
+        [([1e17, 0.0], [1.0, 0.0]), ([-3e16, 1.0, 0.5], [-1.0, 0.0, 0.0])],
+        ids=["positive", "negative"],
+    )
+    def test_vertex_where_rounding_hides_the_radius(self, v, want):
+        """css[0] - radius rounds to the largest entry, so every entry would
+        be thresholded to zero; the projection is the ball's vertex on the
+        largest entry, with its sign."""
+        np.testing.assert_array_equal(project_l1_ball(np.array(v), 1.0), want)
+
 
 class TestFista:
     def test_t_sequence(self):

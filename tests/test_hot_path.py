@@ -1,5 +1,7 @@
 """The in-place hot path: each rewritten helper equals its plain formula bit
-for bit, and no prox or operator action writes to its arguments."""
+for bit, and no prox or operator action writes to its arguments. Every
+registered solver multiplies through its operator and iterates in the one
+loop driver."""
 
 import copy
 
@@ -16,7 +18,7 @@ from _oracles import (
     softmax_reference,
     softplus_reference,
 )
-from nlpdhg import baselines, bench
+from nlpdhg import baselines, bench, engine
 from nlpdhg.baselines import solve_linear_pdhg_game, solve_linear_pdhg_logreg
 from nlpdhg.bregman import sigmoid, softmax
 from nlpdhg.data import gen_game_data, gen_lasso_data, gen_logreg_data
@@ -243,6 +245,50 @@ def test_every_solver_multiplies_through_its_operator(kind, name, monkeypatch):
     assert report.k > 1
     want = _PRODUCTS.get(name, lambda k: (k, k))(report.k)
     assert (calls["apply"], calls["adjoint_apply"]) == want
+
+
+def _start_point(kind, name, problem):
+    """The x a registered solver starts from."""
+    if name == "fista":
+        return np.zeros(problem.n)
+    if kind == "logreg" and name != "nonlinear-pdhg":
+        d = problem.B.shape[1]
+        return np.full(d, 1.0 / d)
+    x0 = problem.default_init(0)[0]
+    # Every MWU iterate is the exp of its log, the start point too.
+    return np.exp(np.log(x0)) if name in ("pu", "omwu") else x0
+
+
+@pytest.mark.parametrize("kind, name", list(bench.SOLVERS))
+class TestOneDriver:
+    """Every registered solver iterates in ``engine._iterate``."""
+
+    def test_zero_iterations_return_the_start_point(self, kind, name):
+        problem = _tiny_problem(kind)
+        report = bench.call_solver(
+            bench.SOLVERS[kind, name], problem, tol=1e-6, max_iters=0, seed=0, stop_on="both"
+        )
+        assert (report.k, report.converged) == (0, False)
+        assert report.residual_trace.shape == (0, 2)
+        np.testing.assert_array_equal(report.x, _start_point(kind, name, problem))
+
+    def test_solve_goes_through_the_driver(self, kind, name, monkeypatch):
+        results = []
+
+        def recorded(stop, advance, _original=engine._iterate):
+            results.append(_original(stop, advance))
+            return results[-1]
+
+        monkeypatch.setattr(engine, "_iterate", recorded)
+        monkeypatch.setattr(baselines, "_iterate", recorded)
+        report = bench.call_solver(
+            bench.SOLVERS[kind, name], _tiny_problem(kind), tol=1e-6, max_iters=5, seed=0,
+            stop_on="both",
+        )
+        assert len(results) == 1
+        k, converged, trace = results[0]
+        assert (report.k, report.converged) == (k, converged) and k > 0
+        np.testing.assert_array_equal(report.residual_trace, np.reshape(trace, (-1, 2)))
 
 
 @pytest.mark.parametrize(

@@ -127,6 +127,13 @@ class TestSupport:
         idx = support_from_dual(p, np.zeros(p.m), 0.0)
         assert list(idx) == [int(np.argmax(vec))]
 
+    @pytest.mark.parametrize("tol", [-1, float("nan"), float("inf")])
+    def test_bad_tol_rejected(self, tol):
+        """The same message as every other ``tol`` check."""
+        p = L1LogRegProblem(np.ones((2, 2)), 1.0)
+        with pytest.raises(ValueError, match=r"^tol must be a finite number >= 0, got "):
+            support_from_dual(p, np.zeros(p.m), tol)
+
 
 class TestProxOracles:
     def test_primal_prox_is_the_minimizer(self):
