@@ -61,10 +61,11 @@ def project_l1_ball(v, radius):
 
     Sort-based threshold search, O(d log d). Inputs already inside the ball
     are returned unchanged; ValueError for a NaN or infinite entry. Where
-    rounding hides the radius next to the largest entry (about 1e16 times
-    the radius), the result is the vertex radius * sign(v_j) * e_j at the
-    largest |v_j|.
+    only the largest |v_j| survives the threshold, the result is the vertex
+    radius * sign(v_j) * e_j, set exactly: the threshold itself can round
+    by more than the radius next to a huge entry (about 1e16 times it).
     """
+    # A bare compare, not check_real: FB and linear-PDHG call this every iteration.
     if not radius > 0:
         raise ValueError(f"radius must be positive, got {radius}")
     v = np.asarray(v, dtype=float)
@@ -83,12 +84,13 @@ def project_l1_ball(v, radius):
     keep = u * ks > css - radius
     keep[0] = True
     k = ks[keep][-1]
+    if k == 1:
+        # The other entries vanish with the signs np.sign(v) * 0.0 gives them.
+        out = np.sign(v) * 0.0
+        j = a.argmax()
+        out[j] = radius * np.sign(v[j])
+        return out
     theta = (css[k - 1] - radius) / k
-    if theta >= u[0]:
-        # Every entry would vanish, yet the projection lies on the sphere.
-        out = np.zeros_like(v)
-        out[np.argmax(a)] = radius
-        return np.copysign(out, v)
     return np.sign(v) * np.maximum(a - theta, 0.0)
 
 

@@ -23,7 +23,8 @@ from dataclasses import asdict, dataclass, field, fields
 
 from . import baselines
 from .data import gen_game_data, gen_lasso_data, gen_logreg_data
-from .engine import check_count, check_real, solve
+from .checks import check_count, check_real
+from .engine import solve
 from .problems.games import MatrixGameProblem
 from .problems.lasso import LassoProblem
 from .problems.logreg import L1LogRegProblem
@@ -70,6 +71,9 @@ class ExperimentSpec:
         check_count("n", self.n, 1)
         check_count("seed", self.seed, 0)
         check_count("sparsity", self.sparsity, 0)
+        # gen_lasso_data's relation of two counts, here before any work.
+        if self.kind == "lasso" and self.sparsity > self.n:
+            raise ValueError(f"sparsity must lie in [0, {self.n}], got {self.sparsity}")
         check_real("lam", self.lam, positive=True)
         check_real("noise", self.noise, positive=False)
         if not isinstance(self.record_timing, bool):

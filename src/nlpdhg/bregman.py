@@ -20,6 +20,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .checks import check_count, check_finite, check_real
+
 __all__ = [
     "Quadratic",
     "NegativeEntropy",
@@ -41,11 +43,9 @@ _SIMPLEX_ATOL = 1e-4
 
 
 def _asvector(v, name):
-    v = np.asarray(v, dtype=float)
+    v = check_finite(v, name)
     if v.ndim != 1:
         raise ValueError(f"{name} must be a 1-d vector, got shape {v.shape}")
-    if not np.isfinite(v).all():
-        raise ValueError(f"{name} contains NaN or Inf entries")
     return v
 
 
@@ -105,9 +105,7 @@ class Quadratic:
     """phi(x) = (scale/2) ||x||_2^2; divergence (scale/2) ||x - x_bar||_2^2."""
 
     def __init__(self, scale=1.0):
-        if not (np.isfinite(scale) and scale > 0):
-            raise ValueError(f"scale must be a positive real, got {scale}")
-        self.scale = float(scale)
+        self.scale = check_real("scale", scale, positive=True)
 
     def value(self, x):
         x = _asvector(x, "x")
@@ -138,9 +136,7 @@ class NegativeEntropy:
     """
 
     def __init__(self, dim):
-        if int(dim) != dim or dim < 1:
-            raise ValueError(f"dim must be a positive integer, got {dim}")
-        self.dim = int(dim)
+        self.dim = check_count("dim", dim, 1)
 
     def _check(self, x, name, interior):
         x = _asvector(x, name)
@@ -182,14 +178,10 @@ class BinaryEntropyAverage:
     """
 
     def __init__(self, m, scale=None):
-        if int(m) != m or m < 1:
-            raise ValueError(f"m must be a positive integer, got {m}")
-        self.m = int(m)
+        self.m = check_count("m", m, 1)
         if scale is None:
             scale = 1.0 / (4.0 * self.m)
-        if not (np.isfinite(scale) and scale > 0):
-            raise ValueError(f"scale must be a positive real, got {scale}")
-        self.scale = float(scale)
+        self.scale = check_real("scale", scale, positive=True)
 
     def _check(self, y, name, interior):
         y = _asvector(y, name)

@@ -29,7 +29,7 @@ from .bench import (
     rows_to_csv,
     run_experiment,
 )
-from .engine import check_real
+from .checks import check_real
 from .operators import load_matrix_csv, save_matrix_csv
 
 _DEFAULT_LAM = {"logreg": 100.0, "game": 0.1, "lasso": None}

@@ -6,6 +6,9 @@ consumed. The streams are the first k children of
 ``numpy.random.SeedSequence(seed)`` in a fixed documented order, built
 directly as ``SeedSequence(seed, spawn_key=(i,))``: that is what
 ``SeedSequence(seed).spawn(k)[i]`` returns, without the parent.
+
+Sizes, seeds and the sparsity go through ``checks.check_count`` and the noise
+level through ``checks.check_real``, before any stream is built.
 """
 
 from __future__ import annotations
@@ -14,11 +17,14 @@ import math
 
 import numpy as np
 
+from .checks import check_count, check_real
+
 __all__ = ["gen_logreg_data", "gen_game_data", "gen_lasso_data"]
 
 
 def _streams(seed, k):
     """Generators on the first ``k`` children of ``SeedSequence(seed)``."""
+    check_count("seed", seed, 0)
     return [np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,))) for i in range(k)]
 
 
@@ -33,8 +39,8 @@ def gen_logreg_data(m, d, seed):
     features buffer itself, negated by label in place, so generation holds
     one m x d matrix.
     """
-    if m < 1 or d < 1:
-        raise ValueError(f"m and d must be >= 1, got {m}, {d}")
+    check_count("m", m, 1)
+    check_count("d", d, 1)
     r_feat, r_supp, r_noise = _streams(seed, 3)
     u = r_feat.standard_normal((m, d))
     k = math.ceil(0.01 * d)
@@ -49,8 +55,8 @@ def gen_logreg_data(m, d, seed):
 
 def gen_game_data(m, n, seed):
     """Payoff matrix with iid uniform [-1, 1] entries."""
-    if m < 1 or n < 1:
-        raise ValueError(f"m and n must be >= 1, got {m}, {n}")
+    check_count("m", m, 1)
+    check_count("n", n, 1)
     (r_payoff,) = _streams(seed, 1)
     # uniform(-1, 1) computes -1 + 2u from the same doubles u that random()
     # returns; 2u is exact, so mapping them in place gives the same bits
@@ -68,10 +74,13 @@ def gen_lasso_data(m, n, sparsity, noise, seed):
     is the number of nonzero entries of x_true (0 leaves b pure noise).
     Returns (A, b, x_true).
     """
-    if m < 1 or n < 1:
-        raise ValueError(f"m and n must be >= 1, got {m}, {n}")
-    if not 0 <= sparsity <= n:
+    check_count("m", m, 1)
+    check_count("n", n, 1)
+    check_count("sparsity", sparsity, 0)
+    # A relation between two checked counts, so it is tested here.
+    if sparsity > n:
         raise ValueError(f"sparsity must lie in [0, {n}], got {sparsity}")
+    check_real("noise", noise, positive=False)
     r_feat, r_supp, r_sign, r_noise = _streams(seed, 4)
     A = r_feat.standard_normal((m, n))
     x_true = np.zeros(n)

@@ -12,11 +12,12 @@ oracle of ``baselines``: ``run``, FISTA and the MWU methods hand it a step
 returning (monitored value, converged); it counts, stops and records the
 (k, value) pairs, 16 bytes per iteration, in one flat ``array('d')`` that
 the report views as a (K, 2) array. ``_check_finite`` is their one guard
-against a non-finite iterate. ``run`` steps until a ``StoppingRule`` fires
-(one ``tol``; ``stop_on`` or a ``residual_fn`` says what it bounds), holding
-O(m + n) state, and forms the ergodic dual average only on iterations whose
-ergodic test reads it, yet reports what an average formed on every
-iteration gives. ``run`` serves every PDHG solver; ``solve`` runs it on
+against a non-finite iterate; ``StoppingRule`` checks its numbers with
+``nlpdhg.checks``, as every module does. ``run`` steps until a
+``StoppingRule`` fires (one ``tol``; ``stop_on`` or a ``residual_fn`` says
+what it bounds), holding O(m + n) state, and forms the ergodic dual average
+only on iterations whose ergodic test reads it, yet reports what an average
+formed on every iteration gives. ``run`` serves every PDHG solver; ``solve`` runs it on
 a worked problem, which names its own start point (``default_init``) and
 declares its norm and strong-convexity constants; ``SaddleProblem.schedule()``
 turns those into a schedule through ``schedules.schedule_for``. The
@@ -32,13 +33,13 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 import time
 from array import array
 from dataclasses import dataclass
 
 import numpy as np
 
+from .checks import check_count, check_real
 from .schedules import schedule_for
 
 __all__ = [
@@ -143,26 +144,6 @@ class ErgodicAccumulator:
         return self.sum_y / self.total
 
 
-def check_real(name, value, positive):
-    """Raise a ValueError naming ``name`` unless ``value`` is a finite number
-    (not a bool) that is > 0 if ``positive``, else >= 0."""
-    if not (
-        isinstance(value, numbers.Real)
-        and not isinstance(value, bool)
-        and math.isfinite(value)
-        and (value > 0 if positive else value >= 0)
-    ):
-        bound = "> 0" if positive else ">= 0"
-        raise ValueError(f"{name} must be a finite number {bound}, got {value!r}")
-
-
-def check_count(name, value, least):
-    """Raise a ValueError naming ``name`` unless ``value`` is an integer (not
-    a bool) of at least ``least``."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
-        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
-
-
 @dataclass
 class StoppingRule:
     """When ``run`` stops, checked after every iteration.
@@ -186,7 +167,6 @@ class StoppingRule:
     def __post_init__(self):
         check_count("max_iters", self.max_iters, 0)
         if self.tol is not None:
-            # A NaN tolerance would never stop a run, a negative one never could.
             check_real("tol", self.tol, positive=False)
         if self.stop_on not in ("regular", "ergodic", "both"):
             raise ValueError(

@@ -14,7 +14,9 @@ All operators are immutable and their apply/adjoint methods are pure.
 Because of that, a dense operator keeps max_ij |A_ij| from the scan that
 validates its matrix: one ``max`` and one ``min`` reduction prove every
 entry finite and give the entry of largest magnitude, so ``norm_1_inf``
-reads a cached number and never copies or rescans the matrix.
+reads a cached number and never copies or rescans the matrix. Complex data
+is refused (``checks.real_array``), as are a bad ``ScaledConcat`` scale and
+``norm_2_2`` iteration cap (``checks.check_real``, ``checks.check_count``).
 
 Every solver multiplies by its problem matrix through an operator's
 ``apply`` and ``adjoint_apply``, so counting or timing those two methods
@@ -27,6 +29,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from .checks import check_count, check_finite, check_real, real_array
 
 __all__ = [
     "DenseOperator",
@@ -48,22 +52,12 @@ class PowerIterationError(RuntimeError):
         self.last_estimate = last_estimate
 
 
-def _check_finite(a, name):
-    """Raise unless every entry of ``a`` is finite. A finite sum proves that
-    in one pass with no temporary; only a finite matrix whose sum overflows
-    needs the entrywise scan."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        total = a.sum()
-    if not (math.isfinite(total) or np.isfinite(a).all()):
-        raise ValueError(f"{name} contains NaN or Inf entries")
-
-
 def _checked_max_abs(a, name):
     """max |a_ij|, raising unless every entry of ``a`` is finite. One ``max``
     and one ``min`` reduction do both: neither overflows, an infinity is an
     extreme and a NaN propagates through either, so both are finite exactly
     when every entry is. ``+ 0.0`` folds a -0.0 to +0.0, as ``np.abs``
-    would."""
+    would. It is not ``checks.check_finite``, whose sum yields no max."""
     hi, lo = float(a.max()), float(a.min())
     if not (math.isfinite(hi) and math.isfinite(lo)):
         raise ValueError(f"{name} contains NaN or Inf entries")
@@ -74,7 +68,7 @@ class DenseOperator:
     """A dense m x n matrix with apply/adjoint actions."""
 
     def __init__(self, matrix):
-        a = np.asarray(matrix, dtype=float)
+        a = real_array(matrix, "matrix")
         if a.ndim != 2:
             raise ValueError(f"matrix must be 2-d, got shape {a.shape}")
         if a.size == 0:
@@ -114,15 +108,12 @@ class ScaledConcat:
     """
 
     def __init__(self, base, scale):
-        b = np.asarray(base, dtype=float)
+        self.scale = check_real("scale", scale, positive=True)
+        b = check_finite(base, "base")
         if b.ndim != 2 or b.size == 0:
             raise ValueError(f"base must be a non-empty 2-d matrix, got shape {b.shape}")
-        _check_finite(b, "base")
-        if not (np.isfinite(scale) and scale > 0):
-            raise ValueError(f"scale must be a positive real, got {scale}")
         self.base = b
         self._base_t = b.T
-        self.scale = float(scale)
         self.rows, self._d = b.shape
         self.cols = 2 * self._d
 
@@ -176,8 +167,7 @@ def norm_2_2(op, max_iters=5000):
     lower singular value; the random and structured matrices used here do
     not hit that case.
     """
-    if not max_iters >= 1:
-        raise ValueError(f"max_iters must be at least 1, got {max_iters}")
+    check_count("max_iters", max_iters, 1)
     n = op.cols
     v = np.full(n, 1.0 / np.sqrt(n))
     rho_prev = None

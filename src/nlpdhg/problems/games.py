@@ -21,7 +21,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..bregman import NegativeEntropy, softmax
-from ..engine import SaddleProblem, check_real, solve
+from ..checks import check_real
+from ..engine import SaddleProblem, solve
 from ..operators import DenseOperator, norm_1_inf
 
 __all__ = [
@@ -35,10 +36,9 @@ class MatrixGameProblem(SaddleProblem):
     problem_id = "matrix-game"
 
     def __init__(self, payoff, lam):
-        check_real("lam", lam, positive=True)
+        self.lam = check_real("lam", lam, positive=True)
         self.operator = DenseOperator(payoff)
         self.m, self.n = self.operator.rows, self.operator.cols
-        self.lam = float(lam)
         self.op_norm = norm_1_inf(self.operator)
         self.geom_x = NegativeEntropy(self.n)
         self.geom_y = NegativeEntropy(self.m)

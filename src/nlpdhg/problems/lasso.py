@@ -20,8 +20,9 @@ from __future__ import annotations
 import numpy as np
 
 from ..bregman import Quadratic
-from ..engine import SaddleProblem, check_real, solve
-from ..operators import DenseOperator, _check_finite
+from ..checks import check_finite, check_real
+from ..engine import SaddleProblem, solve
+from ..operators import DenseOperator
 
 __all__ = [
     "shrink1",
@@ -36,6 +37,7 @@ def shrink1(x, beta):
 
     Entries with |x_j| <= beta come out as exact zeros.
     """
+    # Every primal prox calls this, so a bare compare, not check_real.
     if not beta > 0:
         raise ValueError(f"beta must be positive, got {beta}")
     x = np.asarray(x, dtype=float)
@@ -50,15 +52,13 @@ class LassoProblem(SaddleProblem):
     problem_id = "lasso"
 
     def __init__(self, A, b, lam):
-        check_real("lam", lam, positive=True)
+        self.lam = check_real("lam", lam, positive=True)
         self.operator = DenseOperator(A)
         self.m, self.n = self.operator.rows, self.operator.cols
-        b = np.asarray(b, dtype=float)
+        b = check_finite(b, "b")
         if b.shape != (self.m,):
             raise ValueError(f"b must have shape ({self.m},), got {b.shape}")
-        _check_finite(b, "b")
         self.b = b
-        self.lam = float(lam)
         self.op_norm = float(np.sqrt(np.max(self.operator.row_norms_sq())))
         if self.op_norm == 0.0:
             raise ValueError("A has operator norm 0 (all zeros): no step size exists")

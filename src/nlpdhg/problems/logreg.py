@@ -21,7 +21,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..bregman import BinaryEntropyAverage, NegativeEntropy, logit, sigmoid, softmax
-from ..engine import SaddleProblem, check_real, solve
+from ..checks import check_real, real_array
+from ..engine import SaddleProblem, solve
 from ..operators import ScaledConcat, norm_1_2
 
 __all__ = [
@@ -48,12 +49,11 @@ class L1LogRegProblem(SaddleProblem):
     problem_id = "l1-logreg"
 
     def __init__(self, B, lam):
-        B = np.asarray(B, dtype=float)
+        B = real_array(B, "B")
         if B.ndim != 2:
             raise ValueError(f"B must be an m x d matrix, got shape {B.shape}")
-        check_real("lam", lam, positive=True)
+        self.lam = check_real("lam", lam, positive=True)
         self.B = B
-        self.lam = float(lam)
         self.m, self.d = B.shape
         self.n = 2 * self.d
         self.operator = ScaledConcat(B, self.lam)

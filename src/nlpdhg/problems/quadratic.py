@@ -13,8 +13,9 @@ from __future__ import annotations
 import numpy as np
 
 from ..bregman import Quadratic
-from ..engine import SaddleProblem, check_real
-from ..operators import DenseOperator, _check_finite
+from ..checks import check_finite, check_real
+from ..engine import SaddleProblem
+from ..operators import DenseOperator
 
 __all__ = ["QuadraticSaddleProblem"]
 
@@ -23,10 +24,9 @@ def _linear_term(v, size, name):
     """A finite vector of shape (size,); None means zeros."""
     if v is None:
         return np.zeros(size)
-    v = np.asarray(v, dtype=float)
+    v = check_finite(v, name)
     if v.shape != (size,):
         raise ValueError(f"{name} must have shape ({size},), got {v.shape}")
-    _check_finite(v, name)
     return v
 
 
@@ -36,10 +36,8 @@ class QuadraticSaddleProblem(SaddleProblem):
     def __init__(self, A, gamma_g=1.0, gamma_h_star=1.0, c=None, d=None):
         self.operator = DenseOperator(A)
         m, n = self.operator.rows, self.operator.cols
-        check_real("gamma_g", gamma_g, positive=False)
-        check_real("gamma_h_star", gamma_h_star, positive=False)
-        self.gamma_g = float(gamma_g)
-        self.gamma_h_star = float(gamma_h_star)
+        self.gamma_g = check_real("gamma_g", gamma_g, positive=False)
+        self.gamma_h_star = check_real("gamma_h_star", gamma_h_star, positive=False)
         self.c = _linear_term(c, n, "c")
         self.d = _linear_term(d, m, "d")
         self.geom_x = Quadratic(1.0)

@@ -19,11 +19,17 @@ linear-rate parameters satisfy tau * sigma * theta * ||A||^2 = 1.
 ``schedule_for(gamma_g, gamma_h_star, op_norm)`` picks the regime from a
 problem's constants: linear rate (y-first) when both are positive, the
 accelerated dual schedule when only gamma_h_star is.
+
+Every step size, norm and constant goes through ``checks.check_real``, so a
+NaN, an infinity or a bool is refused with one wording; the relations
+between them (tau*sigma*||A||^2 < 1, 0 < theta < 1) are checked here.
 """
 
 from __future__ import annotations
 
 import math
+
+from .checks import check_real
 
 __all__ = [
     "ConstantSchedule",
@@ -43,11 +49,9 @@ def linear_rate_params(gamma_g, gamma_h_star, op_norm):
     theta is rationalized so no cancellation occurs when
     gamma_g * gamma_h_star >> op_norm**2 (theta near 0) or << (theta near 1).
     """
-    if not (gamma_g > 0 and gamma_h_star > 0 and op_norm > 0):
-        raise ValueError(
-            f"all inputs must be positive, got gamma_g={gamma_g}, "
-            f"gamma_h_star={gamma_h_star}, op_norm={op_norm}"
-        )
+    check_real("gamma_g", gamma_g, positive=True)
+    check_real("gamma_h_star", gamma_h_star, positive=True)
+    check_real("op_norm", op_norm, positive=True)
     c = gamma_g * gamma_h_star / op_norm**2
     s = math.sqrt(1.0 + 4.0 / c)
     # theta = 1 - (c/2)(s - 1) = (s - 1)/(s + 1), with s - 1 = (4/c)/(s + 1).
@@ -66,14 +70,13 @@ class ConstantSchedule:
     order = "overrelaxed"
 
     def __init__(self, tau, sigma, op_norm):
-        if not (tau > 0 and sigma > 0):
-            raise ValueError(f"tau and sigma must be positive, got {tau}, {sigma}")
+        self.tau = check_real("tau", tau, positive=True)
+        self.sigma = check_real("sigma", sigma, positive=True)
+        # A relation between the checked numbers, so it is tested here.
         if not tau * sigma * op_norm**2 < 1.0:
             raise ValueError(
                 f"tau*sigma*||A||^2 = {tau * sigma * op_norm**2!r} must be strictly below 1"
             )
-        self.tau = float(tau)
-        self.sigma = float(sigma)
         self.theta = 1.0
         self.k = 0
 
@@ -94,19 +97,13 @@ class AccPrimalSchedule:
     history_weight = 1.0
 
     def __init__(self, gamma_g, op_norm, sigma0=None):
-        if not gamma_g > 0:
-            raise ValueError(f"the accelerated primal regime requires gamma_g > 0, got {gamma_g}")
-        if not op_norm > 0:
-            raise ValueError(f"op_norm must be positive, got {op_norm}")
+        self.gamma = check_real("gamma_g", gamma_g, positive=True)
+        check_real("op_norm", op_norm, positive=True)
         if sigma0 is None:
             sigma0 = gamma_g / (2.0 * op_norm**2)
-        if not sigma0 > 0:
-            raise ValueError(f"sigma0 must be positive, got {sigma0}")
-        self.gamma = float(gamma_g)
-        self.sigma = float(sigma0)
+        self.sigma0 = self.sigma = check_real("sigma0", sigma0, positive=True)
         self.tau = 1.0 / (op_norm**2 * sigma0)
         self.theta = 1.0
-        self.sigma0 = float(sigma0)
         self.tau0 = self.tau
         self.k = 0
 
@@ -130,21 +127,16 @@ class AccDualSchedule:
     history_weight = 1.0
 
     def __init__(self, gamma_h_star, op_norm, tau0=None):
-        if not gamma_h_star > 0:
-            raise ValueError(
-                f"the accelerated dual regime requires gamma_h_star > 0, got {gamma_h_star}"
-            )
-        if not op_norm > 0:
-            raise ValueError(f"op_norm must be positive, got {op_norm}")
+        self.gamma = check_real("gamma_h_star", gamma_h_star, positive=True)
+        check_real("op_norm", op_norm, positive=True)
         if tau0 is None:
             tau0 = gamma_h_star / (2.0 * op_norm**2)
+        # Not check_real: the Lasso tests reach a NaN iterate through tau0 = inf.
         if not tau0 > 0:
-            raise ValueError(f"tau0 must be positive, got {tau0}")
-        self.gamma = float(gamma_h_star)
-        self.tau = float(tau0)
+            raise ValueError(f"tau0 must be a number > 0, got {tau0!r}")
+        self.tau0 = self.tau = float(tau0)
         self.sigma = 1.0 / (op_norm**2 * tau0)
         self.theta = 0.0
-        self.tau0 = float(tau0)
         self.sigma0 = self.sigma
         self.k = 0
 
@@ -161,13 +153,12 @@ class LinearRateSchedule:
     def __init__(self, theta, tau, sigma, order="x-first"):
         if order not in ("x-first", "y-first"):
             raise ValueError(f"order must be 'x-first' or 'y-first', got {order!r}")
+        # An open interval, not a sign, so it is tested here.
         if not (0.0 < theta < 1.0):
             raise ValueError(f"theta must lie in (0, 1), got {theta}")
-        if not (tau > 0 and sigma > 0):
-            raise ValueError(f"tau and sigma must be positive, got {tau}, {sigma}")
+        self.tau = check_real("tau", tau, positive=True)
+        self.sigma = check_real("sigma", sigma, positive=True)
         self.theta = float(theta)
-        self.tau = float(tau)
-        self.sigma = float(sigma)
         self.order = order
         self.k = 0
 
@@ -193,6 +184,7 @@ def schedule_for(gamma_g, gamma_h_star, op_norm):
     tau0. A zero norm becomes 1.0, since any step serves a zero operator.
     """
     norm = 1.0 if op_norm == 0.0 else op_norm
+    # The regime rule, not an argument check: the constructors check each number.
     if gamma_g > 0 and gamma_h_star > 0:
         return LinearRateSchedule(*linear_rate_params(gamma_g, gamma_h_star, norm), order="y-first")
     if gamma_h_star > 0:

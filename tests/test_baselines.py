@@ -101,6 +101,24 @@ class TestProjectL1Ball:
         largest entry, with its sign."""
         np.testing.assert_array_equal(project_l1_ball(np.array(v), 1.0), want)
 
+    @pytest.mark.parametrize(
+        "v, want",
+        [
+            ([-3e16, 1.0, 0.5], [-2.5, 0.0, 0.0]),
+            ([3e16, -0.0, 0.0], [2.5, 0.0, 0.0]),
+            ([3e16, -1.0, -0.0], [2.5, -0.0, 0.0]),
+        ],
+        ids=["negative", "negative-zero", "signed-zeros"],
+    )
+    def test_one_survivor_is_the_vertex(self, v, want):
+        """With one surviving entry, css[0] - radius rounds to the spacing of
+        3e16 (4), so thresholding through it gave |u_0| = 4 > 2.5. The vertex
+        is set exactly, and the other entries vanish with the signs of
+        np.sign(v) * 0.0: -0.0 for a negative entry, +0.0 for a -0.0 one."""
+        got = project_l1_ball(np.array(v), 2.5)
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+
 
 class TestFista:
     def test_t_sequence(self):

@@ -83,6 +83,13 @@ class TestSpec:
         with pytest.raises(ValueError, match=f"^{field} must be"):
             small_spec(**{field: value})
 
+    def test_lasso_sparsity_above_n_rejected(self):
+        """gen_lasso_data would refuse it on every row; the spec refuses it
+        before any work. Other kinds ignore the sparsity."""
+        with pytest.raises(ValueError, match=r"^sparsity must lie in \[0, 20\], got 21$"):
+            small_spec(sparsity=21)
+        small_spec(kind="game", sparsity=21)
+
     def test_integer_lam_and_zero_noise_accepted(self):
         spec = small_spec(lam=1, noise=0, sparsity=0, seed=0)
         assert (spec.lam, spec.noise) == (1, 0)

@@ -287,10 +287,12 @@ def test_bench_rejects_string_solvers(tmp_path):
         ("lam", -1, "lam must be a finite number > 0, got -1"),
         ("seed", 1.5, "seed must be an integer >= 0, got 1.5"),
         ("record_timing", "no", "record_timing must be a bool, got 'no'"),
+        ("kind", "lasso", "sparsity must lie in [0, 5], got 10"),
     ],
     ids=[
         "negative-tol", "nan-tol", "negative-max-iters", "zero-reps", "zero-m",
         "negative-lam", "fractional-seed", "string-record-timing",
+        "lasso-sparsity-above-n",
     ],
 )
 def test_bench_rejects_bad_spec_numbers(tmp_path, field, value, message):

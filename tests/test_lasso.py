@@ -79,6 +79,11 @@ class TestSolve:
         with pytest.raises(ValueError, match="^b contains NaN or Inf entries$"):
             LassoProblem(A, b, 0.1)
 
+    def test_complex_b_rejected(self):
+        """A float cast would keep only the real part of b."""
+        with pytest.raises(ValueError, match="^b must be real, got complex entries$"):
+            LassoProblem(np.eye(2), np.array([1.0, 2.0 + 1j]), 0.1)
+
     def test_all_zero_matrix_rejected(self):
         with pytest.raises(ValueError, match="A has operator norm 0"):
             LassoProblem(np.zeros((3, 4)), np.ones(3), 0.1)

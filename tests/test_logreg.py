@@ -193,3 +193,8 @@ class TestInvariants:
         """The message names lam, not the operator's scale."""
         with pytest.raises(ValueError, match="^lam must be"):
             L1LogRegProblem(np.ones((2, 2)), lam)
+
+    def test_complex_matrix_rejected(self):
+        """A float cast would keep only the real part of B."""
+        with pytest.raises(ValueError, match="^B must be real, got complex entries$"):
+            L1LogRegProblem(np.array([[1.0, 2.0 + 1j]]), 1.0)

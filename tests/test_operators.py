@@ -116,7 +116,7 @@ class TestNorms:
 
     @pytest.mark.parametrize("max_iters", [0, -3])
     def test_norm_2_2_rejects_max_iters_below_one(self, max_iters):
-        with pytest.raises(ValueError, match="max_iters must be at least 1"):
+        with pytest.raises(ValueError, match="^max_iters must be an integer >= 1, got "):
             norm_2_2(DenseOperator(np.eye(3)), max_iters=max_iters)
 
     def test_norm_2_2_single_iteration_cap(self):
@@ -137,6 +137,17 @@ class TestNorms:
     def test_empty_operator_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             DenseOperator(np.zeros((0, 3)))
+
+    @pytest.mark.parametrize(
+        "build, name",
+        [(DenseOperator, "matrix"), (lambda a: ScaledConcat(a, 1.0), "base")],
+        ids=["dense", "scaled-concat"],
+    )
+    def test_complex_matrix_rejected(self, build, name):
+        """A float cast would keep only the real part, [[1, 3]]."""
+        with pytest.raises(ValueError) as exc:
+            build(np.array([[1 + 2j, 3.0]]))
+        assert str(exc.value) == f"{name} must be real, got complex entries"
 
 
 # Finite entries of both signs, with signed zeros and +-1e308 drawn often.

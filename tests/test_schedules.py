@@ -152,9 +152,9 @@ class TestLinearRate:
         np.testing.assert_allclose(theta, series, rtol=1e-6)
 
     def test_nonpositive_inputs_rejected(self):
-        with pytest.raises(ValueError, match="positive"):
+        with pytest.raises(ValueError, match="^gamma_g must be a finite number > 0"):
             linear_rate_params(0.0, 1.0, 1.0)
-        with pytest.raises(ValueError, match="positive"):
+        with pytest.raises(ValueError, match="^gamma_h_star must be a finite number > 0"):
             linear_rate_params(1.0, -1.0, 1.0)
 
     def test_order_validation(self):
