@@ -15,14 +15,17 @@ the report views as a (K, 2) array. ``_check_finite`` is their one guard
 against a non-finite iterate; ``StoppingRule`` checks its numbers with
 ``nlpdhg.checks``, as every module does. ``run`` steps until a
 ``StoppingRule`` fires (one ``tol``; ``stop_on`` or a ``residual_fn`` says
-what it bounds), holding O(m + n) state, and forms the ergodic dual average
-only on iterations whose ergodic test reads it, yet reports what an average
-formed on every iteration gives. ``run`` serves every PDHG solver; ``solve`` runs it on
-a worked problem, which names its own start point (``default_init``) and
-declares its norm and strong-convexity constants; ``SaddleProblem.schedule()``
-turns those into a schedule through ``schedules.schedule_for``. The
-Euclidean (linear) PDHG baselines pick theirs with the same function from
-||A||_2, build their ``StoppingRule`` and call ``run`` directly.
+what it bounds). Across iterations it keeps no state besides the iterates
+and one ``ErgodicAccumulator``, O(m + n) in all. It forms the ergodic dual
+average only on iterations whose ergodic test reads it, taking the previous
+average from the accumulator before the add, yet reports what an average
+formed on every iteration gives. ``run`` serves every PDHG solver;
+``solve`` builds its ``StoppingRule`` first and runs ``run`` on a worked
+problem, which names its own start point (``default_init``) and declares
+its norm and strong-convexity constants; ``SaddleProblem.schedule()`` turns
+those into a schedule through ``schedules.schedule_for``. The Euclidean
+(linear) PDHG baselines pick theirs with the same function from ||A||_2,
+build their ``StoppingRule`` and call ``run`` directly.
 
 A solve run is single-threaded and deterministic; problems, schedules and
 reports can move freely between threads, and independent solves may run
@@ -350,12 +353,9 @@ def run(problem, schedule, x0, y0, stop=None):
     tol, residual_fn = stop.tol, stop.residual_fn
     regular = stop.stop_on != "ergodic"
     ergodic = tol is not None and residual_fn is None and stop.stop_on != "regular"
-    # The ergodic dual average of the previous iteration, or None when that
-    # iteration did not form it (or there was none).
-    y_erg_prev = None
 
     def advance(k):
-        nonlocal x, x_prev, y, y_prev, y_erg_prev
+        nonlocal x, x_prev, y, y_prev
         # Consecutive ergodic weights grow by 1/theta after the schedule's
         # first step; the accumulator rescales to keep them in range.
         growth = 1.0 if schedule.k == 0 else 1.0 / schedule.theta
@@ -371,19 +371,13 @@ def run(problem, schedule, x0, y0, stop=None):
             converged = tol is not None and monitored <= tol
 
         # The ergodic test reads the dual average only where the regular one
-        # passed, so only those iterations form it. The previous iteration's
-        # average, when that iteration did not form it, is the accumulator's
-        # before this add.
+        # passed, so only those iterations form it; the previous average is
+        # the accumulator's before this add.
         form_avg = ergodic and converged
-        if form_avg and y_erg_prev is None and k > 1:
-            y_erg_prev = acc.y_avg
+        previous = acc.y_avg if form_avg and k > 1 else None
         acc.add(x, y, growth)
         if form_avg:
-            y_avg = acc.y_avg
-            converged = y_erg_prev is not None and _rel_change(y_avg, y_erg_prev) <= tol
-            y_erg_prev = y_avg
-        else:
-            y_erg_prev = None
+            converged = previous is not None and _rel_change(acc.y_avg, previous) <= tol
         return monitored, converged
 
     t_start = time.perf_counter()
@@ -422,10 +416,10 @@ def solve(
     the relative dual change and its ergodic counterpart are both at most
     ``tol``, or, given a ``residual_fn``, once the residual is.
     """
+    stop = StoppingRule(max_iters, tol, stop_on, residual_fn)
     default = problem.default_init(seed)
     x0 = np.asarray(default[0] if x0 is None else x0, dtype=float)
     y0 = np.asarray(default[1] if y0 is None else y0, dtype=float)
     problem.geom_x.validate_point(x0, interior=True)
     problem.geom_y.validate_point(y0, interior=True)
-    stop = StoppingRule(max_iters, tol, stop_on, residual_fn)
     return run(problem, problem.schedule(), x0, y0, stop)

@@ -21,8 +21,10 @@ problem's constants: linear rate (y-first) when both are positive, the
 accelerated dual schedule when only gamma_h_star is.
 
 Every step size, norm and constant goes through ``checks.check_real``, so a
-NaN, an infinity or a bool is refused with one wording; the relations
-between them (tau*sigma*||A||^2 < 1, 0 < theta < 1) are checked here.
+NaN, an infinity or a bool is refused with one wording; so do the square of
+the norm and every quotient a constructor takes of them, which extreme
+finite inputs can overflow or underflow to 0. The relations between them
+(tau*sigma*||A||^2 < 1, 0 < theta < 1) are checked here.
 """
 
 from __future__ import annotations
@@ -41,6 +43,26 @@ __all__ = [
 ]
 
 
+def _norm_squared(op_norm, positive=True):
+    """``op_norm**2`` of a checked ``op_norm``; ValueError in the
+    ``check_real`` wording unless the square is finite and, if ``positive``,
+    > 0. A float's ``**`` raises ``OverflowError`` above about 1.3e154, and
+    the square underflows to 0 below about 1e-162."""
+    op_norm = check_real("op_norm", op_norm, positive)
+    try:
+        square = op_norm**2
+    except OverflowError:
+        square = math.inf
+    return check_real("op_norm**2", square, positive)
+
+
+def _quotient(name, num, den):
+    """``num / den`` as a float; ValueError naming ``name`` in the
+    ``check_real`` wording unless it is finite and > 0. ``den`` is a product
+    of checked numbers, which extreme inputs underflow to 0 or overflow."""
+    return check_real(name, num / den if den else math.inf, positive=True)
+
+
 def linear_rate_params(gamma_g, gamma_h_star, op_norm):
     """Contraction factor and step sizes for the linear-rate regime.
 
@@ -51,14 +73,14 @@ def linear_rate_params(gamma_g, gamma_h_star, op_norm):
     """
     check_real("gamma_g", gamma_g, positive=True)
     check_real("gamma_h_star", gamma_h_star, positive=True)
-    check_real("op_norm", op_norm, positive=True)
-    c = gamma_g * gamma_h_star / op_norm**2
+    norm_sq = _norm_squared(op_norm)
+    c = _quotient("gamma_g*gamma_h_star/op_norm**2", gamma_g * gamma_h_star, norm_sq)
     s = math.sqrt(1.0 + 4.0 / c)
     # theta = 1 - (c/2)(s - 1) = (s - 1)/(s + 1), with s - 1 = (4/c)/(s + 1).
     theta = (4.0 / c) / (s + 1.0) ** 2
     one_minus_theta = 2.0 / (s + 1.0)
-    tau = one_minus_theta / (gamma_g * theta)
-    sigma = one_minus_theta / (gamma_h_star * theta)
+    tau = _quotient("tau", one_minus_theta, gamma_g * theta)
+    sigma = _quotient("sigma", one_minus_theta, gamma_h_star * theta)
     return theta, tau, sigma
 
 
@@ -72,10 +94,12 @@ class ConstantSchedule:
     def __init__(self, tau, sigma, op_norm):
         self.tau = check_real("tau", tau, positive=True)
         self.sigma = check_real("sigma", sigma, positive=True)
+        # A zero operator takes any steps.
+        norm_sq = _norm_squared(op_norm, positive=False)
         # A relation between the checked numbers, so it is tested here.
-        if not tau * sigma * op_norm**2 < 1.0:
+        if not tau * sigma * norm_sq < 1.0:
             raise ValueError(
-                f"tau*sigma*||A||^2 = {tau * sigma * op_norm**2!r} must be strictly below 1"
+                f"tau*sigma*||A||^2 = {tau * sigma * norm_sq!r} must be strictly below 1"
             )
         self.theta = 1.0
         self.k = 0
@@ -98,11 +122,11 @@ class AccPrimalSchedule:
 
     def __init__(self, gamma_g, op_norm, sigma0=None):
         self.gamma = check_real("gamma_g", gamma_g, positive=True)
-        check_real("op_norm", op_norm, positive=True)
+        norm_sq = _norm_squared(op_norm)
         if sigma0 is None:
-            sigma0 = gamma_g / (2.0 * op_norm**2)
+            sigma0 = gamma_g / (2.0 * norm_sq)
         self.sigma0 = self.sigma = check_real("sigma0", sigma0, positive=True)
-        self.tau = 1.0 / (op_norm**2 * sigma0)
+        self.tau = _quotient("tau0", 1.0, norm_sq * sigma0)
         self.theta = 1.0
         self.tau0 = self.tau
         self.k = 0
@@ -128,14 +152,11 @@ class AccDualSchedule:
 
     def __init__(self, gamma_h_star, op_norm, tau0=None):
         self.gamma = check_real("gamma_h_star", gamma_h_star, positive=True)
-        check_real("op_norm", op_norm, positive=True)
+        norm_sq = _norm_squared(op_norm)
         if tau0 is None:
-            tau0 = gamma_h_star / (2.0 * op_norm**2)
-        # Not check_real: the Lasso tests reach a NaN iterate through tau0 = inf.
-        if not tau0 > 0:
-            raise ValueError(f"tau0 must be a number > 0, got {tau0!r}")
-        self.tau0 = self.tau = float(tau0)
-        self.sigma = 1.0 / (op_norm**2 * tau0)
+            tau0 = gamma_h_star / (2.0 * norm_sq)
+        self.tau0 = self.tau = check_real("tau0", tau0, positive=True)
+        self.sigma = _quotient("sigma0", 1.0, norm_sq * tau0)
         self.theta = 0.0
         self.sigma0 = self.sigma
         self.k = 0
@@ -182,9 +203,11 @@ def schedule_for(gamma_g, gamma_h_star, op_norm):
     (x_k - x_{k-1}) is the form the linear-rate guarantee is proved for.
     Only gamma_h_star positive: the accelerated dual schedule at its default
     tau0. A zero norm becomes 1.0, since any step serves a zero operator.
+    A constant is absent at 0, and a negative or NaN one is refused.
     """
+    check_real("gamma_g", gamma_g, positive=False)
+    check_real("gamma_h_star", gamma_h_star, positive=False)
     norm = 1.0 if op_norm == 0.0 else op_norm
-    # The regime rule, not an argument check: the constructors check each number.
     if gamma_g > 0 and gamma_h_star > 0:
         return LinearRateSchedule(*linear_rate_params(gamma_g, gamma_h_star, norm), order="y-first")
     if gamma_h_star > 0:

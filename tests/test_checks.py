@@ -17,8 +17,10 @@ from nlpdhg.operators import ScaledConcat, norm_2_2
 from nlpdhg.schedules import (
     AccDualSchedule,
     AccPrimalSchedule,
+    ConstantSchedule,
     LinearRateSchedule,
     linear_rate_params,
+    schedule_for,
 )
 
 _INTS = st.one_of(
@@ -127,12 +129,31 @@ class _Trap:
         (lambda t: ScaledConcat(t, True), "scale must be a finite number > 0, got True"),
         (lambda t: Quadratic(True), "scale must be a finite number > 0, got True"),
         (lambda t: NegativeEntropy(True), "dim must be an integer >= 1, got True"),
+        (lambda t: linear_rate_params(1.0, 1.0, 1e-200),
+         "op_norm**2 must be a finite number > 0, got 0.0"),
+        (lambda t: AccDualSchedule(1.0, 1e-200), "op_norm**2 must be a finite number > 0, got 0.0"),
+        (lambda t: AccPrimalSchedule(1.0, 1e200), "op_norm**2 must be a finite number > 0, got inf"),
+        (lambda t: ConstantSchedule(0.5, 0.5, 1e200),
+         "op_norm**2 must be a finite number >= 0, got inf"),
+        (lambda t: ConstantSchedule(0.5, 0.5, -1.0), "op_norm must be a finite number >= 0, got -1.0"),
+        (lambda t: ConstantSchedule(0.5, 0.5, math.nan),
+         "op_norm must be a finite number >= 0, got nan"),
+        (lambda t: AccDualSchedule(1.0, 1.0, tau0=math.inf),
+         "tau0 must be a finite number > 0, got inf"),
+        (lambda t: schedule_for(math.nan, 1.0, 1.0), "gamma_g must be a finite number >= 0, got nan"),
+        (lambda t: schedule_for(-1.0, 1.0, 1.0), "gamma_g must be a finite number >= 0, got -1.0"),
+        (lambda t: schedule_for(1.0, math.nan, 1.0),
+         "gamma_h_star must be a finite number >= 0, got nan"),
     ],
     ids=[
         "linear-rate-inf-norm", "acc-dual-inf-gamma", "acc-primal-inf-sigma0",
         "linear-rate-inf-tau", "norm-2-2-fractional-cap", "game-fractional-m",
         "lasso-fractional-sparsity", "logreg-bool-m", "scaled-concat-bool-scale",
-        "quadratic-bool-scale", "entropy-bool-dim",
+        "quadratic-bool-scale", "entropy-bool-dim", "linear-rate-tiny-norm",
+        "acc-dual-tiny-norm", "acc-primal-huge-norm", "constant-huge-norm",
+        "constant-negative-norm", "constant-nan-norm", "acc-dual-inf-tau0",
+        "schedule-for-nan-gamma-g", "schedule-for-negative-gamma-g",
+        "schedule-for-nan-gamma-h-star",
     ],
 )
 def test_bad_number_refused_before_any_work(monkeypatch, call, message):
@@ -142,3 +163,33 @@ def test_bad_number_refused_before_any_work(monkeypatch, call, message):
     with pytest.raises(ValueError) as exc:
         call(_Trap())
     assert str(exc.value) == message
+
+
+_EXTREME = st.floats(min_value=5e-324, max_value=1.7e308)
+
+
+@given(_EXTREME, _EXTREME, _EXTREME, _EXTREME)
+def test_schedules_at_extreme_finite_inputs(gamma_g, gamma_h_star, op_norm, step0):
+    """Positive finite inputs build finite positive steps or are refused in
+    the shared wording: a square or a quotient that over- or underflows is
+    no ``ZeroDivisionError`` or ``OverflowError``. A relation that fails
+    keeps its own wording."""
+    builds = [
+        lambda: LinearRateSchedule(*linear_rate_params(gamma_g, gamma_h_star, op_norm)),
+        lambda: AccPrimalSchedule(gamma_g, op_norm),
+        lambda: AccPrimalSchedule(gamma_g, op_norm, sigma0=step0),
+        lambda: AccDualSchedule(gamma_h_star, op_norm),
+        lambda: AccDualSchedule(gamma_h_star, op_norm, tau0=step0),
+        lambda: ConstantSchedule(step0, gamma_h_star, op_norm),
+        lambda: schedule_for(gamma_g, gamma_h_star, op_norm),
+    ]
+    for build in builds:
+        try:
+            schedule = build()
+        except ValueError as exc:
+            words = ("must be a finite number", "must lie in (0, 1)", "must be strictly below 1")
+            assert any(w in str(exc) for w in words), str(exc)
+            continue
+        for step in (schedule.tau, schedule.sigma):
+            assert math.isfinite(step) and step > 0
+        assert 0.0 <= schedule.theta <= 1.0

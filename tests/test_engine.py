@@ -648,3 +648,20 @@ class TestSolveStartPoint:
         y0[0] = 1.0 / p.m
         with pytest.raises(ValueError, match="boundary of the box"):
             solve_l1_logreg(p, y0=y0, max_iters=10)
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"tol": float("nan")}, "tol must be a finite number >= 0, got nan"),
+            ({"max_iters": 2.5}, "max_iters must be an integer >= 0, got 2.5"),
+        ],
+        ids=["nan-tol", "fractional-max-iters"],
+    )
+    def test_stopping_rule_checked_before_the_start_point(self, monkeypatch, kwargs, message):
+        """A bad ``tol`` or ``max_iters`` is refused before ``default_init``
+        runs, as every baseline builds its rule first."""
+        p = MatrixGameProblem(gen_game_data(3, 4, 0), 0.2)
+        monkeypatch.setattr(p, "default_init", lambda seed: pytest.fail("default_init ran"))
+        with pytest.raises(ValueError) as exc:
+            solve_matrix_game(p, **kwargs)
+        assert str(exc.value) == message

@@ -12,7 +12,6 @@ from nlpdhg.problems.lasso import (
     shrink1,
     solve_lasso,
 )
-from nlpdhg.schedules import AccDualSchedule
 
 from _oracles import euclidean_prox_oracle, shrink1_scalar_oracle
 
@@ -99,11 +98,11 @@ class TestSolve:
         assert abs(p.objective(rep.x) - p.objective(x_fb)) < 1e-6
 
     def test_non_finite_iterate_raises(self, monkeypatch):
-        """An infinite primal step makes the soft threshold return NaN; the
-        solve stops there instead of returning it."""
+        """A primal prox that returns NaN stops the solve there instead of
+        returning it."""
         p = LassoProblem(np.array([[1.0, 2.0], [0.5, -1.0]]), np.array([1.0, 0.3]), 0.1)
-        monkeypatch.setattr(p, "schedule", lambda: AccDualSchedule(1.0, p.op_norm, tau0=np.inf))
-        with np.errstate(invalid="ignore"), pytest.raises(RuntimeError, match="non-finite"):
+        monkeypatch.setattr(p, "primal_prox", lambda aty, x_bar, tau: np.full_like(x_bar, np.nan))
+        with pytest.raises(RuntimeError, match="non-finite"):
             solve_lasso(p, max_iters=5)
 
     def test_zero_pattern_matches_dual_criterion(self):
