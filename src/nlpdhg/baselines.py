@@ -2,16 +2,18 @@
 FISTA, and the predictive-update / optimistic-MWU game methods.
 
 The linear PDHG baselines are the same iteration as nonlinear PDHG in
-Euclidean geometry, so they run through ``engine.run``: each solve builds a
-single-use saddle problem whose proxes solve the nested Euclidean
-subproblems by one inner solve, ``_moreau``: the Moreau split z - u* with u*
-the prox of the conjugate, found by gradient steps warm-started across
-iterations.
+Euclidean geometry, so they run through ``engine.run``'s body ``_run``: each
+solve builds a single-use saddle problem whose proxes solve the nested
+Euclidean subproblems by one inner solve, ``_moreau``: the Moreau split
+z - u* with u* the prox of the conjugate, found by gradient steps
+warm-started across iterations.
 They pay for a largest-singular-value estimate up front, and their reported
 wall time includes that ``norm_2_2`` call, mirroring how such baselines are
 usually accounted. Projected forward-backward on logistic regression and
 FISTA on the Lasso share one FISTA step, PU and OMWU one MWU step, all on the
 engine's loop driver; the ISTA oracle keeps its own loop, apart from them.
+The driver stops each solver's clock, started before any ``norm_2_2``, and
+builds its report.
 """
 
 from __future__ import annotations
@@ -22,8 +24,8 @@ import time
 import numpy as np
 
 from .bregman import sigmoid, softmax
-from .engine import SaddleProblem, SolveReport, StoppingRule, run
-from .engine import _check_finite, _iterate, _norm, _rel_change
+from .engine import SaddleProblem, StoppingRule
+from .engine import _check_finite, _iterate, _norm, _rel_change, _run
 from .operators import DenseOperator, norm_2_2
 from .problems.lasso import shrink1
 from .schedules import schedule_for
@@ -150,15 +152,6 @@ class _WarmStartedProxes(SaddleProblem):
         return x
 
 
-def _linear_pdhg(saddle, schedule, x0, y0, stop, t0):
-    """Run one linear-PDHG solve; its wall time counts from ``t0``, so it
-    includes the norm computation."""
-    report = run(saddle, schedule, x0, y0, stop)
-    report.regime = "linear-pdhg"
-    report.wall_ms = 1000.0 * (time.perf_counter() - t0)
-    return report
-
-
 def solve_linear_pdhg_logreg(problem, tol=1e-4, max_iters=50000, stop_on="both"):
     """Accelerated Euclidean PDHG on the ball-constrained logistic problem.
 
@@ -189,14 +182,14 @@ def solve_linear_pdhg_logreg(problem, tol=1e-4, max_iters=50000, stop_on="both")
 
     y0 = np.full(m, 1.0 / (2.0 * m))
     saddle = _WarmStartedProxes(problem.problem_id, op, dual_map, primal_map, y0, None)
-    return _linear_pdhg(saddle, schedule, np.full(d, 1.0 / d), y0, stop, t0)
+    return _run(saddle, schedule, np.full(d, 1.0 / d), y0, stop, "linear-pdhg", t0)
 
 
-def _fista(step, monitor, x0, stop):
+def _fista(problem, regime, step, monitor, dual, x0, stop, t0):
     """FISTA from x0: x_{k+1} = step(x_k + beta_k (x_k - x_{k-1})), with the
     first extrapolation clamped to zero, on the engine's driver: it ends per
     ``stop`` once monitor(x_{k+1}, x_k) <= its tol, and raises on a non-finite
-    iterate. Returns x and the driver's (k, converged, trace)."""
+    iterate. Returns the driver's report, timed from ``t0``, with y = dual(x)."""
     x, x_prev = x0, x0.copy()
     t_k = beta = 0.0
 
@@ -215,8 +208,7 @@ def _fista(step, monitor, x0, stop):
         x, x_prev = x_new, x
         return monitored, stop.tol is not None and monitored <= stop.tol
 
-    k, converged, trace = _iterate(stop, advance)
-    return x, k, converged, trace
+    return _iterate(problem.problem_id, regime, stop, advance, lambda: (x, dual(x)), t0)
 
 
 def solve_fb_logreg(problem, tol=1e-4, max_iters=50000):
@@ -243,11 +235,8 @@ def solve_fb_logreg(problem, tol=1e-4, max_iters=50000):
         np.abs(diff, out=diff)
         return float(diff.sum() / (denom if denom > 0 else 1.0))
 
-    v, k, converged, trace = _fista(step, monitor, np.full(d, 1.0 / d), stop)
-    wall_ms = 1000.0 * (time.perf_counter() - t0)
-    return SolveReport(
-        problem.problem_id, "fb-splitting", k, converged, wall_ms, trace, v, np.zeros(m)
-    )
+    x0 = np.full(d, 1.0 / d)
+    return _fista(problem, "fb-splitting", step, monitor, lambda x: np.zeros(m), x0, stop, t0)
 
 
 def solve_linear_pdhg_game(problem, tol=1e-4, max_iters=50000, stop_on="both", seed=0):
@@ -271,7 +260,7 @@ def solve_linear_pdhg_game(problem, tol=1e-4, max_iters=50000, stop_on="both", s
     saddle = _WarmStartedProxes(
         problem.problem_id, problem.operator, entropy_map, entropy_map, y0, x0
     )
-    return _linear_pdhg(saddle, schedule, x0, y0, stop, t0)
+    return _run(saddle, schedule, x0, y0, stop, "linear-pdhg", t0)
 
 
 def fista_lasso(problem, tol=1e-8, max_iters=100000):
@@ -294,11 +283,10 @@ def fista_lasso(problem, tol=1e-8, max_iters=100000):
     def monitor(new, old):
         return _norm(new - old)
 
-    x, k, converged, trace = _fista(step, monitor, np.zeros(problem.n), stop)
-    wall_ms = 1000.0 * (time.perf_counter() - t0)
-    return SolveReport(
-        problem.problem_id, "fista", k, converged, wall_ms, trace, x, (A.apply(x) - b) / m
-    )
+    def dual(x):
+        return (A.apply(x) - b) / m
+
+    return _fista(problem, "fista", step, monitor, dual, np.zeros(problem.n), stop, t0)
 
 
 def prox_gradient_lasso(A, b, lam, tol=1e-10, max_iters=500000):
@@ -379,9 +367,7 @@ def _mwu(problem, regime, eta, gradients, seed, stop):
         x, y = x_new, y_new
         return monitored, stop.tol is not None and monitored <= stop.tol
 
-    k, converged, trace = _iterate(stop, advance)
-    wall_ms = 1000.0 * (time.perf_counter() - t0)
-    return SolveReport(problem.problem_id, regime, k, converged, wall_ms, trace, x, y)
+    return _iterate(problem.problem_id, regime, stop, advance, lambda: (x, y), t0)
 
 
 def solve_game_pu(problem, tol=1e-8, max_iters=100000, seed=0):

@@ -9,10 +9,11 @@ it for an ``IterateState``, the state the Lyapunov ``delta_diag`` reads.
 
 One private driver, ``_iterate``, is the loop of every solver but the ISTA
 oracle of ``baselines``: ``run``, FISTA and the MWU methods hand it a step
-returning (monitored value, converged); it counts, stops and records the
+returning (monitored value, converged); it counts, stops, records the
 (k, value) pairs, 16 bytes per iteration, in one flat ``array('d')`` that
-the report views as a (K, 2) array. ``_check_finite`` is their one guard
-against a non-finite iterate; ``StoppingRule`` checks its numbers with
+the report views as a (K, 2) array, and stops the solver's clock and builds
+its ``SolveReport``. ``_check_finite`` is their one guard against a
+non-finite iterate; ``StoppingRule`` checks its numbers with
 ``nlpdhg.checks``, as every module does. ``run`` steps until a
 ``StoppingRule`` fires (one ``tol``; ``stop_on`` or a ``residual_fn`` says
 what it bounds). Across iterations it keeps no state besides the iterates
@@ -25,7 +26,8 @@ problem, which names its own start point (``default_init``) and declares
 its norm and strong-convexity constants; ``SaddleProblem.schedule()`` turns
 those into a schedule through ``schedules.schedule_for``. The Euclidean
 (linear) PDHG baselines pick theirs with the same function from ||A||_2,
-build their ``StoppingRule`` and call ``run`` directly.
+build their ``StoppingRule`` and call ``run``'s body ``_run`` directly,
+with their regime name and a clock started before the norm.
 
 A solve run is single-threaded and deterministic; problems, schedules and
 reports can move freely between threads, and independent solves may run
@@ -247,10 +249,12 @@ def _check_finite(k, *pairs):
             raise RuntimeError(f"non-finite iterate at k={k}")
 
 
-def _iterate(stop, advance):
+def _iterate(problem_id, regime, stop, advance, point, t0):
     """For k = 1 .. ``stop.max_iters``: call ``advance(k) -> (monitored,
-    converged)``, record (k, monitored) and stop once converged. Returns (k,
-    converged, trace), the trace a flat ``array('d')``; k = 0 at max_iters 0."""
+    converged)``, record (k, monitored) and stop once converged; k = 0 at
+    max_iters 0. Returns the ``SolveReport``, timed from ``t0``, of the
+    point ``point()`` gives after the clock stops: (x, y) or (x, y, x_ergodic,
+    y_ergodic)."""
     trace = array("d")
     k, converged = 0, False
     for k in range(1, stop.max_iters + 1):
@@ -259,7 +263,8 @@ def _iterate(stop, advance):
         trace.append(monitored)
         if converged:
             break
-    return k, converged, trace
+    wall_ms = 1000.0 * (time.perf_counter() - t0)
+    return SolveReport(problem_id, regime, k, converged, wall_ms, trace, *point())
 
 
 def _step(problem, schedule, x, x_prev, y, y_prev):
@@ -344,6 +349,11 @@ def run(problem, schedule, x0, y0, stop=None):
     start point says nothing about convergence. For ``delta_diag`` along a
     trajectory, drive ``step`` in a loop instead.
     """
+    return _run(problem, schedule, x0, y0, stop, schedule.regime, time.perf_counter())
+
+
+def _run(problem, schedule, x0, y0, stop, regime, t0):
+    """``run``, reporting ``regime`` and a wall time counted from ``t0``."""
     if stop is None:
         stop = StoppingRule()
     x = np.asarray(x0, dtype=float).copy()
@@ -380,22 +390,10 @@ def run(problem, schedule, x0, y0, stop=None):
             converged = previous is not None and _rel_change(acc.y_avg, previous) <= tol
         return monitored, converged
 
-    t_start = time.perf_counter()
-    k, converged, trace = _iterate(stop, advance)
-    wall_ms = 1000.0 * (time.perf_counter() - t_start)
-    has_avg = acc.total > 0.0
-    return SolveReport(
-        problem_id=getattr(problem, "problem_id", "saddle"),
-        regime=schedule.regime,
-        k=k,
-        converged=converged,
-        wall_ms=wall_ms,
-        residual_trace=trace,
-        x=x,
-        y=y,
-        x_ergodic=acc.x_avg if has_avg else None,
-        y_ergodic=acc.y_avg if has_avg else None,
-    )
+    def point():
+        return (x, y, acc.x_avg, acc.y_avg) if acc.total > 0.0 else (x, y)
+
+    return _iterate(getattr(problem, "problem_id", "saddle"), regime, stop, advance, point, t0)
 
 
 def solve(

@@ -22,9 +22,11 @@ accelerated dual schedule when only gamma_h_star is.
 
 Every step size, norm and constant goes through ``checks.check_real``, so a
 NaN, an infinity or a bool is refused with one wording; so do the square of
-the norm and every quotient a constructor takes of them, which extreme
+the norm, every quotient a constructor takes of them and the product gamma
+times the first step that an accelerated ``advance`` forms, which extreme
 finite inputs can overflow or underflow to 0. The relations between them
-(tau*sigma*||A||^2 < 1, 0 < theta < 1) are checked here.
+(tau*sigma*||A||^2 < 1, 0 < theta < 1, also for the theta of
+``linear_rate_params``) are checked here.
 """
 
 from __future__ import annotations
@@ -78,6 +80,12 @@ def linear_rate_params(gamma_g, gamma_h_star, op_norm):
     s = math.sqrt(1.0 + 4.0 / c)
     # theta = 1 - (c/2)(s - 1) = (s - 1)/(s + 1), with s - 1 = (4/c)/(s + 1).
     theta = (4.0 / c) / (s + 1.0) ** 2
+    # A relation of the checked numbers: below about 1e-32, theta rounds to 1.
+    if not theta < 1.0:
+        raise ValueError(
+            f"theta must lie in (0, 1), but gamma_g*gamma_h_star/op_norm**2 = {c!r} "
+            f"rounds it to {theta!r}"
+        )
     one_minus_theta = 2.0 / (s + 1.0)
     tau = _quotient("tau", one_minus_theta, gamma_g * theta)
     sigma = _quotient("sigma", one_minus_theta, gamma_h_star * theta)
@@ -127,6 +135,8 @@ class AccPrimalSchedule:
             sigma0 = gamma_g / (2.0 * norm_sq)
         self.sigma0 = self.sigma = check_real("sigma0", sigma0, positive=True)
         self.tau = _quotient("tau0", 1.0, norm_sq * sigma0)
+        # ``advance`` divides by theta = 1/sqrt(1 + gamma tau), 0 if this overflows.
+        check_real("gamma_g*tau0", self.gamma * self.tau, positive=False)
         self.theta = 1.0
         self.tau0 = self.tau
         self.k = 0
@@ -157,6 +167,8 @@ class AccDualSchedule:
             tau0 = gamma_h_star / (2.0 * norm_sq)
         self.tau0 = self.tau = check_real("tau0", tau0, positive=True)
         self.sigma = _quotient("sigma0", 1.0, norm_sq * tau0)
+        # ``advance`` divides by theta = 1/sqrt(1 + gamma sigma), 0 if this overflows.
+        check_real("gamma_h_star*sigma0", self.gamma * self.sigma, positive=False)
         self.theta = 0.0
         self.sigma0 = self.sigma
         self.k = 0

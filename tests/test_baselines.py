@@ -1,5 +1,8 @@
 """Baseline solvers: projection, Euclidean PDHG, FISTA, FB, PU and OMWU."""
 
+import time
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -357,6 +360,10 @@ class TestStoppingContract:
         assert len(rep.residual_trace) == 7
 
 
+# What ``_fista`` reads of a problem: the id its report names.
+_FISTA_PROBLEM = SimpleNamespace(problem_id="fista")
+
+
 class TestNonFiniteIterate:
     """The FISTA and MWU loops raise on a non-finite iterate, as
     ``engine.run`` does, instead of running to the cap."""
@@ -378,14 +385,16 @@ class TestNonFiniteIterate:
         with np.errstate(invalid="ignore"), pytest.raises(
             RuntimeError, match="^non-finite iterate at k=3$"
         ):
-            baselines._fista(step, lambda new, old: float(np.abs(new - old).sum()),
-                             np.ones(4), StoppingRule(100, 1e-12))
+            baselines._fista(_FISTA_PROBLEM, "fista", step,
+                             lambda new, old: float(np.abs(new - old).sum()), np.zeros_like,
+                             np.ones(4), StoppingRule(100, 1e-12), time.perf_counter())
 
     def test_fista_scans_only_a_non_finite_monitored_value(self):
         """An infinite monitored value of a finite iterate is no failure."""
-        x, k, converged, _ = baselines._fista(lambda w: 0.5 * w, lambda new, old: np.inf,
-                                              np.ones(4), StoppingRule(5, 1e-12))
-        assert (k, converged) == (5, False) and np.isfinite(x).all()
+        report = baselines._fista(_FISTA_PROBLEM, "fista", lambda w: 0.5 * w,
+                                  lambda new, old: np.inf, np.zeros_like, np.ones(4),
+                                  StoppingRule(5, 1e-12), time.perf_counter())
+        assert (report.k, report.converged) == (5, False) and np.isfinite(report.x).all()
 
     @pytest.mark.parametrize("player", ["x", "y"])
     def test_mwu_raises(self, player):
@@ -405,3 +414,28 @@ class TestNonFiniteIterate:
 
         with pytest.raises(RuntimeError, match="^non-finite iterate at k=3$"):
             baselines._mwu(problem, "mwu", 0.1, gradients, 0, StoppingRule(100, 1e-12))
+
+
+class TestWallTime:
+    """A baseline's wall time counts from before its ``norm_2_2`` call."""
+
+    @pytest.mark.parametrize(
+        "solver, make",
+        [
+            (solve_linear_pdhg_logreg, lambda: L1LogRegProblem(gen_logreg_data(6, 4, 1)[0], 3.0)),
+            (solve_linear_pdhg_game, lambda: MatrixGameProblem(gen_game_data(5, 4, 1), 0.2)),
+            (solve_fb_logreg, lambda: L1LogRegProblem(gen_logreg_data(6, 4, 1)[0], 3.0)),
+            (fista_lasso, lambda: LassoProblem(*gen_lasso_data(6, 9, 3, 0.1, 1)[:2], 0.05)),
+        ],
+        ids=["linear-pdhg-logreg", "linear-pdhg-game", "fb-logreg", "fista-lasso"],
+    )
+    def test_wall_time_includes_the_norm(self, monkeypatch, solver, make):
+        original = baselines.norm_2_2
+
+        def slow_norm(*args, **kwargs):
+            time.sleep(0.05)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(baselines, "norm_2_2", slow_norm)
+        report = solver(make(), max_iters=3)
+        assert report.k == 3 and report.wall_ms >= 50.0

@@ -144,6 +144,13 @@ class _Trap:
         (lambda t: schedule_for(-1.0, 1.0, 1.0), "gamma_g must be a finite number >= 0, got -1.0"),
         (lambda t: schedule_for(1.0, math.nan, 1.0),
          "gamma_h_star must be a finite number >= 0, got nan"),
+        (lambda t: AccPrimalSchedule(1e10, 1e-150, sigma0=1.0),
+         "gamma_g*tau0 must be a finite number >= 0, got inf"),
+        (lambda t: AccDualSchedule(1e10, 1e-150, tau0=1.0),
+         "gamma_h_star*sigma0 must be a finite number >= 0, got inf"),
+        (lambda t: linear_rate_params(1e-20, 1e-20, 1.0),
+         "theta must lie in (0, 1), but gamma_g*gamma_h_star/op_norm**2 = 1e-40 "
+         "rounds it to 1.0"),
     ],
     ids=[
         "linear-rate-inf-norm", "acc-dual-inf-gamma", "acc-primal-inf-sigma0",
@@ -153,7 +160,8 @@ class _Trap:
         "acc-dual-tiny-norm", "acc-primal-huge-norm", "constant-huge-norm",
         "constant-negative-norm", "constant-nan-norm", "acc-dual-inf-tau0",
         "schedule-for-nan-gamma-g", "schedule-for-negative-gamma-g",
-        "schedule-for-nan-gamma-h-star",
+        "schedule-for-nan-gamma-h-star", "acc-primal-overflowing-gamma-tau0",
+        "acc-dual-overflowing-gamma-sigma0", "linear-rate-theta-rounds-to-one",
     ],
 )
 def test_bad_number_refused_before_any_work(monkeypatch, call, message):

@@ -153,7 +153,7 @@ def _linear_pdhg_proxes(solver, problem):
     """The ``_WarmStartedProxes`` a linear-PDHG solve builds, and its start
     pair, taken before the solve runs."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(baselines, "_linear_pdhg", lambda saddle, _, x0, y0, *rest: (saddle, x0, y0))
+        mp.setattr(baselines, "_run", lambda saddle, _, x0, y0, *rest: (saddle, x0, y0))
         return solver(problem)
 
 
@@ -273,10 +273,11 @@ class TestOneDriver:
         np.testing.assert_array_equal(report.x, _start_point(kind, name, problem))
 
     def test_solve_goes_through_the_driver(self, kind, name, monkeypatch):
+        """The solver returns the very report the driver built."""
         results = []
 
-        def recorded(stop, advance, _original=engine._iterate):
-            results.append(_original(stop, advance))
+        def recorded(*args, _original=engine._iterate):
+            results.append(_original(*args))
             return results[-1]
 
         monkeypatch.setattr(engine, "_iterate", recorded)
@@ -285,10 +286,7 @@ class TestOneDriver:
             bench.SOLVERS[kind, name], _tiny_problem(kind), tol=1e-6, max_iters=5, seed=0,
             stop_on="both",
         )
-        assert len(results) == 1
-        k, converged, trace = results[0]
-        assert (report.k, report.converged) == (k, converged) and k > 0
-        np.testing.assert_array_equal(report.residual_trace, np.reshape(trace, (-1, 2)))
+        assert len(results) == 1 and results[0] is report and report.k > 0
 
 
 @pytest.mark.parametrize(

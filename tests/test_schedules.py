@@ -1,5 +1,7 @@
 """Step-size schedules: construction guards, recurrences, invariants."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -125,6 +127,21 @@ class TestAccDual:
         assert worst < 1e-10
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: AccPrimalSchedule(1e10, 1e-140, sigma0=1.0),
+        lambda: AccDualSchedule(1e10, 1e-140, tau0=1.0),
+    ],
+    ids=["primal", "dual"],
+)
+def test_accelerated_advance_at_a_huge_finite_gamma_step_product(build):
+    """gamma times a first step of 1e280 is finite, so theta stays > 0."""
+    s = build()
+    s.advance()
+    assert s.theta > 0.0 and math.isfinite(s.tau) and math.isfinite(s.sigma)
+
+
 class TestLinearRate:
     def test_golden_ratio_case(self):
         theta, tau, sigma = linear_rate_params(1.0, 1.0, 1.0)
@@ -150,6 +167,10 @@ class TestLinearRate:
         theta, _, _ = linear_rate_params(100.0, 100.0, 1.0)  # c = 1e4
         series = 1e-4 - 2e-8  # 1/c - 2/c^2
         np.testing.assert_allclose(theta, series, rtol=1e-6)
+
+    def test_theta_just_below_one_is_kept(self):
+        """The smallest ratios whose theta stays below 1 keep their bits."""
+        assert linear_rate_params(1e-15, 1e-15, 1.0)[0] == 0.9999999999999989
 
     def test_nonpositive_inputs_rejected(self):
         with pytest.raises(ValueError, match="^gamma_g must be a finite number > 0"):
