@@ -10,10 +10,12 @@ Three geometries are provided:
 
 A geometry is immutable after construction and all of its operations are
 pure functions, so instances are safe to share between threads. They share
-no base class; callers use ``value``, ``gradient``, ``divergence`` and
-``validate_point`` by name. ``sigmoid`` is one ``np.where`` over the whole
-array: the bits of a masked fill of its two stable branches, without the
-gathers and scatters that cost more than its arithmetic.
+no base class; callers use ``value``, ``gradient``, ``divergence``,
+``validate_point`` and ``step`` by name. ``step(x_bar, g, coef, damping)``,
+every prox's one call, gives the fresh argmin of (damping - 1) phi(x) -
+coef <g, x> + D(x, x_bar) (psi = phi / scale on the box), unchecked.
+``sigmoid`` is one ``np.where`` over the whole array: the bits of a masked
+fill of its two stable branches, without the costlier gathers and scatters.
 """
 
 from __future__ import annotations
@@ -126,6 +128,14 @@ class Quadratic:
     def validate_point(self, x, interior=False):
         _asvector(x, "x")
 
+    def step(self, x_bar, g, coef, damping):
+        """(x_bar + coef g / scale) / damping."""
+        t = coef * g
+        t /= self.scale
+        t += x_bar
+        t /= damping
+        return t
+
 
 class NegativeEntropy:
     """phi(x) = sum_j x_j log x_j on the unit simplex.
@@ -166,6 +176,14 @@ class NegativeEntropy:
 
     def validate_point(self, x, interior=False):
         self._check(x, "x", interior)
+
+    def step(self, x_bar, g, coef, damping):
+        """softmax((log x_bar + coef g) / damping). A zero of x_bar stays 0:
+        log 0 = -inf, whose warning ``engine.run`` silences."""
+        t = np.log(x_bar)
+        t += coef * g
+        t /= damping
+        return softmax(t)
 
 
 class BinaryEntropyAverage:
@@ -215,6 +233,15 @@ class BinaryEntropyAverage:
 
     def validate_point(self, y, interior=False):
         self._check(y, "y", interior)
+
+    def step(self, y_bar, g, coef, damping):
+        """sigmoid((logit(m y_bar) + coef g) / damping) / m."""
+        w = logit(self.m * np.asarray(y_bar, dtype=float))
+        w += coef * g
+        w /= damping
+        y = sigmoid(w)
+        y /= self.m
+        return y
 
 
 def three_point_check(geom, x, x_hat, x_prime):

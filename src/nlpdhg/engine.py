@@ -302,8 +302,9 @@ def step(problem, state, schedule):
     sigma), then ``schedule.advance()``. "overrelaxed": x-prox at y_k, y-prox
     at 2 x_{k+1} - x_k. "x-first": x-prox at y_k + theta (y_k - y_{k-1}),
     y-prox at x_{k+1}. "y-first": y-prox at x_k + theta (x_k - x_{k-1}),
-    x-prox at y_{k+1}."""
-    x_new, y_new = _step(problem, schedule, state.x, state.x_prev, state.y, state.y_prev)
+    x-prox at y_{k+1}. Like ``run``, it silences log 0 = -inf."""
+    with np.errstate(divide="ignore"):
+        x_new, y_new = _step(problem, schedule, state.x, state.x_prev, state.y, state.y_prev)
     return IterateState(x_new, state.x, y_new, state.y, state.k + 1)
 
 
@@ -344,10 +345,10 @@ def run(problem, schedule, x0, y0, stop=None):
 
     The trace records the rule's residual when it has a ``residual_fn`` and
     the relative dual change otherwise. Exhausting max_iters flags the
-    report as non-converged; a non-finite iterate raises. The regular
-    dual-change test waits for k = 2: a first step that leaves y at its
-    start point says nothing about convergence. For ``delta_diag`` along a
-    trajectory, drive ``step`` in a loop instead.
+    report as non-converged; a non-finite iterate raises, but log 0 = -inf
+    does not warn. The regular dual-change test waits for k = 2: a first
+    step that leaves y at its start point says nothing about convergence.
+    For ``delta_diag`` along a trajectory, drive ``step`` in a loop instead.
     """
     return _run(problem, schedule, x0, y0, stop, schedule.regime, time.perf_counter())
 
@@ -393,7 +394,8 @@ def _run(problem, schedule, x0, y0, stop, regime, t0):
     def point():
         return (x, y, acc.x_avg, acc.y_avg) if acc.total > 0.0 else (x, y)
 
-    return _iterate(getattr(problem, "problem_id", "saddle"), regime, stop, advance, point, t0)
+    with np.errstate(divide="ignore"):
+        return _iterate(getattr(problem, "problem_id", "saddle"), regime, stop, advance, point, t0)
 
 
 def solve(

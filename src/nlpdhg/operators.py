@@ -162,21 +162,26 @@ def norm_2_2(op, max_iters=5000):
 
     The start vector is the normalized all-ones vector, so the estimate is
     deterministic. Convergence is declared when successive Rayleigh quotients
-    differ by at most 1e-10 relatively, within ``max_iters`` iterations. A
-    start vector orthogonal to the top singular vector would converge to a
-    lower singular value; the random and structured matrices used here do
-    not hit that case.
+    differ by at most 1e-10 relatively, within ``max_iters`` iterations. If
+    A 1 = 0 (rock-paper-scissors), it restarts once from the basis vector of
+    the largest column; 0.0 means every column has norm 0. A start merely
+    orthogonal to the top singular vector converges to a lower one.
     """
     check_count("max_iters", max_iters, 1)
     n = op.cols
     v = np.full(n, 1.0 / np.sqrt(n))
     rho_prev = None
+    restarted = False
     for _ in range(max_iters):
         w = op.adjoint_apply(op.apply(v))
         rho = float(v @ w)
         if rho <= 0.0:
             # v is (numerically) in the nullspace of A^T A.
-            return 0.0
+            col = op.column_norms_sq()
+            if restarted or col.max() == 0.0:
+                return 0.0
+            restarted, rho_prev, v = True, None, np.eye(1, n, col.argmax())[0]
+            continue
         if rho_prev is not None and abs(rho - rho_prev) <= 1e-10 * rho:
             return math.sqrt(rho)
         rho_prev = rho
@@ -186,7 +191,7 @@ def norm_2_2(op, max_iters=5000):
         v = w
     raise PowerIterationError(
         f"power iteration did not converge in {max_iters} iterations",
-        last_estimate=math.sqrt(rho_prev),
+        last_estimate=math.sqrt(max(rho, 0.0)),
     )
 
 

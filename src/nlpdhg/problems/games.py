@@ -4,9 +4,9 @@
         lam * H_n(x) + <y, A x> - lam * H_m(y)
 
 with H the negative entropy. Both players live on simplices with the
-Kullback-Leibler geometry, so the proximal maps are power-weighted
-multiplicative updates, and both parts are lam-strongly convex relative to
-their entropies, which puts the problem in the linear-rate regime with
+Kullback-Leibler geometry, so each prox is one ``NegativeEntropy.step``, and
+both parts are lam-strongly convex relative to their entropies, which puts
+the problem in the linear-rate regime with
 
     gamma_g = gamma_h_star = lam,   ||A|| = max_ij |A_ij|.
 
@@ -46,20 +46,10 @@ class MatrixGameProblem(SaddleProblem):
         self.gamma_h_star = self.lam
 
     def primal_prox(self, aty, x_bar, tau):
-        # argmin over the simplex of lam*H(x) + <A^T y, x> + KL(x, x_bar)/tau:
-        # x_j propto (x_bar_j exp(-tau [A^T y]_j))^{1/(1+lam tau)}.
-        t = np.log(x_bar)
-        t -= tau * aty
-        t /= 1.0 + self.lam * tau
-        return softmax(t)
+        return self.geom_x.step(x_bar, aty, -tau, 1.0 + self.lam * tau)
 
     def dual_prox(self, ax, y_bar, sigma):
-        # argmax over the simplex of -lam*H(y) + <y, A x> - KL(y, y_bar)/sigma:
-        # y_i propto (y_bar_i exp(+sigma [A x]_i))^{1/(1+lam sigma)}.
-        t = np.log(y_bar)
-        t += sigma * ax
-        t /= 1.0 + self.lam * sigma
-        return softmax(t)
+        return self.geom_y.step(y_bar, ax, sigma, 1.0 + self.lam * sigma)
 
     def default_init(self, seed=0):
         """A random interior point of each simplex, drawn from ``seed``."""

@@ -10,9 +10,9 @@ Both geometries are Euclidean (the dual one scaled by m), the dual part is
 1-strongly convex relative to its geometry, and the method of choice is the
 accelerated dual schedule with tau0 = 1/(2 ||A||^2) and sigma0 = 2, where
 ||A|| is the maximum l2 norm of a row of A (the operator norm induced by the
-Euclidean primal and the l1-compatible dual pairing). The primal prox is
-soft thresholding, so iterates carry exact zeros, and the optimality
-conditions read y = (A x - b)/m together with -A^T y in lam * d||x||_1.
+Euclidean primal and the l1-compatible dual pairing). The primal prox,
+soft thresholding, leaves exact zeros; the dual one is ``Quadratic.step``.
+The optimality conditions read y = (A x - b)/m and -A^T y in lam d||x||_1.
 """
 
 from __future__ import annotations
@@ -71,13 +71,7 @@ class LassoProblem(SaddleProblem):
         return shrink1(np.subtract(x_bar, u, out=u), self.lam * tau)
 
     def dual_prox(self, ax, y_bar, sigma):
-        # (y_bar + sigma (A x - b) / m) / (1 + sigma)
-        v = ax - self.b
-        v *= sigma
-        v /= self.m
-        v += y_bar
-        v /= 1.0 + sigma
-        return v
+        return self.geom_y.step(y_bar, ax - self.b, sigma, 1.0 + sigma)
 
     def objective(self, x):
         r = self.operator.apply(np.asarray(x, dtype=float)) - self.b

@@ -8,8 +8,8 @@ with x on the unit simplex of dimension n = 2d, turning the problem into
 where row i of B is -b_i u_i (feature vector times label, negated). The
 saddle-point form pairs the simplex (negative-entropy geometry) with a dual
 box (0, 1/m)^m carrying the averaged-binary-entropy geometry, so both proxes
-have closed forms: a multiplicative-weights step in x and a logit-shift step
-in y. The dual part is strongly convex with gamma_h_star = 4m, which enables
+are one geometry ``step``: multiplicative weights in x and a logit shift in
+y. The dual part is strongly convex with gamma_h_star = 4m, which enables
 the accelerated dual schedule; operator norm is the max column l2 norm.
 The inherited ``schedule()`` picks that schedule from the two (tau0 =
 2m/||A||_{1,2}^2, so sigma0 = 1/(2m)); ``solve_l1_logreg`` (``engine.solve``)
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..bregman import BinaryEntropyAverage, NegativeEntropy, logit, sigmoid, softmax
+from ..bregman import BinaryEntropyAverage, NegativeEntropy, sigmoid
 from ..checks import check_real, real_array
 from ..engine import SaddleProblem, solve
 from ..operators import ScaledConcat, norm_1_2
@@ -32,12 +32,6 @@ __all__ = [
     "support_from_dual",
     "solve_l1_logreg",
 ]
-
-
-def _log_interior(x):
-    """log with log(0) = -inf, silenced; exact zeros stay suppressed."""
-    with np.errstate(divide="ignore"):
-        return np.log(x)
 
 
 def _softplus(t):
@@ -65,23 +59,11 @@ class L1LogRegProblem(SaddleProblem):
         self.gamma_h_star = 4.0 * self.m
 
     def primal_prox(self, aty, x_bar, tau):
-        # The update is multiplicative, so x stays positive in exact
-        # arithmetic; coordinates suppressed past the double-precision
-        # exponent range underflow to exact zeros on long runs and stay
-        # there.
-        t = _log_interior(x_bar)
-        t -= tau * aty
-        return softmax(t)
+        return self.geom_x.step(x_bar, aty, -tau, 1.0)
 
     def dual_prox(self, ax, y_bar, sigma):
-        w_bar = logit(self.m * np.asarray(y_bar, dtype=float))
         c = 4.0 * self.m * sigma
-        w = c * ax
-        w += w_bar
-        w /= 1.0 + c
-        y = sigmoid(w)
-        y /= self.m
-        return y
+        return self.geom_y.step(y_bar, ax, c, 1.0 + c)
 
     def objective_v(self, v):
         """Primal objective of the original ball-constrained problem at v."""

@@ -45,11 +45,10 @@ class QuadraticSaddleProblem(SaddleProblem):
         self.op_norm = float(np.linalg.norm(self.operator.matrix, 2))
 
     def primal_prox(self, aty, x_bar, tau):
-        grad_lin = self.c + aty
-        return (x_bar - tau * grad_lin) / (1.0 + self.gamma_g * tau)
+        return self.geom_x.step(x_bar, self.c + aty, -tau, 1.0 + self.gamma_g * tau)
 
     def dual_prox(self, ax, y_bar, sigma):
-        return (y_bar + sigma * (ax - self.d)) / (1.0 + self.gamma_h_star * sigma)
+        return self.geom_y.step(y_bar, ax - self.d, sigma, 1.0 + self.gamma_h_star * sigma)
 
     def lagrangian(self, x, y):
         x = np.asarray(x, dtype=float)

@@ -6,10 +6,15 @@ bisection for the projection threshold) and never reuses the closed-form
 update it is checking. The ``*_reference`` functions are the exception: they
 keep the plain formulas (one fresh array per operation) of helpers that the
 solvers compute in place, and those helpers must match them bit for bit.
+The ``*_prox_reference`` functions keep the prox bodies each problem wrote
+out before its geometry's ``step`` took them over, with the same helpers;
+every prox, and so every ``step``, must match them bit for bit.
 """
 
 import numpy as np
 from scipy import optimize
+
+from nlpdhg.bregman import logit, sigmoid, softmax
 
 
 def softmax_reference(u):
@@ -41,6 +46,56 @@ def softplus_reference(t):
     for t > 0 and log1p(exp(-|t|)) otherwise; ``logreg._softplus`` must
     agree with it bit for bit."""
     return np.where(t > 0, t + np.log1p(np.exp(-np.abs(t))), np.log1p(np.exp(-np.abs(t))))
+
+
+def game_primal_prox_reference(aty, x_bar, tau, lam):
+    t = np.log(x_bar)
+    t -= tau * aty
+    t /= 1.0 + lam * tau
+    return softmax(t)
+
+
+def game_dual_prox_reference(ax, y_bar, sigma, lam):
+    t = np.log(y_bar)
+    t += sigma * ax
+    t /= 1.0 + lam * sigma
+    return softmax(t)
+
+
+def logreg_primal_prox_reference(aty, x_bar, tau):
+    with np.errstate(divide="ignore"):
+        t = np.log(x_bar)
+    t -= tau * aty
+    return softmax(t)
+
+
+def logreg_dual_prox_reference(ax, y_bar, sigma, m):
+    w_bar = logit(m * np.asarray(y_bar, dtype=float))
+    c = 4.0 * m * sigma
+    w = c * ax
+    w += w_bar
+    w /= 1.0 + c
+    y = sigmoid(w)
+    y /= m
+    return y
+
+
+def lasso_dual_prox_reference(ax, y_bar, sigma, b, m):
+    v = ax - b
+    v *= sigma
+    v /= m
+    v += y_bar
+    v /= 1.0 + sigma
+    return v
+
+
+def quadratic_primal_prox_reference(aty, x_bar, tau, c, gamma_g):
+    grad_lin = c + aty
+    return (x_bar - tau * grad_lin) / (1.0 + gamma_g * tau)
+
+
+def quadratic_dual_prox_reference(ax, y_bar, sigma, d, gamma_h_star):
+    return (y_bar + sigma * (ax - d)) / (1.0 + gamma_h_star * sigma)
 
 
 def rel_change_reference(new, old):

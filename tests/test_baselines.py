@@ -149,6 +149,14 @@ class TestFista:
         x_fb = prox_gradient_lasso(A, b, lam, tol=1e-12)
         assert abs(p.objective(rep.x) - p.objective(x_fb)) < 1e-9
 
+    def test_matrix_with_ones_in_its_nullspace(self):
+        """A 1 = 0 once made norm_2_2 read 0 and the step size 1/0."""
+        p = LassoProblem([[1.0, -1.0], [2.0, -2.0]], [1.0, 0.5], 0.1)
+        rep = fista_lasso(p, tol=1e-12)
+        assert rep.converged
+        x_fb = prox_gradient_lasso(p.operator.matrix, p.b, p.lam, tol=1e-12)
+        assert abs(p.objective(rep.x) - p.objective(x_fb)) < 1e-12
+
     def test_ista_oracle_raises_when_not_converged(self):
         """The oracle never hands back an unconverged iterate."""
         A, b, _ = gen_lasso_data(12, 20, 3, 0.05, seed=8)
@@ -213,6 +221,15 @@ class TestGameBaselines:
         np.testing.assert_allclose(lin.x, nl.x, atol=1e-5)
         np.testing.assert_allclose(lin.y, nl.y, atol=1e-5)
 
+    def test_linear_pdhg_game_on_rock_paper_scissors(self):
+        """The all-ones vector is in the payoff's nullspace, so the step
+        size needs norm_2_2's restart: sqrt 3, not 0."""
+        rps = [[0.0, -1.0, 1.0], [1.0, 0.0, -1.0], [-1.0, 1.0, 0.0]]
+        rep = solve_linear_pdhg_game(MatrixGameProblem(rps, 0.1), tol=1e-8, max_iters=1000)
+        assert rep.converged
+        np.testing.assert_allclose(rep.x, np.full(3, 1.0 / 3.0), atol=1e-7)
+        np.testing.assert_allclose(rep.y, np.full(3, 1.0 / 3.0), atol=1e-7)
+
 
 class TestLogRegBaselines:
     def test_projection_keeps_feasibility(self):
@@ -237,6 +254,13 @@ class TestLogRegBaselines:
         rep = solve_fb_logreg(p, tol=1e-8, max_iters=5000)
         assert p.objective_v(rep.x) < p.objective_v(np.full(5, 1.0 / 5))
         assert np.abs(rep.x).sum() <= p.lam * (1 + 1e-12)
+
+    def test_fb_on_a_matrix_with_ones_in_its_nullspace(self):
+        p = L1LogRegProblem([[1.0, -1.0], [2.0, -2.0]], 1.0)
+        rep = solve_fb_logreg(p, tol=1e-10)
+        assert rep.converged
+        # Any v on the ball with v1 - v2 = -1 minimizes; each attains this.
+        assert abs(p.objective_v(rep.x) - p.objective_v(np.array([-0.5, 0.5]))) < 1e-12
 
     def test_all_solvers_share_the_terminal_objective(self):
         """On a small non-separable instance (m > d, tight ball) every

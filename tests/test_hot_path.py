@@ -1,9 +1,11 @@
 """The in-place hot path: each rewritten helper equals its plain formula bit
-for bit, and no prox or operator action writes to its arguments. Every
-registered solver multiplies through its operator and iterates in the one
-loop driver."""
+for bit, each prox (one geometry ``step``) equals the body it replaced, and
+no prox or operator action writes to its arguments. Entropic coordinates
+that underflow to 0 stay 0 without a warning. Every registered solver
+multiplies through its operator and iterates in the one loop driver."""
 
 import copy
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +14,13 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from _oracles import (
+    game_dual_prox_reference,
+    game_primal_prox_reference,
+    lasso_dual_prox_reference,
+    logreg_dual_prox_reference,
+    logreg_primal_prox_reference,
+    quadratic_dual_prox_reference,
+    quadratic_primal_prox_reference,
     rel_change_reference,
     shrink1_reference,
     sigmoid_reference,
@@ -22,11 +31,11 @@ from nlpdhg import baselines, bench, engine
 from nlpdhg.baselines import solve_linear_pdhg_game, solve_linear_pdhg_logreg
 from nlpdhg.bregman import sigmoid, softmax
 from nlpdhg.data import gen_game_data, gen_lasso_data, gen_logreg_data
-from nlpdhg.engine import _norm, _rel_change
+from nlpdhg.engine import IterateState, StoppingRule, _norm, _rel_change
 from nlpdhg.operators import DenseOperator, ScaledConcat
 from nlpdhg.problems import L1LogRegProblem, LassoProblem, MatrixGameProblem
 from nlpdhg.problems.lasso import shrink1
-from nlpdhg.problems.logreg import _softplus
+from nlpdhg.problems.logreg import _softplus, solve_l1_logreg
 from nlpdhg.problems.quadratic import QuadraticSaddleProblem
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -137,6 +146,116 @@ def test_rel_change_matches_reference(data, n):
 def test_norm_matches_numpy_on_strided_views(v, stride):
     with np.errstate(over="ignore"):
         assert _norm(v[::stride]) == np.linalg.norm(v[::stride])
+
+
+# Step sizes and weights from 1e-300 to 1e300: 1 + lam tau rounds to 1 at
+# one end and overflows at the other.
+extreme = st.floats(1e-300, 1e300)
+gammas = st.one_of(st.just(0.0), extreme)
+products = st.one_of(st.floats(-1e3, 1e3), finite)
+
+
+def _prox_pairs(kind, draw):
+    """The (prox, replaced body) results of both proxes of a ``kind``
+    problem at drawn points. The problem is built on an all-ones matrix:
+    its proxes read no matrix."""
+    m, n = draw(st.integers(1, 20)), draw(st.integers(1, 20))
+
+    def vec(size, elements=products):
+        return draw(arrays(np.float64, size, elements=elements))
+
+    # Entropic points: exact zeros, subnormals and entries up to 1.
+    def entropic(size):
+        return vec(size, st.one_of(st.just(0.0), st.floats(5e-324, 1.0)))
+
+    tau, sigma = draw(extreme), draw(extreme)
+    ones = np.ones((m, n))
+    if kind == "game":
+        lam = draw(extreme)
+        p = MatrixGameProblem(ones, lam)
+        aty, ax, x_bar, y_bar = vec(n), vec(m), entropic(n), entropic(m)
+        return [
+            (p.primal_prox(aty, x_bar, tau), game_primal_prox_reference(aty, x_bar, tau, lam)),
+            (p.dual_prox(ax, y_bar, sigma), game_dual_prox_reference(ax, y_bar, sigma, lam)),
+        ]
+    if kind == "logreg":
+        p = L1LogRegProblem(ones, 1.0)
+        aty, ax, x_bar = vec(2 * n), vec(m), entropic(2 * n)
+        y_bar = vec(m, st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0))) / m
+        return [
+            (p.primal_prox(aty, x_bar, tau), logreg_primal_prox_reference(aty, x_bar, tau)),
+            (p.dual_prox(ax, y_bar, sigma), logreg_dual_prox_reference(ax, y_bar, sigma, m)),
+        ]
+    if kind == "lasso":
+        b, ax, y_bar = vec(m), vec(m), vec(m)
+        p = LassoProblem(ones, b, draw(extreme))
+        return [(p.dual_prox(ax, y_bar, sigma), lasso_dual_prox_reference(ax, y_bar, sigma, b, m))]
+    gamma_g, gamma_h, c, d = draw(gammas), draw(gammas), vec(n), vec(m)
+    p = QuadraticSaddleProblem(ones, gamma_g, gamma_h, c, d)
+    aty, ax, x_bar, y_bar = vec(n), vec(m), vec(n), vec(m)
+    return [
+        (p.primal_prox(aty, x_bar, tau),
+         quadratic_primal_prox_reference(aty, x_bar, tau, c, gamma_g)),
+        (p.dual_prox(ax, y_bar, sigma),
+         quadratic_dual_prox_reference(ax, y_bar, sigma, d, gamma_h)),
+    ]
+
+
+@pytest.mark.parametrize("kind", ["game", "logreg", "lasso", "quadratic"])
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_each_prox_step_matches_the_body_it_replaced(kind, data):
+    """Each prox is one geometry ``step``; it keeps the bits of the prox
+    body written out before, at exact zeros, subnormals, and step sizes and
+    weights from 1e-300 to 1e300."""
+    with np.errstate(all="ignore"):
+        pairs = _prox_pairs(kind, data.draw)
+    for got, want in pairs:
+        assert same_bits(got, want)
+
+
+def _zeros_kept(problem, x0, y0, zeros_x, zeros_y):
+    """200 ``engine.step`` calls and a 200-iteration ``run`` from (x0, y0),
+    warnings raised as errors: each keeps every exact zero it has reached
+    and the two end at the same bits. Returns the last x."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        state, schedule = IterateState.initial(x0, y0), problem.schedule()
+        for _ in range(200):
+            state = engine.step(problem, state, schedule)
+            now_x, now_y = state.x == 0.0, state.y == 0.0
+            assert now_x[zeros_x].all() and now_y[zeros_y].all()
+            zeros_x, zeros_y = now_x, now_y
+        report = engine.run(problem, problem.schedule(), x0, y0, StoppingRule(200))
+    assert same_bits(report.x, state.x) and same_bits(report.y, state.y)
+    return state.x
+
+
+def test_underflowed_logreg_coordinates_stay_zero_without_a_warning():
+    """This problem's x first underflows to exact zeros at k = 110; the
+    next log 0 = -inf is silenced by the engine, and the zero stays."""
+    problem = L1LogRegProblem(gen_logreg_data(8, 6, 9)[0], 2.0)
+    x0, y0 = problem.default_init()
+    none = np.zeros(problem.n, dtype=bool)
+    x = _zeros_kept(problem, x0, y0, none, np.zeros(problem.m, dtype=bool))
+    assert x.any() and (x == 0.0).any()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = solve_l1_logreg(problem, tol=None, max_iters=200)
+    assert same_bits(report.x, x)
+
+
+def test_zero_game_coordinates_stay_zero_without_a_warning():
+    problem = MatrixGameProblem(gen_game_data(5, 4, 1), 0.2)
+    x0, y0 = problem.default_init(seed=3)
+    x0[1], y0[3] = 0.0, 0.0
+    x0, y0 = x0 / x0.sum(), y0 / y0.sum()
+    zx, zy = x0 == 0.0, y0 == 0.0
+    _zeros_kept(problem, x0, y0, zx, zy)
+    # The silencing is the engine's: a bare step at the zero warns.
+    aty = problem.operator.adjoint_apply(y0)
+    with pytest.warns(RuntimeWarning, match="divide by zero"):
+        problem.geom_x.step(x0, aty, -0.5, 1.1)
 
 
 def test_scaled_concat_matches_plain_formula():

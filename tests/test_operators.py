@@ -124,6 +124,32 @@ class TestNorms:
             norm_2_2(DenseOperator(np.diag([3.0, 1.0])), max_iters=1)
         assert exc.value.last_estimate > 0
 
+    _B = np.random.default_rng(6).standard_normal((5, 3))
+
+    @pytest.mark.parametrize("op, want", [
+        (DenseOperator([[0.0, -1.0, 1.0], [1.0, 0.0, -1.0], [-1.0, 1.0, 0.0]]), np.sqrt(3.0)),
+        (DenseOperator([[1.0, -1.0], [2.0, -2.0]]), np.sqrt(10.0)),
+        (ScaledConcat(_B, 2.5), np.linalg.norm(2.5 * np.hstack([_B, -_B]), 2)),
+    ], ids=["rock-paper-scissors", "rank-one", "scaled-concat"])
+    def test_norm_2_2_restarts_when_the_ones_vector_is_in_the_nullspace(self, op, want):
+        """A 1 = 0 puts the all-ones start in the nullspace of A^T A, as for
+        every scale (B | -B); the restart finds the norm."""
+        assert not np.any(op.apply(np.ones(op.cols)))
+        np.testing.assert_allclose(norm_2_2(op), want, rtol=1e-7)
+
+    def test_norm_2_2_zero_operator(self):
+        assert norm_2_2(DenseOperator(np.zeros((3, 4)))) == 0.0
+
+    def test_norm_2_2_restart_counts_against_the_cap(self):
+        rps = DenseOperator([[0.0, -1.0, 1.0], [1.0, 0.0, -1.0], [-1.0, 1.0, 0.0]])
+        with pytest.raises(PowerIterationError) as exc:
+            norm_2_2(rps, max_iters=1)
+        assert exc.value.last_estimate == 0.0
+        # One step from the first column's basis vector reads its norm, sqrt 2.
+        with pytest.raises(PowerIterationError) as exc:
+            norm_2_2(rps, max_iters=2)
+        np.testing.assert_allclose(exc.value.last_estimate, np.sqrt(2.0), rtol=1e-15)
+
     def test_norm_equivalence_chain(self):
         """norm_1_2 <= norm_2_2 <= sqrt(n) * norm_1_2 on random matrices."""
         rng = np.random.default_rng(5)
