@@ -27,7 +27,7 @@ from .bregman import sigmoid, softmax
 from .engine import SaddleProblem, StoppingRule
 from .engine import _check_finite, _iterate, _norm, _rel_change, _run
 from .operators import DenseOperator, norm_2_2
-from .problems.lasso import shrink1
+from .problems.lasso import LassoProblem, shrink1
 from .schedules import schedule_for
 
 __all__ = [
@@ -292,14 +292,14 @@ def fista_lasso(problem, tol=1e-8, max_iters=100000):
 def prox_gradient_lasso(A, b, lam, tol=1e-10, max_iters=500000):
     """Plain forward-backward (ISTA) on the Lasso primal from x = 0, run per
     ``StoppingRule(max_iters, tol)`` to a tight iterate-change tolerance;
-    serves as an independent oracle. Raises RuntimeError if the change is
-    still above ``tol`` (always, for tol=None) after ``max_iters`` iterations."""
+    serves as an independent oracle. Refuses what ``LassoProblem`` refuses,
+    in its words. Raises RuntimeError if the change is still above ``tol``
+    (always, for tol=None) after ``max_iters`` iterations."""
     stop = StoppingRule(max_iters, tol)
     tol = -math.inf if stop.tol is None else stop.tol
-    A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float)
-    m = A.shape[0]
-    tau = m / norm_2_2(DenseOperator(A)) ** 2
+    problem = LassoProblem(A, b, lam)
+    A, b, m = problem.operator.matrix, problem.b, problem.m
+    tau = m / norm_2_2(problem.operator) ** 2
     x = np.zeros(A.shape[1])
     change = math.inf
     for _ in range(max_iters):

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checks import check_count, check_real
+from .checks import check_count, check_real, real_array
 from .schedules import schedule_for
 
 __all__ = [
@@ -105,8 +105,7 @@ class IterateState:
 
     @classmethod
     def initial(cls, x0, y0):
-        x0 = np.asarray(x0, dtype=float)
-        y0 = np.asarray(y0, dtype=float)
+        x0, y0 = real_array(x0, "x0"), real_array(y0, "y0")
         return cls(x=x0.copy(), x_prev=x0.copy(), y=y0.copy(), y_prev=y0.copy(), k=0)
 
 
@@ -357,8 +356,7 @@ def _run(problem, schedule, x0, y0, stop, regime, t0):
     """``run``, reporting ``regime`` and a wall time counted from ``t0``."""
     if stop is None:
         stop = StoppingRule()
-    x = np.asarray(x0, dtype=float).copy()
-    y = np.asarray(y0, dtype=float).copy()
+    x, y = real_array(x0, "x0").copy(), real_array(y0, "y0").copy()
     x_prev, y_prev = x, y
     acc = ErgodicAccumulator(x.shape[0], y.shape[0])
     tol, residual_fn = stop.tol, stop.residual_fn
@@ -418,8 +416,8 @@ def solve(
     """
     stop = StoppingRule(max_iters, tol, stop_on, residual_fn)
     default = problem.default_init(seed)
-    x0 = np.asarray(default[0] if x0 is None else x0, dtype=float)
-    y0 = np.asarray(default[1] if y0 is None else y0, dtype=float)
+    x0 = real_array(default[0] if x0 is None else x0, "x0")
+    y0 = real_array(default[1] if y0 is None else y0, "y0")
     problem.geom_x.validate_point(x0, interior=True)
     problem.geom_y.validate_point(y0, interior=True)
     return run(problem, problem.schedule(), x0, y0, stop)

@@ -10,13 +10,13 @@ Norms:
 * ``norm_1_inf`` -- entry of largest magnitude (l1 -> linf induced norm), O(mn)
 * ``norm_2_2``  -- largest singular value via power iteration on A^T A
 
-All operators are immutable and their apply/adjoint methods are pure.
-Because of that, a dense operator keeps max_ij |A_ij| from the scan that
-validates its matrix: one ``max`` and one ``min`` reduction prove every
-entry finite and give the entry of largest magnitude, so ``norm_1_inf``
-reads a cached number and never copies or rescans the matrix. Complex data
-is refused (``checks.real_array``), as are a bad ``ScaledConcat`` scale and
-``norm_2_2`` iteration cap (``checks.check_real``, ``checks.check_count``).
+An operator keeps the caller's matrix without copying it, so the matrix
+must not change after construction; apply/adjoint methods are pure. A dense
+operator keeps max_ij |A_ij| from the scan that validates its matrix, so
+``norm_1_inf`` and ``norm_2_2`` read it without a copy or another scan.
+Complex data is refused (``checks.real_array``), as are a bad
+``ScaledConcat`` scale and ``norm_2_2`` iteration cap
+(``checks.check_real``, ``checks.check_count``).
 
 Every solver multiplies by its problem matrix through an operator's
 ``apply`` and ``adjoint_apply``, so counting or timing those two methods
@@ -52,12 +52,19 @@ class PowerIterationError(RuntimeError):
         self.last_estimate = last_estimate
 
 
+def _matrix(value, name):
+    """``real_array(value, name)``, refusing all but a non-empty 2-d array."""
+    a = real_array(value, name)
+    if a.ndim != 2 or a.size == 0:
+        raise ValueError(f"{name} must be a non-empty 2-d matrix, got shape {a.shape}")
+    return a
+
+
 def _checked_max_abs(a, name):
-    """max |a_ij|, raising unless every entry of ``a`` is finite. One ``max``
-    and one ``min`` reduction do both: neither overflows, an infinity is an
-    extreme and a NaN propagates through either, so both are finite exactly
-    when every entry is. ``+ 0.0`` folds a -0.0 to +0.0, as ``np.abs``
-    would. It is not ``checks.check_finite``, whose sum yields no max."""
+    """max |a_ij|, raising unless every entry of ``a`` is finite. An infinity
+    is an extreme and a NaN propagates, so one ``max`` and one ``min`` (which
+    cannot overflow) are finite exactly when every entry is; a sum gives no
+    max. ``+ 0.0`` folds a -0.0 to +0.0, as ``np.abs`` would."""
     hi, lo = float(a.max()), float(a.min())
     if not (math.isfinite(hi) and math.isfinite(lo)):
         raise ValueError(f"{name} contains NaN or Inf entries")
@@ -68,13 +75,8 @@ class DenseOperator:
     """A dense m x n matrix with apply/adjoint actions."""
 
     def __init__(self, matrix):
-        a = real_array(matrix, "matrix")
-        if a.ndim != 2:
-            raise ValueError(f"matrix must be 2-d, got shape {a.shape}")
-        if a.size == 0:
-            raise ValueError("empty operator")
+        self.matrix = a = _matrix(matrix, "matrix")
         self._max_abs = _checked_max_abs(a, "matrix")
-        self.matrix = a
         self._matrix_t = a.T
         self.rows, self.cols = a.shape
 
@@ -109,10 +111,7 @@ class ScaledConcat:
 
     def __init__(self, base, scale):
         self.scale = check_real("scale", scale, positive=True)
-        b = check_finite(base, "base")
-        if b.ndim != 2 or b.size == 0:
-            raise ValueError(f"base must be a non-empty 2-d matrix, got shape {b.shape}")
-        self.base = b
+        self.base = b = check_finite(_matrix(base, "base"), "base")
         self._base_t = b.T
         self.rows, self._d = b.shape
         self.cols = 2 * self._d
@@ -160,30 +159,34 @@ def norm_1_inf(op):
 def norm_2_2(op, max_iters=5000):
     """Largest singular value estimated by power iteration on A^T A.
 
-    The start vector is the normalized all-ones vector, so the estimate is
-    deterministic. Convergence is declared when successive Rayleigh quotients
-    differ by at most 1e-10 relatively, within ``max_iters`` iterations. If
-    A 1 = 0 (rock-paper-scissors), it restarts once from the basis vector of
-    the largest column; 0.0 means every column has norm 0. A start merely
-    orthogonal to the top singular vector converges to a lower one.
-    """
+    It starts from the normalized all-ones vector, so it is deterministic,
+    and stops once successive Rayleigh quotients differ by at most 1e-10
+    relatively, within ``max_iters`` iterations. A zero operator gives 0.0 at
+    once. If A 1 = 0 (rock-paper-scissors), it restarts from the basis vector
+    of the largest column, which a non-zero A never annihilates; a start
+    merely orthogonal to the top singular vector converges to a lower one."""
     check_count("max_iters", max_iters, 1)
+    top = op.max_abs_entry()
+    if top == 0.0:
+        return 0.0
+    # Outside [2^-100, 2^100], a product of max |A_ij| could under- or overflow:
+    # iterate on s A, s the power of two putting it in [1/2, 1), clamped so s v
+    # stays normal. Exact, so no bit changes; inside, s = 1 saves two scalings.
+    s = 1.0
+    if not 2.0**-100 <= top <= 2.0**100:
+        s = math.ldexp(1.0, min(max(-math.frexp(top)[1], -1000), 1000))
     n = op.cols
     v = np.full(n, 1.0 / np.sqrt(n))
     rho_prev = None
-    restarted = False
     for _ in range(max_iters):
-        w = op.adjoint_apply(op.apply(v))
+        w = op.adjoint_apply(op.apply(v) if s == 1.0 else s * op.apply(s * v))
         rho = float(v @ w)
         if rho <= 0.0:
             # v is (numerically) in the nullspace of A^T A.
-            col = op.column_norms_sq()
-            if restarted or col.max() == 0.0:
-                return 0.0
-            restarted, rho_prev, v = True, None, np.eye(1, n, col.argmax())[0]
+            rho_prev, v = None, np.eye(1, n, op.column_norms_sq().argmax())[0]
             continue
         if rho_prev is not None and abs(rho - rho_prev) <= 1e-10 * rho:
-            return math.sqrt(rho)
+            return math.sqrt(rho) / s
         rho_prev = rho
         # w / ||w||; w is a fresh contiguous vector, for which sqrt(w . w)
         # is exactly what np.linalg.norm computes.
@@ -191,17 +194,13 @@ def norm_2_2(op, max_iters=5000):
         v = w
     raise PowerIterationError(
         f"power iteration did not converge in {max_iters} iterations",
-        last_estimate=math.sqrt(max(rho, 0.0)),
+        last_estimate=math.sqrt(max(rho, 0.0)) / s,
     )
 
 
 def save_matrix_csv(path, matrix):
-    """Write a dense matrix as CSV: one row per line, comma-separated decimals."""
-    a = np.asarray(matrix, dtype=float)
-    with open(path, "w") as fh:
-        for row in np.atleast_2d(a):
-            fh.write(",".join(repr(float(v)) for v in row))
-            fh.write("\n")
+    """Write a dense matrix as CSV: one row per line, shortest round-trip decimals."""
+    np.savetxt(path, np.atleast_2d(np.asarray(matrix, dtype=float)), delimiter=",", fmt="%s")
 
 
 def load_matrix_csv(path):

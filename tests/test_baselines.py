@@ -157,6 +157,23 @@ class TestFista:
         x_fb = prox_gradient_lasso(p.operator.matrix, p.b, p.lam, tol=1e-12)
         assert abs(p.objective(rep.x) - p.objective(x_fb)) < 1e-12
 
+    @pytest.mark.parametrize(
+        "A, b, message",
+        [
+            ([[1.0 + 1j, 2.0]], [1.0], "^matrix must be real, got complex entries$"),
+            ([[1.0, 2.0]], [1.0 + 1j], "^b must be real, got complex entries$"),
+            (np.zeros((2, 3)), [1.0, 0.5], r"^A has operator norm 0 \(all zeros\)"),
+        ],
+        ids=["complex-A", "complex-b", "zero-A"],
+    )
+    def test_ista_oracle_refuses_what_the_problem_refuses(self, A, b, message):
+        """In ``LassoProblem``'s words; a float cast would keep only the real
+        part, and an all-zero A would take the step m / 0."""
+        with pytest.raises(ValueError, match=message):
+            LassoProblem(A, b, 0.1)
+        with pytest.raises(ValueError, match=message):
+            prox_gradient_lasso(A, b, 0.1)
+
     def test_ista_oracle_raises_when_not_converged(self):
         """The oracle never hands back an unconverged iterate."""
         A, b, _ = gen_lasso_data(12, 20, 3, 0.05, seed=8)

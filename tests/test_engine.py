@@ -244,6 +244,21 @@ class TestRun:
         np.testing.assert_allclose(rep.x, [2.0])
         np.testing.assert_allclose(rep.y, [3.0])
 
+    @pytest.mark.parametrize("which", ["x0", "y0"])
+    def test_complex_start_rejected(self, which):
+        """A float cast would keep only the real part of the start point."""
+        prob = one_d_game()
+        sched = ConstantSchedule(0.5, 0.5, prob.op_norm)
+        start = {"x0": np.array([1.0]), "y0": np.array([1.0])}
+        start[which] = np.array([1.0 + 2j])
+        message = f"^{which} must be real, got complex entries$"
+        with pytest.raises(ValueError, match=message):
+            run(prob, sched, start["x0"], start["y0"], StoppingRule(max_iters=5))
+        with pytest.raises(ValueError, match=message):
+            IterateState.initial(start["x0"], start["y0"])
+        with pytest.raises(ValueError, match=message):
+            nlpdhg.solve(LassoProblem([[1.0]], [1.0], 0.1), **start)
+
     def test_converges_on_one_d_game(self):
         prob = one_d_game()
         sched = ConstantSchedule(0.5, 0.5, prob.op_norm)

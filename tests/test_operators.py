@@ -137,8 +137,41 @@ class TestNorms:
         assert not np.any(op.apply(np.ones(op.cols)))
         np.testing.assert_allclose(norm_2_2(op), want, rtol=1e-7)
 
-    def test_norm_2_2_zero_operator(self):
-        assert norm_2_2(DenseOperator(np.zeros((3, 4)))) == 0.0
+    def test_norm_2_2_zero_operator(self, monkeypatch):
+        """Settled before the power iteration takes a step."""
+        for op in (DenseOperator(np.zeros((3, 4))), ScaledConcat(np.zeros((3, 4)), 1.0)):
+            monkeypatch.setattr(op, "apply", lambda x: pytest.fail("iterated"))
+            assert norm_2_2(op) == 0.0
+
+    @pytest.mark.parametrize("s", [1e-300, 1e-170, 1e-160, 1e-30, 1e30, 1e150, 1e160, 1e200, 1e300])
+    def test_norm_2_2_at_every_magnitude(self, s):
+        """The all-s matrix has norm 3s, (s B | -s B) sqrt(2) 3s. Unscaled, the
+        power iteration read inf at 1e-160, 0.0 at 1e-170 and 1e150, and did
+        not converge at 1e160 and above."""
+        a = np.full((3, 3), s)
+        np.testing.assert_allclose(norm_2_2(DenseOperator(a)), 3 * s, rtol=1e-12)
+        np.testing.assert_allclose(
+            norm_2_2(ScaledConcat(a, 1.0)), np.sqrt(2.0) * 3 * s, rtol=1e-12
+        )
+
+    @pytest.mark.parametrize("k", [-900, -400, -101, 101, 400, 900])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_norm_2_2_scales_by_powers_of_two_to_the_bit(self, seed, k):
+        """The scaled iteration far from 1 returns 2^k times the plain one's
+        estimate near 1, bit for bit, also through a restart and the cap."""
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((7, 5))
+        if seed % 2:
+            a -= a.mean(axis=1, keepdims=True)  # A 1 = 0: the restart
+
+        def estimate(matrix, cap):
+            try:
+                return norm_2_2(DenseOperator(matrix), cap)
+            except PowerIterationError as exc:
+                return exc.last_estimate
+
+        for cap in (5000, 3):
+            assert same_bits(estimate(np.ldexp(a, k), cap), np.ldexp(estimate(a, cap), k))
 
     def test_norm_2_2_restart_counts_against_the_cap(self):
         rps = DenseOperator([[0.0, -1.0, 1.0], [1.0, 0.0, -1.0], [-1.0, 1.0, 0.0]])
@@ -163,6 +196,18 @@ class TestNorms:
     def test_empty_operator_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             DenseOperator(np.zeros((0, 3)))
+
+    @pytest.mark.parametrize("value", [np.zeros((0, 3)), np.ones(3), np.ones((2, 2, 2)), 1.0])
+    @pytest.mark.parametrize(
+        "build, name",
+        [(DenseOperator, "matrix"), (lambda a: ScaledConcat(a, 1.0), "base")],
+        ids=["dense", "scaled-concat"],
+    )
+    def test_both_operators_refuse_a_non_matrix_in_one_wording(self, build, name, value):
+        with pytest.raises(ValueError) as exc:
+            build(value)
+        shape = np.shape(value)
+        assert str(exc.value) == f"{name} must be a non-empty 2-d matrix, got shape {shape}"
 
     @pytest.mark.parametrize(
         "build, name",
@@ -223,6 +268,24 @@ class TestCauchySchwarzProbe:
                 lhs = abs(dy @ op.apply(dx))
                 rhs = nrm * (0.5 * alpha * norm_x(dx) ** 2 + 0.5 / alpha * norm_y(dy) ** 2)
                 assert lhs <= rhs * (1 + 1e-12)
+
+
+def _repr_csv(a):
+    """The CSV text as a hand-written writer put it: repr of each entry."""
+    return "".join(",".join(repr(float(v)) for v in row) + "\n" for row in np.atleast_2d(a))
+
+
+def test_csv_text_is_the_shortest_repr_of_each_entry(tmp_path):
+    rng = np.random.default_rng(8)
+    values = np.concatenate([
+        rng.integers(0, 2**64, size=2000, dtype=np.uint64).view(np.float64),
+        rng.standard_normal(2000) * 10.0 ** rng.uniform(-320, 307, 2000),
+        [0.0, -0.0, 5e-324, -5e-324, np.finfo(float).max, np.inf, -np.inf, np.nan, 1e16, 1e-5],
+    ])
+    path = tmp_path / "mat.csv"
+    for a in (values.reshape(-1, 1), values.reshape(1, -1), values.reshape(10, -1), [1, 2], 3.5):
+        save_matrix_csv(path, a)
+        assert path.read_text() == _repr_csv(a)
 
 
 def test_csv_round_trip(tmp_path):
