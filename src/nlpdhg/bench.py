@@ -9,8 +9,11 @@ wall time is the only nondeterministic column and can be suppressed with
 
 Timing accounting: solver wall time excludes data generation and the cheap
 column/entry norm precomputation of the nonlinear methods (it happens at
-problem construction); the linear PDHG and FISTA baselines compute their
-largest-singular-value estimate inside the timed region.
+problem construction). The linear PDHG, forward-backward and FISTA
+baselines compute their largest-singular-value estimate inside the timed
+region. Both logreg baselines (linear PDHG and forward-backward) also
+build ``DenseOperator(problem.B)``, with its finiteness scan of B, inside
+it.
 """
 
 from __future__ import annotations

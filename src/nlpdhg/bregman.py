@@ -13,7 +13,9 @@ pure functions, so instances are safe to share between threads. They share
 no base class; callers use ``value``, ``gradient``, ``divergence``,
 ``validate_point`` and ``step`` by name. ``step(x_bar, g, coef, damping)``,
 every prox's one call, gives the fresh argmin of (damping - 1) phi(x) -
-coef <g, x> + D(x, x_bar) (psi = phi / scale on the box), unchecked.
+coef <g, x> + D(x, x_bar) in the geometry's own phi, unchecked: the x with
+damping grad phi(x) = grad phi(x_bar) + coef g (up to a constant on the
+simplex).
 ``sigmoid`` is one ``np.where`` over the whole array: the bits of a masked
 fill of its two stable branches, without the costlier gathers and scatters.
 """
@@ -197,9 +199,13 @@ class BinaryEntropyAverage:
 
     def __init__(self, m, scale=None):
         self.m = check_count("m", m, 1)
+        # ``step`` multiplies by 1/scale. At the default it is 4m exactly,
+        # which 1/(1/(4m)) is not for every m (the first miss is m = 49).
         if scale is None:
-            scale = 1.0 / (4.0 * self.m)
-        self.scale = check_real("scale", scale, positive=True)
+            self.scale, self._inv_scale = 1.0 / (4.0 * self.m), 4.0 * self.m
+        else:
+            self.scale = check_real("scale", scale, positive=True)
+            self._inv_scale = 1.0 / self.scale
 
     def _check(self, y, name, interior):
         y = _asvector(y, name)
@@ -235,9 +241,9 @@ class BinaryEntropyAverage:
         self._check(y, "y", interior)
 
     def step(self, y_bar, g, coef, damping):
-        """sigmoid((logit(m y_bar) + coef g) / damping) / m."""
+        """sigmoid((logit(m y_bar) + (coef / scale) g) / damping) / m."""
         w = logit(self.m * np.asarray(y_bar, dtype=float))
-        w += coef * g
+        w += (coef * self._inv_scale) * g
         w /= damping
         y = sigmoid(w)
         y /= self.m

@@ -79,6 +79,14 @@ class SaddleProblem:
     arguments (``run`` passes its iterates without copying); it may work in
     place on arrays it allocated.
 
+    When g is gamma_g phi_X plus a linear term (and h* likewise
+    gamma_h_star phi_Y), each prox is one geometry ``step`` in that form:
+    ``geom_x.step(x_bar, aty + c, -tau, 1.0 + gamma_g * tau)`` and
+    ``geom_y.step(y_bar, ax - d, sigma, 1.0 + gamma_h_star * sigma)``, c and
+    d the linear terms. So the constants that pick the schedule are the
+    ones in the proxes. Every worked prox but the Lasso primal (soft
+    thresholding) takes this form.
+
     For ``solve``, a problem also provides ``default_init(seed)``, its start
     pair (x0, y0). It need not provide ``schedule()``: the inherited one
     picks a fresh schedule from ``op_norm`` and the two constants.

@@ -162,9 +162,11 @@ def norm_2_2(op, max_iters=5000):
     It starts from the normalized all-ones vector, so it is deterministic,
     and stops once successive Rayleigh quotients differ by at most 1e-10
     relatively, within ``max_iters`` iterations. A zero operator gives 0.0 at
-    once. If A 1 = 0 (rock-paper-scissors), it restarts from the basis vector
-    of the largest column, which a non-zero A never annihilates; a start
-    merely orthogonal to the top singular vector converges to a lower one."""
+    once. If A 1 = 0 (rock-paper-scissors), it restarts from a fixed-seed
+    Gaussian unit vector, which almost surely has a component along the top
+    right singular vector; a basis vector may not (a start orthogonal to it
+    converges to a lower singular value). The restart counts against
+    ``max_iters``."""
     check_count("max_iters", max_iters, 1)
     top = op.max_abs_entry()
     if top == 0.0:
@@ -183,7 +185,9 @@ def norm_2_2(op, max_iters=5000):
         rho = float(v @ w)
         if rho <= 0.0:
             # v is (numerically) in the nullspace of A^T A.
-            rho_prev, v = None, np.eye(1, n, op.column_norms_sq().argmax())[0]
+            v = np.random.default_rng(0).standard_normal(n)
+            v /= math.sqrt(v.dot(v))
+            rho_prev = None
             continue
         if rho_prev is not None and abs(rho - rho_prev) <= 1e-10 * rho:
             return math.sqrt(rho) / s

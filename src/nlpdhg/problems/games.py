@@ -46,10 +46,10 @@ class MatrixGameProblem(SaddleProblem):
         self.gamma_h_star = self.lam
 
     def primal_prox(self, aty, x_bar, tau):
-        return self.geom_x.step(x_bar, aty, -tau, 1.0 + self.lam * tau)
+        return self.geom_x.step(x_bar, aty, -tau, 1.0 + self.gamma_g * tau)
 
     def dual_prox(self, ax, y_bar, sigma):
-        return self.geom_y.step(y_bar, ax, sigma, 1.0 + self.lam * sigma)
+        return self.geom_y.step(y_bar, ax, sigma, 1.0 + self.gamma_h_star * sigma)
 
     def default_init(self, seed=0):
         """A random interior point of each simplex, drawn from ``seed``."""

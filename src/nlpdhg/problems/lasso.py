@@ -71,7 +71,7 @@ class LassoProblem(SaddleProblem):
         return shrink1(np.subtract(x_bar, u, out=u), self.lam * tau)
 
     def dual_prox(self, ax, y_bar, sigma):
-        return self.geom_y.step(y_bar, ax - self.b, sigma, 1.0 + sigma)
+        return self.geom_y.step(y_bar, ax - self.b, sigma, 1.0 + self.gamma_h_star * sigma)
 
     def objective(self, x):
         r = self.operator.apply(np.asarray(x, dtype=float)) - self.b

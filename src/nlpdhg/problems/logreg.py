@@ -7,10 +7,10 @@ with x on the unit simplex of dimension n = 2d, turning the problem into
 
 where row i of B is -b_i u_i (feature vector times label, negated). The
 saddle-point form pairs the simplex (negative-entropy geometry) with a dual
-box (0, 1/m)^m carrying the averaged-binary-entropy geometry, so both proxes
-are one geometry ``step``: multiplicative weights in x and a logit shift in
-y. The dual part is strongly convex with gamma_h_star = 4m, which enables
-the accelerated dual schedule; operator norm is the max column l2 norm.
+box (0, 1/m)^m carrying the averaged-binary-entropy geometry phi_Y of scale
+1/(4m). The dual part is h* = 4m phi_Y, so gamma_h_star = 4m, which enables
+the accelerated dual schedule, and both proxes are one geometry ``step``
+(see ``SaddleProblem``). The operator norm is the max column l2 norm.
 The inherited ``schedule()`` picks that schedule from the two (tau0 =
 2m/||A||_{1,2}^2, so sigma0 = 1/(2m)); ``solve_l1_logreg`` (``engine.solve``)
 runs it.
@@ -59,11 +59,10 @@ class L1LogRegProblem(SaddleProblem):
         self.gamma_h_star = 4.0 * self.m
 
     def primal_prox(self, aty, x_bar, tau):
-        return self.geom_x.step(x_bar, aty, -tau, 1.0)
+        return self.geom_x.step(x_bar, aty, -tau, 1.0 + self.gamma_g * tau)
 
     def dual_prox(self, ax, y_bar, sigma):
-        c = 4.0 * self.m * sigma
-        return self.geom_y.step(y_bar, ax, c, 1.0 + c)
+        return self.geom_y.step(y_bar, ax, sigma, 1.0 + self.gamma_h_star * sigma)
 
     def objective_v(self, v):
         """Primal objective of the original ball-constrained problem at v."""

@@ -247,6 +247,20 @@ class TestGameBaselines:
         np.testing.assert_allclose(rep.x, np.full(3, 1.0 / 3.0), atol=1e-7)
         np.testing.assert_allclose(rep.y, np.full(3, 1.0 / 3.0), atol=1e-7)
 
+    def test_linear_pdhg_game_on_a_block_payoff(self):
+        """A 1 = 0, and the largest column's basis vector is orthogonal to
+        the top right singular vector. Restarted there, norm_2_2 read sqrt 8
+        for sqrt 18, and the steps (tau sigma ||A||^2 = 2.25) ran 20000
+        iterations without converging."""
+        payoff = np.zeros((2, 10))
+        payoff[0, :2], payoff[1, 2:6], payoff[1, 6:] = (2.0, -2.0), 1.5, -1.5
+        p = MatrixGameProblem(payoff, 0.1)
+        rep = solve_linear_pdhg_game(p, tol=1e-8, max_iters=20000)
+        assert rep.converged
+        nl = solve_matrix_game(p, tol=1e-9, max_iters=20000)
+        np.testing.assert_allclose(rep.x, nl.x, atol=1e-6)
+        np.testing.assert_allclose(rep.y, nl.y, atol=1e-6)
+
 
 class TestLogRegBaselines:
     def test_projection_keeps_feasibility(self):

@@ -12,6 +12,12 @@ from nlpdhg.bregman import (
     Quadratic,
     three_point_check,
 )
+from nlpdhg.problems import (
+    L1LogRegProblem,
+    LassoProblem,
+    MatrixGameProblem,
+    QuadraticSaddleProblem,
+)
 
 # Frozen with 40-digit arithmetic: 0.5 log 2 + 0.5 log(2/3).
 KL_HALF_QUARTER = 0.14384103622589045
@@ -273,3 +279,79 @@ def test_box_upper_test_is_the_one_minus_s_test(values):
     is exact for s in [0.5, 2], so it is <= 0 or at least 2**-53."""
     s = np.array(values)
     assert bool(s.max() >= 1.0) == bool(np.min(1.0 - s) < 1e-300)
+
+
+@st.composite
+def step_cases(draw):
+    """A geometry at its default or a given scale, an interior x_bar, and
+    g, coef and damping small enough that the step stays well inside the
+    domain, where the gradients keep their digits."""
+    kind = draw(st.sampled_from(["quadratic", "simplex", "box"]))
+    n = draw(st.integers(1, 8))
+    scale = draw(st.one_of(st.none(), st.floats(0.3, 20.0)))
+    if kind == "quadratic":
+        geom = Quadratic() if scale is None else Quadratic(scale)
+        x_bar = np.array(draw(st.lists(st.floats(-5.0, 5.0), min_size=n, max_size=n)))
+    else:
+        w = np.array(draw(st.lists(st.floats(0.01, 0.99), min_size=n, max_size=n)))
+        if kind == "simplex":
+            geom, x_bar = NegativeEntropy(n), w / w.sum()
+        else:
+            geom = BinaryEntropyAverage(n) if scale is None else BinaryEntropyAverage(n, scale)
+            x_bar = w / n
+    g = np.array(draw(st.lists(st.floats(-0.5, 0.5), min_size=n, max_size=n)))
+    coef, damping = draw(st.floats(-1.0, 1.0)), draw(st.floats(1.0, 50.0))
+    return kind, geom, x_bar, g, coef, damping
+
+
+@settings(max_examples=300, deadline=None)
+@given(step_cases())
+def test_each_step_is_the_bregman_prox_in_its_own_phi(case):
+    """step(x_bar, g, coef, damping) is the argmin of (damping - 1) phi(x) -
+    coef <g, x> + D(x, x_bar), so damping grad phi(x) = grad phi(x_bar) +
+    coef g, up to a constant on the simplex. The box step once took coef
+    in units of psi = phi / scale and missed this."""
+    kind, geom, x_bar, g, coef, damping = case
+    x = geom.step(x_bar, g, coef, damping)
+    rhs = geom.gradient(x_bar) + coef * g
+    miss = damping * geom.gradient(x) - rhs
+    if kind == "simplex":
+        miss -= miss.mean()
+    assert np.abs(miss).max() <= 1e-9 * (1.0 + damping * np.abs(rhs).max())
+
+
+def _worked_proxes():
+    """(problem, primal linear term, dual linear term) for every problem
+    whose proxes are geometry steps; the Lasso primal is soft thresholding,
+    so it has no primal term. The proxes read no matrix."""
+    rng = np.random.default_rng(0)
+    m, n = 4, 3
+    a, b = rng.standard_normal((m, n)), rng.standard_normal(m)
+    c, d = rng.standard_normal(n), rng.standard_normal(m)
+    return [
+        (MatrixGameProblem(a, 0.3), 0.0, 0.0),
+        (L1LogRegProblem(a, 1.5), 0.0, 0.0),
+        (LassoProblem(a, b, 0.2), None, b),
+        (QuadraticSaddleProblem(a, 0.7, 1.9, c, d), c, d),
+    ]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.floats(1e-3, 1e3), st.floats(1e-3, 1e3))
+def test_each_worked_prox_is_its_step_with_the_schedule_gammas(seed, tau, sigma):
+    """Each worked prox is geom.step(bar, g, +-step, 1 + gamma step), bit for
+    bit, on the gamma_g and gamma_h_star that pick the problem's schedule."""
+    rng = np.random.default_rng(seed)
+    for p, c, d in _worked_proxes():
+        m, n = p.operator.rows, p.operator.cols
+        aty, ax = rng.standard_normal(n), rng.standard_normal(m)
+        x_bar, y_bar = rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(m))
+        if isinstance(p.geom_y, BinaryEntropyAverage):
+            y_bar /= m
+        pairs = [(p.dual_prox(ax, y_bar, sigma),
+                  p.geom_y.step(y_bar, ax - d, sigma, 1.0 + p.gamma_h_star * sigma))]
+        if c is not None:
+            pairs.append((p.primal_prox(aty, x_bar, tau),
+                          p.geom_x.step(x_bar, aty + c, -tau, 1.0 + p.gamma_g * tau)))
+        for got, want in pairs:
+            assert got.tobytes() == want.tobytes()

@@ -125,15 +125,23 @@ class TestNorms:
         assert exc.value.last_estimate > 0
 
     _B = np.random.default_rng(6).standard_normal((5, 3))
+    # Two blocks, norms sqrt 8 and sqrt 18: the largest column's basis
+    # vector lies in the first, orthogonal to the top right singular vector.
+    _BLOCKS = np.zeros((2, 10))
+    _BLOCKS[0, :2], _BLOCKS[1, 2:6], _BLOCKS[1, 6:] = (2.0, -2.0), 1.5, -1.5
 
     @pytest.mark.parametrize("op, want", [
         (DenseOperator([[0.0, -1.0, 1.0], [1.0, 0.0, -1.0], [-1.0, 1.0, 0.0]]), np.sqrt(3.0)),
         (DenseOperator([[1.0, -1.0], [2.0, -2.0]]), np.sqrt(10.0)),
         (ScaledConcat(_B, 2.5), np.linalg.norm(2.5 * np.hstack([_B, -_B]), 2)),
-    ], ids=["rock-paper-scissors", "rank-one", "scaled-concat"])
+        (DenseOperator(_BLOCKS), np.sqrt(18.0)),
+        (DenseOperator([[0.0, 1e-170, -1e-170], [0.0, 2e-170, -2e-170]]), np.sqrt(10.0) * 1e-170),
+    ], ids=["rock-paper-scissors", "rank-one", "scaled-concat", "blocks", "tiny"])
     def test_norm_2_2_restarts_when_the_ones_vector_is_in_the_nullspace(self, op, want):
         """A 1 = 0 puts the all-ones start in the nullspace of A^T A, as for
-        every scale (B | -B); the restart finds the norm."""
+        every scale (B | -B); the restart finds the norm. A restart from the
+        largest column's basis vector read sqrt 8 on the blocks, and at the
+        tiny entries, whose squared column norms underflow, did not converge."""
         assert not np.any(op.apply(np.ones(op.cols)))
         np.testing.assert_allclose(norm_2_2(op), want, rtol=1e-7)
 
@@ -178,10 +186,10 @@ class TestNorms:
         with pytest.raises(PowerIterationError) as exc:
             norm_2_2(rps, max_iters=1)
         assert exc.value.last_estimate == 0.0
-        # One step from the first column's basis vector reads its norm, sqrt 2.
+        # One step from the restart's fixed Gaussian vector v reads ||A v||.
         with pytest.raises(PowerIterationError) as exc:
             norm_2_2(rps, max_iters=2)
-        np.testing.assert_allclose(exc.value.last_estimate, np.sqrt(2.0), rtol=1e-15)
+        np.testing.assert_allclose(exc.value.last_estimate, 1.4468356188428628, rtol=1e-15)
 
     def test_norm_equivalence_chain(self):
         """norm_1_2 <= norm_2_2 <= sqrt(n) * norm_1_2 on random matrices."""
