@@ -15,7 +15,8 @@ no base class; callers use ``value``, ``gradient``, ``divergence``,
 every prox's one call, gives the fresh argmin of (damping - 1) phi(x) -
 coef <g, x> + D(x, x_bar) in the geometry's own phi, unchecked: the x with
 damping grad phi(x) = grad phi(x_bar) + coef g (up to a constant on the
-simplex).
+simplex). The other methods check their points: finite entries, and the
+length of a simplex or box point through ``checks.check_vector``.
 ``sigmoid`` is one ``np.where`` over the whole array: the bits of a masked
 fill of its two stable branches, without the costlier gathers and scatters.
 """
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .checks import check_count, check_finite, check_real
+from .checks import check_count, check_finite, check_real, check_vector
 
 __all__ = [
     "Quadratic",
@@ -121,10 +122,7 @@ class Quadratic:
 
     def divergence(self, x, x_bar):
         x = _asvector(x, "x")
-        x_bar = _asvector(x_bar, "x_bar")
-        if x.shape != x_bar.shape:
-            raise ValueError(f"dimension mismatch: {x.shape} vs {x_bar.shape}")
-        d = x - x_bar
+        d = x - check_vector(check_finite(x_bar, "x_bar"), x.shape[0], "x_bar")
         return 0.5 * self.scale * float(d @ d)
 
     def validate_point(self, x, interior=False):
@@ -151,9 +149,7 @@ class NegativeEntropy:
         self.dim = check_count("dim", dim, 1)
 
     def _check(self, x, name, interior):
-        x = _asvector(x, name)
-        if x.shape[0] != self.dim:
-            raise ValueError(f"{name} has dimension {x.shape[0]}, expected {self.dim}")
+        x = check_vector(check_finite(x, name), self.dim, name)
         if interior:
             if x.min() < EPS_DOM:
                 raise ValueError(f"{name} is on or below the simplex boundary")
@@ -208,9 +204,7 @@ class BinaryEntropyAverage:
             self._inv_scale = 1.0 / self.scale
 
     def _check(self, y, name, interior):
-        y = _asvector(y, name)
-        if y.shape[0] != self.m:
-            raise ValueError(f"{name} has dimension {y.shape[0]}, expected {self.m}")
+        y = check_vector(check_finite(y, name), self.m, name)
         s = self.m * y
         if interior:
             # min(1 - s) < EPS_DOM, as 1 - s is exact (<= 0 or >= 2**-53) near 1.

@@ -1,7 +1,9 @@
 """The package's argument checks, one wording each: a finite real, a count,
-an array of finite reals. A bool is no number here, and complex data is
-refused, not cut to its real part. Nothing from the package is imported, so
-every module can use them."""
+an array of finite reals, a vector of a given length. A bool is no number
+here, and complex data is refused, not cut to its real part. Nothing from
+the package is imported, so every module can use them. Operator products,
+problem vectors and geometry points all go through ``check_vector``, which
+scans no entry; a caller that needs finite entries adds ``check_finite``."""
 
 from __future__ import annotations
 
@@ -10,7 +12,9 @@ import numbers
 
 import numpy as np
 
-__all__ = ["check_real", "check_count", "check_finite", "real_array"]
+__all__ = ["check_real", "check_count", "check_finite", "check_vector", "real_array"]
+
+_FLOAT = np.dtype(float)
 
 
 def check_real(name, value, positive):
@@ -53,4 +57,16 @@ def check_finite(value, name):
         total = a.sum()
     if not (math.isfinite(total) or np.isfinite(a).all()):
         raise ValueError(f"{name} contains NaN or Inf entries")
+    return a
+
+
+def check_vector(value, size, name):
+    """``value`` as a float array of shape (size,), a float one as itself with
+    no cast or scan; ValueError naming ``name`` otherwise or, as
+    ``real_array``, for complex entries."""
+    a = np.asarray(value)
+    if a.dtype is not _FLOAT:
+        a = real_array(a, name)
+    if a.shape != (size,):
+        raise ValueError(f"{name} must have shape ({size},), got {a.shape}")
     return a

@@ -11,12 +11,13 @@ Norms:
 * ``norm_2_2``  -- largest singular value via power iteration on A^T A
 
 An operator keeps the caller's matrix without copying it, so the matrix
-must not change after construction; apply/adjoint methods are pure. A dense
+must not change after construction; apply/adjoint methods are pure. Each
 operator keeps max_ij |A_ij| from the scan that validates its matrix, so
-``norm_1_inf`` and ``norm_2_2`` read it without a copy or another scan.
-Complex data is refused (``checks.real_array``), as are a bad
-``ScaledConcat`` scale and ``norm_2_2`` iteration cap
-(``checks.check_real``, ``checks.check_count``).
+the norms read it without another scan; far from 1 it sets the power of two
+by which they scale a copy of the matrix. Complex data is refused
+(``checks.real_array``; a product's vector through ``checks.check_vector``,
+which scans no entry), as are a bad ``ScaledConcat`` scale and
+``norm_2_2`` iteration cap (``checks.check_real``, ``checks.check_count``).
 
 Every solver multiplies by its problem matrix through an operator's
 ``apply`` and ``adjoint_apply``, so counting or timing those two methods
@@ -30,7 +31,7 @@ import math
 
 import numpy as np
 
-from .checks import check_count, check_finite, check_real, real_array
+from .checks import check_count, check_real, check_vector, real_array
 
 __all__ = [
     "DenseOperator",
@@ -81,16 +82,10 @@ class DenseOperator:
         self.rows, self.cols = a.shape
 
     def apply(self, x):
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.cols,):
-            raise ValueError(f"expected input of shape ({self.cols},), got {x.shape}")
-        return self.matrix.dot(x)
+        return self.matrix.dot(check_vector(x, self.cols, "x"))
 
     def adjoint_apply(self, y):
-        y = np.asarray(y, dtype=float)
-        if y.shape != (self.rows,):
-            raise ValueError(f"expected input of shape ({self.rows},), got {y.shape}")
-        return self._matrix_t.dot(y)
+        return self._matrix_t.dot(check_vector(y, self.rows, "y"))
 
     def column_norms_sq(self):
         return np.einsum("ij,ij->j", self.matrix, self.matrix)
@@ -111,28 +106,24 @@ class ScaledConcat:
 
     def __init__(self, base, scale):
         self.scale = check_real("scale", scale, positive=True)
-        self.base = b = check_finite(_matrix(base, "base"), "base")
+        self.base = b = _matrix(base, "base")
+        self._max_abs = self.scale * _checked_max_abs(b, "base")
         self._base_t = b.T
         self.rows, self._d = b.shape
         self.cols = 2 * self._d
 
     def apply(self, x):
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.cols,):
-            raise ValueError(f"expected input of shape ({self.cols},), got {x.shape}")
+        x = check_vector(x, self.cols, "x")
         d = self._d
         out = self.base.dot(x[:d] - x[d:])
         out *= self.scale
         return out
 
     def adjoint_apply(self, y):
-        y = np.asarray(y, dtype=float)
-        if y.shape != (self.rows,):
-            raise ValueError(f"expected input of shape ({self.rows},), got {y.shape}")
         # scale * B^T y into the first half, its negation into the second.
         out = np.empty(self.cols)
         bty = out[: self._d]
-        self._base_t.dot(y, out=bty)
+        self._base_t.dot(check_vector(y, self.rows, "y"), out=bty)
         bty *= self.scale
         np.negative(bty, out=out[self._d :])
         return out
@@ -143,12 +134,30 @@ class ScaledConcat:
         return np.concatenate([base_sq, base_sq])
 
     def max_abs_entry(self):
-        return self.scale * _checked_max_abs(self.base, "base")
+        return self._max_abs
+
+
+def _scaled(op):
+    """(s, an operator for s A) with s a power of two, so that a norm of
+    s A over s is the norm of A and scales by powers of two bit for bit.
+
+    For max |A_ij| in [2^-100, 2^100] (or 0), no product of two entries
+    under- or overflows: s = 1.0 and the operator is ``op`` itself. Outside,
+    s puts s max |A_ij| in [1/2, 1), clamped to [2^-1000, 2^1000] (ldexp
+    overflows past 2^1023), and the copy scales the stored matrix."""
+    top = op.max_abs_entry()
+    if top == 0.0 or 2.0**-100 <= top <= 2.0**100:
+        return 1.0, op
+    s = math.ldexp(1.0, min(max(-math.frexp(top)[1], -1000), 1000))
+    if isinstance(op, ScaledConcat):
+        return s, ScaledConcat(s * op.base, op.scale)
+    return s, DenseOperator(s * op.matrix)
 
 
 def norm_1_2(op):
     """Maximum l2 norm of a column: max_j sqrt(sum_i A_ij^2)."""
-    return float(np.sqrt(np.max(op.column_norms_sq())))
+    s, op = _scaled(op)
+    return float(np.sqrt(np.max(op.column_norms_sq()))) / s
 
 
 def norm_1_inf(op):
@@ -168,20 +177,15 @@ def norm_2_2(op, max_iters=5000):
     converges to a lower singular value). The restart counts against
     ``max_iters``."""
     check_count("max_iters", max_iters, 1)
-    top = op.max_abs_entry()
-    if top == 0.0:
+    if op.max_abs_entry() == 0.0:
         return 0.0
-    # Outside [2^-100, 2^100], a product of max |A_ij| could under- or overflow:
-    # iterate on s A, s the power of two putting it in [1/2, 1), clamped so s v
-    # stays normal. Exact, so no bit changes; inside, s = 1 saves two scalings.
-    s = 1.0
-    if not 2.0**-100 <= top <= 2.0**100:
-        s = math.ldexp(1.0, min(max(-math.frexp(top)[1], -1000), 1000))
+    # Far from 1, iterate on s A (see ``_scaled``).
+    s, op = _scaled(op)
     n = op.cols
     v = np.full(n, 1.0 / np.sqrt(n))
     rho_prev = None
     for _ in range(max_iters):
-        w = op.adjoint_apply(op.apply(v) if s == 1.0 else s * op.apply(s * v))
+        w = op.adjoint_apply(op.apply(v))
         rho = float(v @ w)
         if rho <= 0.0:
             # v is (numerically) in the nullspace of A^T A.

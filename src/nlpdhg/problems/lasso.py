@@ -20,9 +20,9 @@ from __future__ import annotations
 import numpy as np
 
 from ..bregman import Quadratic
-from ..checks import check_finite, check_real
+from ..checks import check_finite, check_real, check_vector
 from ..engine import SaddleProblem, solve
-from ..operators import DenseOperator
+from ..operators import DenseOperator, _scaled
 
 __all__ = [
     "shrink1",
@@ -55,11 +55,9 @@ class LassoProblem(SaddleProblem):
         self.lam = check_real("lam", lam, positive=True)
         self.operator = DenseOperator(A)
         self.m, self.n = self.operator.rows, self.operator.cols
-        b = check_finite(b, "b")
-        if b.shape != (self.m,):
-            raise ValueError(f"b must have shape ({self.m},), got {b.shape}")
-        self.b = b
-        self.op_norm = float(np.sqrt(np.max(self.operator.row_norms_sq())))
+        self.b = check_vector(check_finite(b, "b"), self.m, "b")
+        s, op = _scaled(self.operator)
+        self.op_norm = float(np.sqrt(np.max(op.row_norms_sq()))) / s
         if self.op_norm == 0.0:
             raise ValueError("A has operator norm 0 (all zeros): no step size exists")
         self.geom_x = Quadratic(1.0)
@@ -74,7 +72,7 @@ class LassoProblem(SaddleProblem):
         return self.geom_y.step(y_bar, ax - self.b, sigma, 1.0 + self.gamma_h_star * sigma)
 
     def objective(self, x):
-        r = self.operator.apply(np.asarray(x, dtype=float)) - self.b
+        r = self.operator.apply(x) - self.b
         return float(self.lam * np.sum(np.abs(x)) + 0.5 / self.m * (r @ r))
 
     def default_init(self, seed=0):
@@ -89,8 +87,8 @@ def lasso_optimality_residual(problem, x, y):
     |[A^T y]_j + lam sign(x_j)| on the support and max(|[A^T y]_j| - lam, 0)
     off it.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    x = check_vector(x, problem.n, "x")
+    y = check_vector(y, problem.m, "y")
     r_fit = float(np.linalg.norm(problem.m * y - (problem.operator.apply(x) - problem.b)))
     aty = problem.operator.adjoint_apply(y)
     on = x != 0.0

@@ -21,9 +21,9 @@ from __future__ import annotations
 import numpy as np
 
 from ..bregman import BinaryEntropyAverage, NegativeEntropy, sigmoid
-from ..checks import check_real, real_array
+from ..checks import check_real, check_vector
 from ..engine import SaddleProblem, solve
-from ..operators import ScaledConcat, norm_1_2
+from ..operators import ScaledConcat, _matrix, norm_1_2
 
 __all__ = [
     "L1LogRegProblem",
@@ -43,11 +43,8 @@ class L1LogRegProblem(SaddleProblem):
     problem_id = "l1-logreg"
 
     def __init__(self, B, lam):
-        B = real_array(B, "B")
-        if B.ndim != 2:
-            raise ValueError(f"B must be an m x d matrix, got shape {B.shape}")
+        self.B = B = _matrix(B, "B")
         self.lam = check_real("lam", lam, positive=True)
-        self.B = B
         self.m, self.d = B.shape
         self.n = 2 * self.d
         self.operator = ScaledConcat(B, self.lam)
@@ -87,14 +84,14 @@ def recover_v(x, lam):
 def l1logreg_dual_residual(problem, x, y):
     """||y - phi(A x)||_2 where phi is the componentwise sigmoid-over-m map;
     vanishes at a saddle point."""
-    target = sigmoid(problem.operator.apply(np.asarray(x, dtype=float))) / problem.m
-    return float(np.linalg.norm(np.asarray(y, dtype=float) - target))
+    target = sigmoid(problem.operator.apply(x)) / problem.m
+    return float(np.linalg.norm(check_vector(y, problem.m, "y") - target))
 
 
 def support_from_dual(problem, y, tol):
     """Indices that can carry primal mass: within tol of max_j [-A^T y]_j."""
     check_real("tol", tol, positive=False)
-    s = -problem.operator.adjoint_apply(np.asarray(y, dtype=float))
+    s = -problem.operator.adjoint_apply(y)
     return np.flatnonzero(s >= s.max() - tol)
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..bregman import Quadratic
-from ..checks import check_finite, check_real
+from ..checks import check_finite, check_real, check_vector
 from ..engine import SaddleProblem
 from ..operators import DenseOperator
 
@@ -24,10 +24,7 @@ def _linear_term(v, size, name):
     """A finite vector of shape (size,); None means zeros."""
     if v is None:
         return np.zeros(size)
-    v = check_finite(v, name)
-    if v.shape != (size,):
-        raise ValueError(f"{name} must have shape ({size},), got {v.shape}")
-    return v
+    return check_vector(check_finite(v, name), size, name)
 
 
 class QuadraticSaddleProblem(SaddleProblem):
@@ -51,8 +48,8 @@ class QuadraticSaddleProblem(SaddleProblem):
         return self.geom_y.step(y_bar, ax - self.d, sigma, 1.0 + self.gamma_h_star * sigma)
 
     def lagrangian(self, x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
+        x = check_vector(x, self.operator.cols, "x")
+        y = check_vector(y, self.operator.rows, "y")
         return float(
             0.5 * self.gamma_g * x @ x
             + self.c @ x

@@ -61,7 +61,7 @@ class TestDivergence:
         np.testing.assert_allclose(g.divergence(y, yb), expect, rtol=1e-13)
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="dimension"):
+        with pytest.raises(ValueError, match=r"x must have shape \(3,\), got \(2,\)"):
             NegativeEntropy(3).divergence([0.5, 0.5], [0.25, 0.25, 0.5])
 
     def test_boundary_second_argument_rejected(self):
@@ -227,7 +227,7 @@ _OFF_BOX = "y lies outside the box [0, 1/m]^m"
     [
         (lambda: Quadratic().value(np.zeros((2, 2))), "x must be a 1-d vector, got shape (2, 2)"),
         (lambda: Quadratic().value([1.0, np.nan]), "x contains NaN or Inf entries"),
-        (lambda: NegativeEntropy(3).value([0.5, 0.5]), "x has dimension 2, expected 3"),
+        (lambda: NegativeEntropy(3).value([0.5, 0.5]), "x must have shape (3,), got (2,)"),
         (lambda: _SIMPLEX.gradient([1.0, 0.0]), "x is on or below the simplex boundary"),
         (lambda: _SIMPLEX.gradient([1.0, 1e-301]), "x is on or below the simplex boundary"),
         (lambda: _SIMPLEX.value([1.5, -0.5]), "x has negative entries"),
@@ -235,7 +235,7 @@ _OFF_BOX = "y lies outside the box [0, 1/m]^m"
             lambda: _SIMPLEX.value([0.5, 0.75]),
             "x does not sum to 1 (sum = 1.25)",
         ),
-        (lambda: _BOX.value([0.25]), "y has dimension 1, expected 2"),
+        (lambda: _BOX.value([0.25]), "y must have shape (2,), got (1,)"),
         (lambda: _BOX.gradient([0.0, 0.25]), _ON_BOX),
         (lambda: _BOX.gradient([0.25, 0.5]), _ON_BOX),
         (lambda: _BOX.gradient([0.25, 0.75]), _ON_BOX),

@@ -2,6 +2,7 @@
 through it."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,10 +11,14 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from nlpdhg import data
-from nlpdhg.bregman import NegativeEntropy, Quadratic
-from nlpdhg.checks import check_count, check_finite, check_real
+from nlpdhg.bregman import BinaryEntropyAverage, NegativeEntropy, Quadratic
+from nlpdhg.checks import check_count, check_finite, check_real, check_vector
 from nlpdhg.data import gen_game_data, gen_lasso_data, gen_logreg_data
 from nlpdhg.operators import ScaledConcat, norm_2_2
+from nlpdhg.problems.games import MatrixGameProblem, game_optimality_residual
+from nlpdhg.problems.lasso import LassoProblem, lasso_optimality_residual
+from nlpdhg.problems.logreg import L1LogRegProblem, l1logreg_dual_residual, support_from_dual
+from nlpdhg.problems.quadratic import QuadraticSaddleProblem
 from nlpdhg.schedules import (
     AccDualSchedule,
     AccPrimalSchedule,
@@ -62,7 +67,8 @@ def test_checks_accept_numbers_and_refuse_the_rest(
     of its bound, and ints ``check_count``. Bools, NaN, infinities, complex
     numbers, strings and fractions are refused, each with its one message.
     ``check_finite`` hands back a float array (a float64 one as itself) and
-    refuses a NaN, an infinity or a complex dtype."""
+    refuses a NaN, an infinity or a complex dtype; ``check_vector`` hands
+    back a 1-d one the same way and refuses every other shape."""
     number = not isinstance(value, (bool, np.bool_, complex, np.complexfloating, str))
     number = number and value is not None and math.isfinite(value)
     if number and (value > 0 if positive else value >= 0):
@@ -98,6 +104,52 @@ def test_checks_accept_numbers_and_refuse_the_rest(
     with pytest.raises(ValueError) as exc:
         check_finite(a + 0j, "c")
     assert str(exc.value) == "c must be real, got complex entries"
+
+    if a.ndim == 1:
+        got = check_vector(a, a.size, "v")
+        assert got.dtype == np.float64
+        np.testing.assert_array_equal(got, a)
+        if a.dtype == np.float64:
+            assert got is a
+    else:
+        with pytest.raises(ValueError) as exc:
+            check_vector(a, a.size, "v")
+        assert str(exc.value) == f"v must have shape ({a.size},), got {a.shape}"
+
+
+_Z = np.array([0.5 + 1j, 0.5])  # a float cast would keep [0.5, 0.5]
+_LASSO = LassoProblem(np.eye(2), np.ones(2), 0.1)
+_LOGREG = L1LogRegProblem(np.eye(2)[:, :1], 1.0)  # n = 2 lifted coordinates
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda: QuadraticSaddleProblem(np.eye(2), c=_Z), "c"),
+        (lambda: NegativeEntropy(2).value(_Z), "x"),
+        (lambda: BinaryEntropyAverage(2).value(_Z / 4), "y"),
+        (lambda: Quadratic().divergence(np.zeros(2), _Z), "x_bar"),
+        (lambda: _LASSO.objective(_Z), "x"),
+        (lambda: lasso_optimality_residual(_LASSO, np.zeros(2), _Z), "y"),
+        (lambda: l1logreg_dual_residual(_LOGREG, _Z, np.full(2, 0.25)), "x"),
+        (lambda: support_from_dual(_LOGREG, _Z, 0.0), "y"),
+        (lambda: game_optimality_residual(MatrixGameProblem(np.eye(2), 1.0), _Z, _Z), "x"),
+        (lambda: QuadraticSaddleProblem(np.eye(2)).lagrangian(_Z, np.zeros(2)), "x"),
+    ],
+    ids=[
+        "quadratic-c", "simplex-point", "box-point",
+        "quadratic-divergence", "lasso-objective", "lasso-residual", "logreg-residual",
+        "logreg-support", "game-residual", "quadratic-lagrangian",
+    ],
+)
+def test_complex_vector_refused_not_cut(call, name):
+    """No problem, geometry or residual casts a complex argument to its real
+    part before an operator product or a point check sees it."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as exc:
+            call()
+    assert str(exc.value) == f"{name} must be real, got complex entries"
 
 
 class _Trap:
@@ -151,6 +203,9 @@ class _Trap:
         (lambda t: linear_rate_params(1e-20, 1e-20, 1.0),
          "theta must lie in (0, 1), but gamma_g*gamma_h_star/op_norm**2 = 1e-40 "
          "rounds it to 1.0"),
+        (lambda t: check_vector([1.0, 2.0], 3, "v"), "v must have shape (3,), got (2,)"),
+        (lambda t: check_vector(np.ones((3, 1)), 3, "v"), "v must have shape (3,), got (3, 1)"),
+        (lambda t: check_vector([1j, 0.0], 2, "v"), "v must be real, got complex entries"),
     ],
     ids=[
         "linear-rate-inf-norm", "acc-dual-inf-gamma", "acc-primal-inf-sigma0",
@@ -162,6 +217,7 @@ class _Trap:
         "schedule-for-nan-gamma-g", "schedule-for-negative-gamma-g",
         "schedule-for-nan-gamma-h-star", "acc-primal-overflowing-gamma-tau0",
         "acc-dual-overflowing-gamma-sigma0", "linear-rate-theta-rounds-to-one",
+        "vector-short", "vector-2-d", "vector-complex",
     ],
 )
 def test_bad_number_refused_before_any_work(monkeypatch, call, message):

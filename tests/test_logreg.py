@@ -188,6 +188,13 @@ class TestInvariants:
         with pytest.raises(ValueError, match="matrix"):
             L1LogRegProblem(np.ones(3), 1.0)
 
+    @pytest.mark.parametrize("B", [np.zeros((0, 3)), np.zeros((2, 0)), np.ones(3)])
+    def test_non_matrix_named_B(self, B):
+        """The message names B, not the operator's base."""
+        with pytest.raises(ValueError) as exc:
+            L1LogRegProblem(B, 1.0)
+        assert str(exc.value) == f"B must be a non-empty 2-d matrix, got shape {B.shape}"
+
     @pytest.mark.parametrize("lam", [np.inf, np.nan])
     def test_non_finite_lam_rejected(self, lam):
         """The message names lam, not the operator's scale."""

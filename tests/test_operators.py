@@ -1,5 +1,7 @@
 """Operators: apply/adjoint correctness, the norm menu, and CSV fixtures."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -16,6 +18,8 @@ from nlpdhg.operators import (
     norm_2_2,
     save_matrix_csv,
 )
+from nlpdhg.problems.lasso import LassoProblem
+from nlpdhg.problems.logreg import L1LogRegProblem
 
 
 class TestApply:
@@ -38,6 +42,31 @@ class TestApply:
             op.apply([1.0, 2.0])
         with pytest.raises(ValueError, match="shape"):
             op.adjoint_apply([1.0, 2.0, 3.0])
+
+    @pytest.mark.parametrize("bad", ["complex", "2-d", "length"])
+    @pytest.mark.parametrize(
+        "method, name, size", [("apply", "x", "cols"), ("adjoint_apply", "y", "rows")]
+    )
+    @pytest.mark.parametrize(
+        "op",
+        [DenseOperator(np.ones((2, 3))), ScaledConcat(np.ones((2, 3)), 0.5)],
+        ids=["dense", "scaled-concat"],
+    )
+    def test_products_refuse_a_bad_vector_in_one_wording(self, op, method, name, size, bad):
+        """No product cuts a complex vector to its real part: a float cast
+        made ScaledConcat(eye(2), 1).adjoint_apply([1+1j, 0]) read
+        [1, 0, -1, -0] with only a ComplexWarning."""
+        n = getattr(op, size)
+        value, message = {
+            "complex": (np.full(n, 1 + 1j), f"{name} must be real, got complex entries"),
+            "2-d": (np.ones((n, 1)), f"{name} must have shape ({n},), got ({n}, 1)"),
+            "length": (np.ones(n + 1), f"{name} must have shape ({n},), got ({n + 1},)"),
+        }[bad]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as exc:
+                getattr(op, method)(value)
+        assert str(exc.value) == message
 
     def test_scaled_concat_equals_materialized(self):
         rng = np.random.default_rng(0)
@@ -180,6 +209,27 @@ class TestNorms:
 
         for cap in (5000, 3):
             assert same_bits(estimate(np.ldexp(a, k), cap), np.ldexp(estimate(a, cap), k))
+
+    @pytest.mark.parametrize("k", [-600, 600])
+    @pytest.mark.parametrize(
+        "norm",
+        [
+            lambda a: LassoProblem(a, np.ones(a.shape[0]), 1.0).op_norm,
+            lambda a: L1LogRegProblem(a, 0.7).op_norm,
+            lambda a: norm_1_2(DenseOperator(a)),
+        ],
+        ids=["lasso-rows", "logreg-columns", "dense-columns"],
+    )
+    def test_cheap_norms_scale_by_powers_of_two_to_the_bit(self, norm, k):
+        """2^k A has 2^k times the norm of A, bit for bit. Unscaled, the
+        squared entries underflowed at 2^-600 ("operator norm 0 (all zeros)")
+        and overflowed at 2^600 (inf), as they did for the all-s matrix at
+        s = 1e-170 and 1e160."""
+        a = np.random.default_rng(3).standard_normal((6, 4))
+        assert same_bits(norm(np.ldexp(a, k)), np.ldexp(norm(a), k))
+        for s in (1e-170, 1e160):
+            want = s * norm(np.ones((3, 3)))
+            np.testing.assert_allclose(norm(np.full((3, 3), s)), want, rtol=1e-15)
 
     def test_norm_2_2_restart_counts_against_the_cap(self):
         rps = DenseOperator([[0.0, -1.0, 1.0], [1.0, 0.0, -1.0], [-1.0, 1.0, 0.0]])
