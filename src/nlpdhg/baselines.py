@@ -24,6 +24,7 @@ import time
 import numpy as np
 
 from .bregman import sigmoid, softmax
+from .checks import real_array
 from .engine import SaddleProblem, StoppingRule
 from .engine import _check_finite, _iterate, _norm, _rel_change, _run
 from .operators import DenseOperator, norm_2_2
@@ -62,15 +63,15 @@ def project_l1_ball(v, radius):
     """Euclidean projection onto {u : ||u||_1 <= radius}, exact.
 
     Sort-based threshold search, O(d log d). Inputs already inside the ball
-    are returned unchanged; ValueError for a NaN or infinite entry. Where
-    only the largest |v_j| survives the threshold, the result is the vertex
-    radius * sign(v_j) * e_j, set exactly: the threshold itself can round
-    by more than the radius next to a huge entry (about 1e16 times it).
+    are returned unchanged; ValueError for a NaN, infinite or complex entry.
+    Where only the largest |v_j| survives the threshold, the result is the
+    vertex radius * sign(v_j) * e_j, set exactly: the threshold itself can
+    round by more than the radius next to a huge entry (about 1e16 times it).
     """
     # A bare compare, not check_real: FB and linear-PDHG call this every iteration.
     if not radius > 0:
         raise ValueError(f"radius must be positive, got {radius}")
-    v = np.asarray(v, dtype=float)
+    v = real_array(v, "v")
     a = np.abs(v)
     total = a.sum()
     # A finite sum needs no scan of the entries.

@@ -15,8 +15,11 @@ no base class; callers use ``value``, ``gradient``, ``divergence``,
 every prox's one call, gives the fresh argmin of (damping - 1) phi(x) -
 coef <g, x> + D(x, x_bar) in the geometry's own phi, unchecked: the x with
 damping grad phi(x) = grad phi(x_bar) + coef g (up to a constant on the
-simplex). The other methods check their points: finite entries, and the
-length of a simplex or box point through ``checks.check_vector``.
+simplex). The other methods check their points through
+``validate_point(point, name, interior)``, which returns the point as a
+float vector and names it ``name`` in its messages (``engine.solve`` passes
+x0 and y0): finite entries, the length of a simplex or box point through
+``checks.check_vector``, and its domain or the domain's interior.
 ``sigmoid`` is one ``np.where`` over the whole array: the bits of a masked
 fill of its two stable branches, without the costlier gathers and scatters.
 """
@@ -45,13 +48,6 @@ EPS_DOM = 1e-300
 # the solvers stay within ~1e-12 of the simplex; the slack also admits the
 # small off-simplex perturbations finite-difference probes need.
 _SIMPLEX_ATOL = 1e-4
-
-
-def _asvector(v, name):
-    v = check_finite(v, name)
-    if v.ndim != 1:
-        raise ValueError(f"{name} must be a 1-d vector, got shape {v.shape}")
-    return v
 
 
 def _xlogx(v):
@@ -112,21 +108,25 @@ class Quadratic:
     def __init__(self, scale=1.0):
         self.scale = check_real("scale", scale, positive=True)
 
+    def validate_point(self, point, name, interior=False):
+        """``point`` as a finite float vector; all of R^n is interior."""
+        point = check_finite(point, name)
+        if point.ndim != 1:
+            raise ValueError(f"{name} must be a 1-d vector, got shape {point.shape}")
+        return point
+
     def value(self, x):
-        x = _asvector(x, "x")
+        x = self.validate_point(x, "x")
         return 0.5 * self.scale * float(x @ x)
 
     def gradient(self, x):
-        x = _asvector(x, "x")
+        x = self.validate_point(x, "x")
         return self.scale * x
 
     def divergence(self, x, x_bar):
-        x = _asvector(x, "x")
+        x = self.validate_point(x, "x")
         d = x - check_vector(check_finite(x_bar, "x_bar"), x.shape[0], "x_bar")
         return 0.5 * self.scale * float(d @ d)
-
-    def validate_point(self, x, interior=False):
-        _asvector(x, "x")
 
     def step(self, x_bar, g, coef, damping):
         """(x_bar + coef g / scale) / damping."""
@@ -148,8 +148,9 @@ class NegativeEntropy:
     def __init__(self, dim):
         self.dim = check_count("dim", dim, 1)
 
-    def _check(self, x, name, interior):
-        x = check_vector(check_finite(x, name), self.dim, name)
+    def validate_point(self, point, name, interior=False):
+        """``point`` as a float vector on the simplex (or in its interior)."""
+        x = check_vector(check_finite(point, name), self.dim, name)
         if interior:
             if x.min() < EPS_DOM:
                 raise ValueError(f"{name} is on or below the simplex boundary")
@@ -161,19 +162,16 @@ class NegativeEntropy:
         return x
 
     def value(self, x):
-        return _xlogx(self._check(x, "x", interior=False))
+        return _xlogx(self.validate_point(x, "x"))
 
     def gradient(self, x):
-        x = self._check(x, "x", interior=True)
+        x = self.validate_point(x, "x", interior=True)
         return 1.0 + np.log(x)
 
     def divergence(self, x, x_bar):
-        x = self._check(x, "x", interior=False)
-        x_bar = self._check(x_bar, "x_bar", interior=True)
+        x = self.validate_point(x, "x")
+        x_bar = self.validate_point(x_bar, "x_bar", interior=True)
         return _xlogratio(x, x_bar)
-
-    def validate_point(self, x, interior=False):
-        self._check(x, "x", interior)
 
     def step(self, x_bar, g, coef, damping):
         """softmax((log x_bar + coef g) / damping). A zero of x_bar stays 0:
@@ -203,8 +201,9 @@ class BinaryEntropyAverage:
             self.scale = check_real("scale", scale, positive=True)
             self._inv_scale = 1.0 / self.scale
 
-    def _check(self, y, name, interior):
-        y = check_vector(check_finite(y, name), self.m, name)
+    def validate_point(self, point, name, interior=False):
+        """``point`` as a float vector in the box (or in its interior)."""
+        y = check_vector(check_finite(point, name), self.m, name)
         s = self.m * y
         if interior:
             # min(1 - s) < EPS_DOM, as 1 - s is exact (<= 0 or >= 2**-53) near 1.
@@ -215,24 +214,21 @@ class BinaryEntropyAverage:
         return y
 
     def value(self, y):
-        y = self._check(y, "y", interior=False)
+        y = self.validate_point(y, "y")
         s = self.m * y
         return self.scale / self.m * (_xlogx(s) + _xlogx(1.0 - s))
 
     def gradient(self, y):
         """Componentwise logit of m*y, times the scale factor."""
-        y = self._check(y, "y", interior=True)
+        y = self.validate_point(y, "y", interior=True)
         return self.scale * logit(self.m * y)
 
     def divergence(self, y, y_bar):
-        y = self._check(y, "y", interior=False)
-        y_bar = self._check(y_bar, "y_bar", interior=True)
+        y = self.validate_point(y, "y")
+        y_bar = self.validate_point(y_bar, "y_bar", interior=True)
         s, sb = self.m * y, self.m * y_bar
         val = _xlogratio(s, sb) + _xlogratio(1.0 - s, 1.0 - sb)
         return self.scale / self.m * val
-
-    def validate_point(self, y, interior=False):
-        self._check(y, "y", interior)
 
     def step(self, y_bar, g, coef, damping):
         """sigmoid((logit(m y_bar) + (coef / scale) g) / damping) / m."""

@@ -40,9 +40,12 @@ def check_count(name, value, least):
 
 
 def real_array(value, name):
-    """``value`` as a float array (a float one as itself); ValueError naming
-    ``name`` if it is complex, whose imaginary part a float cast drops."""
+    """``value`` as a float array (a float one as itself, with no cast);
+    ValueError naming ``name`` if it is complex, whose imaginary part a float
+    cast drops."""
     a = np.asarray(value)
+    if a.dtype is _FLOAT:
+        return a
     if a.dtype.kind == "c":
         raise ValueError(f"{name} must be real, got complex entries")
     return a.astype(float, copy=False)
@@ -64,9 +67,7 @@ def check_vector(value, size, name):
     """``value`` as a float array of shape (size,), a float one as itself with
     no cast or scan; ValueError naming ``name`` otherwise or, as
     ``real_array``, for complex entries."""
-    a = np.asarray(value)
-    if a.dtype is not _FLOAT:
-        a = real_array(a, name)
+    a = real_array(value, name)
     if a.shape != (size,):
         raise ValueError(f"{name} must have shape ({size},), got {a.shape}")
     return a

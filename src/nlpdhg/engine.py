@@ -424,8 +424,6 @@ def solve(
     """
     stop = StoppingRule(max_iters, tol, stop_on, residual_fn)
     default = problem.default_init(seed)
-    x0 = real_array(default[0] if x0 is None else x0, "x0")
-    y0 = real_array(default[1] if y0 is None else y0, "y0")
-    problem.geom_x.validate_point(x0, interior=True)
-    problem.geom_y.validate_point(y0, interior=True)
+    x0 = problem.geom_x.validate_point(default[0] if x0 is None else x0, "x0", interior=True)
+    y0 = problem.geom_y.validate_point(default[1] if y0 is None else y0, "y0", interior=True)
     return run(problem, problem.schedule(), x0, y0, stop)

@@ -14,7 +14,8 @@ An operator keeps the caller's matrix without copying it, so the matrix
 must not change after construction; apply/adjoint methods are pure. Each
 operator keeps max_ij |A_ij| from the scan that validates its matrix, so
 the norms read it without another scan; far from 1 it sets the power of two
-by which they scale a copy of the matrix. Complex data is refused
+by which they scale a copy of the matrix (for a ``ScaledConcat``, max |B_ij|
+and the scale each set their own). Complex data is refused
 (``checks.real_array``; a product's vector through ``checks.check_vector``,
 which scans no entry), as are a bad ``ScaledConcat`` scale and
 ``norm_2_2`` iteration cap (``checks.check_real``, ``checks.check_count``).
@@ -107,7 +108,8 @@ class ScaledConcat:
     def __init__(self, base, scale):
         self.scale = check_real("scale", scale, positive=True)
         self.base = b = _matrix(base, "base")
-        self._max_abs = self.scale * _checked_max_abs(b, "base")
+        self._base_max_abs = _checked_max_abs(b, "base")
+        self._max_abs = self.scale * self._base_max_abs
         self._base_t = b.T
         self.rows, self._d = b.shape
         self.cols = 2 * self._d
@@ -137,20 +139,36 @@ class ScaledConcat:
         return self._max_abs
 
 
+def _exponent(top, least=-1000, most=1000):
+    """0 for top = 0 or in [2^-100, 2^100], where no product of two such
+    numbers under- or overflows; else the e that puts 2^e top in [1/2, 1),
+    clamped to [least, most] (ldexp overflows past 2^1023)."""
+    if top == 0.0 or 2.0**-100 <= top <= 2.0**100:
+        return 0
+    return min(max(-math.frexp(top)[1], least), most)
+
+
 def _scaled(op):
     """(s, an operator for s A) with s a power of two, so that a norm of
     s A over s is the norm of A and scales by powers of two bit for bit.
 
-    For max |A_ij| in [2^-100, 2^100] (or 0), no product of two entries
-    under- or overflows: s = 1.0 and the operator is ``op`` itself. Outside,
-    s puts s max |A_ij| in [1/2, 1), clamped to [2^-1000, 2^1000] (ldexp
-    overflows past 2^1023), and the copy scales the stored matrix."""
-    top = op.max_abs_entry()
-    if top == 0.0 or 2.0**-100 <= top <= 2.0**100:
-        return 1.0, op
-    s = math.ldexp(1.0, min(max(-math.frexp(top)[1], -1000), 1000))
+    A dense matrix is scaled by 2^e for e = ``_exponent(max |A_ij|)``. A
+    ``ScaledConcat`` scales its two factors apart, B by 2^e and its scale by
+    2^f, so that neither the square of the scale nor a column norm of B
+    under- or overflows; f is clamped so that s = 2^(e + f) stays in
+    [2^-1000, 2^1000]. Where the exponents are 0, s = 1.0 and the operator
+    is ``op`` itself."""
     if isinstance(op, ScaledConcat):
-        return s, ScaledConcat(s * op.base, op.scale)
+        e = _exponent(op._base_max_abs)
+        f = _exponent(op.scale, -1000 - e, 1000 - e)
+        if e == f == 0:
+            return 1.0, op
+        scaled = ScaledConcat(math.ldexp(1.0, e) * op.base, math.ldexp(op.scale, f))
+        return math.ldexp(1.0, e + f), scaled
+    e = _exponent(op.max_abs_entry())
+    if e == 0:
+        return 1.0, op
+    s = math.ldexp(1.0, e)
     return s, DenseOperator(s * op.matrix)
 
 

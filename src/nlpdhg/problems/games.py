@@ -66,9 +66,8 @@ def game_optimality_residual(problem, x, y):
     [A^T y]_j + lam (1 + log x_j) = const, r2 is the l1 distance from y to
     softmax(A x / lam). Both vanish exactly at the equilibrium.
     """
-    problem.geom_x.validate_point(x, interior=True)
-    problem.geom_y.validate_point(y, interior=True)
-    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    x = problem.geom_x.validate_point(x, "x", interior=True)
+    y = problem.geom_y.validate_point(y, "y", interior=True)
     g = problem.operator.adjoint_apply(y) + problem.lam * (1.0 + np.log(x))
     r1 = float(np.max(np.abs(g - g.mean())))
     r2 = float(np.sum(np.abs(y - softmax(problem.operator.apply(x) / problem.lam))))

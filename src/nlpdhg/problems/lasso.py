@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..bregman import Quadratic
-from ..checks import check_finite, check_real, check_vector
+from ..checks import check_finite, check_real, check_vector, real_array
 from ..engine import SaddleProblem, solve
 from ..operators import DenseOperator, _scaled
 
@@ -35,12 +35,12 @@ __all__ = [
 def shrink1(x, beta):
     """Componentwise soft threshold, the prox of beta*||.||_1.
 
-    Entries with |x_j| <= beta come out as exact zeros.
+    Entries with |x_j| <= beta come out as exact zeros; complex x is refused.
     """
     # Every primal prox calls this, so a bare compare, not check_real.
     if not beta > 0:
         raise ValueError(f"beta must be positive, got {beta}")
-    x = np.asarray(x, dtype=float)
+    x = real_array(x, "x")
     out = np.abs(x)
     out -= beta
     np.maximum(out, 0.0, out=out)

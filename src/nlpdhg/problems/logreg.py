@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..bregman import BinaryEntropyAverage, NegativeEntropy, sigmoid
-from ..checks import check_real, check_vector
+from ..checks import check_real, check_vector, real_array
 from ..engine import SaddleProblem, solve
 from ..operators import ScaledConcat, _matrix, norm_1_2
 
@@ -63,7 +63,7 @@ class L1LogRegProblem(SaddleProblem):
 
     def objective_v(self, v):
         """Primal objective of the original ball-constrained problem at v."""
-        return float(np.mean(_softplus(self.B @ v)))
+        return float(np.mean(_softplus(self.B @ check_vector(v, self.d, "v"))))
 
     def default_init(self, seed=0):
         """The simplex barycentre and the dual box centre; ``seed`` is unused."""
@@ -74,7 +74,7 @@ class L1LogRegProblem(SaddleProblem):
 
 def recover_v(x, lam):
     """Map a simplex point back to the l1 ball: v = lam (I | -I) x."""
-    x = np.asarray(x, dtype=float)
+    x = real_array(x, "x")
     if x.shape[0] % 2 != 0:
         raise ValueError(f"simplex point must have even dimension, got {x.shape[0]}")
     d = x.shape[0] // 2

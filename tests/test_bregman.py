@@ -267,9 +267,9 @@ def test_every_domain_check_raises_its_message(check, message):
 def test_box_interior_reaches_the_upper_face():
     """The last double below the face 1/m is still interior; the face is not."""
     assert 2.0 * _TOP == 1.0 - 2.0**-53
-    _BOX.validate_point([0.25, _TOP], interior=True)
+    _BOX.validate_point([0.25, _TOP], "y", interior=True)
     with pytest.raises(ValueError, match="boundary"):
-        _BOX.validate_point([0.25, 0.5], interior=True)
+        _BOX.validate_point([0.25, 0.5], "y", interior=True)
 
 
 @settings(max_examples=300, deadline=None)

@@ -11,13 +11,19 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from nlpdhg import data
+from nlpdhg.baselines import project_l1_ball
 from nlpdhg.bregman import BinaryEntropyAverage, NegativeEntropy, Quadratic
 from nlpdhg.checks import check_count, check_finite, check_real, check_vector
 from nlpdhg.data import gen_game_data, gen_lasso_data, gen_logreg_data
 from nlpdhg.operators import ScaledConcat, norm_2_2
 from nlpdhg.problems.games import MatrixGameProblem, game_optimality_residual
-from nlpdhg.problems.lasso import LassoProblem, lasso_optimality_residual
-from nlpdhg.problems.logreg import L1LogRegProblem, l1logreg_dual_residual, support_from_dual
+from nlpdhg.problems.lasso import LassoProblem, lasso_optimality_residual, shrink1
+from nlpdhg.problems.logreg import (
+    L1LogRegProblem,
+    l1logreg_dual_residual,
+    recover_v,
+    support_from_dual,
+)
 from nlpdhg.problems.quadratic import QuadraticSaddleProblem
 from nlpdhg.schedules import (
     AccDualSchedule,
@@ -135,11 +141,16 @@ _LOGREG = L1LogRegProblem(np.eye(2)[:, :1], 1.0)  # n = 2 lifted coordinates
         (lambda: support_from_dual(_LOGREG, _Z, 0.0), "y"),
         (lambda: game_optimality_residual(MatrixGameProblem(np.eye(2), 1.0), _Z, _Z), "x"),
         (lambda: QuadraticSaddleProblem(np.eye(2)).lagrangian(_Z, np.zeros(2)), "x"),
+        (lambda: recover_v(_Z, 1.0), "x"),
+        (lambda: shrink1(_Z, 1.0), "x"),
+        (lambda: _LOGREG.objective_v(_Z[:1]), "v"),
+        (lambda: project_l1_ball(_Z, 1.0), "v"),
     ],
     ids=[
         "quadratic-c", "simplex-point", "box-point",
         "quadratic-divergence", "lasso-objective", "lasso-residual", "logreg-residual",
         "logreg-support", "game-residual", "quadratic-lagrangian",
+        "recover-v", "shrink1", "logreg-objective-v", "project-l1-ball",
     ],
 )
 def test_complex_vector_refused_not_cut(call, name):

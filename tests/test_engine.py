@@ -665,6 +665,23 @@ class TestSolveStartPoint:
             solve_l1_logreg(p, y0=y0, max_iters=10)
 
     @pytest.mark.parametrize(
+        "problem, start",
+        [
+            (MatrixGameProblem(np.eye(2), 0.5), {"y0": np.full(3, 1 / 3)}),
+            (L1LogRegProblem(np.ones((2, 1)), 1.0), {"x0": np.full(3, 1 / 3)}),
+            (L1LogRegProblem(np.ones((2, 1)), 1.0), {"y0": np.full(3, 1 / 6)}),
+        ],
+        ids=["game-y0", "logreg-x0", "logreg-y0"],
+    )
+    def test_start_point_named_by_its_argument(self, problem, start):
+        """The message names the argument, not the geometry's own variable:
+        a simplex check once said "x" for the game's y0."""
+        (name,) = start
+        with pytest.raises(ValueError) as exc:
+            engine.solve(problem, max_iters=10, **start)
+        assert str(exc.value) == f"{name} must have shape (2,), got (3,)"
+
+    @pytest.mark.parametrize(
         "kwargs, message",
         [
             ({"tol": float("nan")}, "tol must be a finite number >= 0, got nan"),

@@ -89,6 +89,12 @@ class TestOptimalityResidual:
         with pytest.raises(ValueError):
             game_optimality_residual(p, np.array([1.0, 0.0]), np.array([0.5, 0.5]))
 
+    def test_bad_y_named_y(self):
+        p = MatrixGameProblem(np.eye(2), 0.5)
+        with pytest.raises(ValueError) as exc:
+            game_optimality_residual(p, np.full(2, 0.5), np.full(3, 1 / 3))
+        assert str(exc.value) == "y must have shape (2,), got (3,)"
+
 
 class TestProxOracles:
     def test_dual_prox_positive_linear_term(self):

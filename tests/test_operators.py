@@ -231,6 +231,24 @@ class TestNorms:
             want = s * norm(np.ones((3, 3)))
             np.testing.assert_allclose(norm(np.full((3, 3), s)), want, rtol=1e-15)
 
+    @pytest.mark.parametrize("k", [-600, 600])
+    def test_logreg_norm_scales_with_the_radius_to_the_bit(self, k):
+        """2^k lam has 2^k times the norm, bit for bit: the scale is scaled
+        apart from B."""
+        b = np.random.default_rng(4).standard_normal((6, 4))
+        got = L1LogRegProblem(b, np.ldexp(0.7, k)).op_norm
+        assert same_bits(got, np.ldexp(L1LogRegProblem(b, 0.7).op_norm, k))
+
+    @pytest.mark.parametrize(
+        "s, lam", [(1.0, 1e-170), (1.0, 1e160), (1e170, 1e-170)], ids=["tiny-lam", "huge-lam", "huge-b"]
+    )
+    def test_logreg_norm_for_any_radius(self, s, lam):
+        """The norm of lam (B | -B) for B all s is s lam sqrt 3. Squaring lam
+        apart gave nan with a RuntimeWarning at lam = 1e-170 and at B = 1e170
+        (0 * inf), and an OverflowError at lam = 1e160."""
+        got = L1LogRegProblem(np.full((3, 3), s), lam).op_norm
+        np.testing.assert_allclose(got, s * lam * np.sqrt(3.0), rtol=1e-15)
+
     def test_norm_2_2_restart_counts_against_the_cap(self):
         rps = DenseOperator([[0.0, -1.0, 1.0], [1.0, 0.0, -1.0], [-1.0, 1.0, 0.0]])
         with pytest.raises(PowerIterationError) as exc:
